@@ -13,7 +13,7 @@ from .tasks import TaskDescription, TaskRecord
 from .scheduler import (SchedulerConfig, UnschedulableError, check_feasible,
                         schedule, schedule_noop)
 from .workloads import (DurationModel, WorkloadPreset, clipped_lognormal_mean,
-                        make_preset, preset_names, sample_durations)
+                        make_preset, preset_names)
 from .eventlog import EventLog, LogError, state_sequence
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .executors import (BulkBackendConfig, ExecutionService, ExecutorError,

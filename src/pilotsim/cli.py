@@ -7,7 +7,9 @@
 `run` assembles pilot + scheduler + backend + workflow from a YAML config,
 executes, and writes the event log plus utilization/overhead/rate reports.
 `report` recomputes the same reports from an event log alone.  Exit status
-is 0 when at least the configured fraction of work completed.
+is 0 when at least the configured fraction of work completed, and 2 when
+the config is invalid.  The `run` overrides are applied to the config
+mapping before validation, so a bad override is named like a bad key.
 
 Log verbosity is controlled by the PILOTSIM_LOG_LEVEL environment variable
 (DEBUG, INFO, WARNING; default WARNING).
@@ -17,18 +19,16 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import ConfigError, parse_config, read_config
 from .eventlog import EventLog, LogError
 from .executors import ExecutionService, make_records
 from .metrics import overhead, rate, utilization
 from .overlay import OverlaySim, WorkItem
 from .resources import acquire
-from .tasks import TaskDescription
+from .tasks import TERMINAL, TaskDescription
 from .workflow import (AdaptiveLoopConfig, WorkflowEngine, deepdrive_pipeline,
                        esmacs_pipeline, iterate_adaptive, run_hybrid,
                        ties_pipeline)
@@ -36,62 +36,35 @@ from .workflow import (AdaptiveLoopConfig, WorkflowEngine, deepdrive_pipeline,
 log = logging.getLogger('pilotsim')
 
 
-def _bundled_workload(preset, seed):
-    """Group a preset's items into execution bundles; one sampled duration
-    and a credit of bundle_size per bundle."""
-    n_bundles = math.ceil(preset.item_count / preset.bundle_size)
-    durations = preset.model.sample(n_bundles, seed=seed)
-    descs = [TaskDescription(task_id='%s-%06d' % (preset.name, i),
-                             cpu_cores_per_rank=preset.cores,
+def _run_flat(cfg, service):
+    preset = cfg.workload
+    ids, durations, credits = preset.bundles(cfg.seed)
+    descs = [TaskDescription(task_id=task_id, cpu_cores_per_rank=preset.cores,
                              ranks=preset.ranks, gpus=preset.gpus)
-             for i in range(n_bundles)]
-    last_credit = preset.item_count - preset.bundle_size * (n_bundles - 1)
-    credits = [preset.bundle_size] * (n_bundles - 1) + [last_credit]
-    return descs, durations, credits
-
-
-def _run_flat(cfg, pilot):
-    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
-                               flavor=cfg.flavor, plan=cfg.plan,
-                               limits=cfg.limits, bulk_cfg=cfg.bulk,
-                               seed=cfg.seed)
-    descs, durations, credits = _bundled_workload(cfg.workload, cfg.seed)
+             for task_id in ids]
     records = make_records(descs, durations)
     for rec, credit in zip(records, credits):
         rec.credit = credit
     service.submit(records)
     service.run()
-    done = sum(r.credit for r in records if r.state == 'done')
-    return service.log, done, cfg.workload.item_count
 
 
 def _run_overlay(cfg, pilot):
     preset = cfg.workload
-    n_bundles = math.ceil(preset.item_count / preset.bundle_size)
-    durations = preset.model.sample(n_bundles, seed=cfg.seed)
-    last_credit = preset.item_count - preset.bundle_size * (n_bundles - 1)
-    items = [WorkItem('%s-%06d' % (preset.name, i), float(d),
-                      credit=(preset.bundle_size if i < n_bundles - 1
-                              else last_credit))
-             for i, d in enumerate(durations)]
-    slot_kind = 'gpus' if preset.gpus else cfg.overlay_slot_kind
+    ids, durations, credits = preset.bundles(cfg.seed)
+    items = [WorkItem(item_id, float(d), credit=credit)
+             for item_id, d, credit in zip(ids, durations, credits)]
     sim = OverlaySim(pilot, cfg.overlay, items,
-                     latency_s=cfg.overlay_latency, slot_kind=slot_kind)
+                     latency_s=cfg.overlay_latency,
+                     slot_kind='gpus' if preset.gpus else 'cores')
     sim.run()
-    done = sum(m.completed for m in sim.overlay.masters)
-    # per-master credit bookkeeping counts bundles; credit the log's rows
-    done_credit = sum(r.get('credit', 1) for r in sim.log.rows
-                      if r['event'] == 'done')
-    log.info('overlay: %d bundles done, %d messages', done, sim.message_count)
-    return sim.log, done_credit, preset.item_count
+    log.info('overlay: %d bundles done, %d messages',
+             sum(m.completed for m in sim.overlay.masters), sim.message_count)
+    return sim.log, preset.item_count
 
 
-def _run_deepdrive(cfg, pilot):
+def _run_deepdrive(cfg, service):
     p = cfg.template_params
-    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
-                               flavor=cfg.flavor, plan=cfg.plan,
-                               limits=cfg.limits, bulk_cfg=cfg.bulk,
-                               seed=cfg.seed)
     loop = AdaptiveLoopConfig(
         max_iterations=int(p.get('iterations', 4)),
         outlier_probability=float(p.get('outlier_probability', 0.0)),
@@ -100,60 +73,52 @@ def _run_deepdrive(cfg, pilot):
     durations = p.get('durations')
 
     def factory(generation):
-        return deepdrive_pipeline(pilot, iteration=generation,
+        return deepdrive_pipeline(service.pilot, iteration=generation,
                                   durations=durations)
 
     iterate_adaptive(loop, service, factory)
-    done = sum(1 for r in service.records.values() if r.state == 'done')
-    return service.log, done, len(service.records)
 
 
-def _run_pipelines(cfg, pilot, pipelines, comm_latency):
-    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
-                               flavor=cfg.flavor, plan=cfg.plan,
-                               limits=cfg.limits, bulk_cfg=cfg.bulk,
-                               seed=cfg.seed)
-    engine = WorkflowEngine(service, comm_latency_s=comm_latency)
-    engine.run_pipelines(pipelines)
-    done = sum(1 for r in service.records.values() if r.state == 'done')
-    return service.log, done, len(service.records)
-
-
-def _run_ensemble(cfg, pilot, make_pipeline):
+def _run_ensemble(cfg, service, make_pipeline):
     p = cfg.template_params
-    count = int(p.get('count', 1))
     duration = float(p.get('duration', 320.0))
-    pipelines = [make_pipeline(i, duration=duration) for i in range(count)]
-    return _run_pipelines(cfg, pilot, pipelines,
-                          float(p.get('comm_latency', 0.0)))
+    pipelines = [make_pipeline(i, duration=duration)
+                 for i in range(int(p.get('count', 1)))]
+    engine = WorkflowEngine(service,
+                            comm_latency_s=float(p.get('comm_latency', 0.0)))
+    engine.run_pipelines(pipelines)
 
 
-def _run_hybrid(cfg, pilot):
+def _run_hybrid(cfg, service):
     p = cfg.template_params
-    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
-                               flavor=cfg.flavor, plan=cfg.plan,
-                               limits=cfg.limits, bulk_cfg=cfg.bulk,
-                               seed=cfg.seed)
     run_hybrid(int(p.get('wf3_count', 1)), int(p.get('wf4_count', 1)),
                service,
                wf3_duration=float(p.get('wf3_duration', 320.0)),
                wf4_duration=float(p.get('wf4_duration', 320.0)),
                comm_latency_s=float(p.get('comm_latency', 0.0)))
-    done = sum(1 for r in service.records.values() if r.state == 'done')
-    return service.log, done, len(service.records)
 
 
 _TEMPLATE_RUNNERS = {
     'flat': _run_flat,
-    'wf1-overlay': _run_overlay,
     'wf2-deepdrive': _run_deepdrive,
-    'wf3-esmacs': lambda cfg, pilot: _run_ensemble(cfg, pilot, esmacs_pipeline),
-    'wf4-ties': lambda cfg, pilot: _run_ensemble(cfg, pilot, ties_pipeline),
+    'wf3-esmacs': lambda cfg, svc: _run_ensemble(cfg, svc, esmacs_pipeline),
+    'wf4-ties': lambda cfg, svc: _run_ensemble(cfg, svc, ties_pipeline),
     'hybrid-lb': _run_hybrid,
 }
 
 
-def write_reports(event_log, out_dir, rate_window=60.0):
+def _run_service(cfg, pilot):
+    """Run the config's template on the direct, partitioned or bulk
+    backend; returns the event log and the work total."""
+    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
+                               flavor=cfg.flavor, plan=cfg.plan,
+                               limits=cfg.limits, bulk_cfg=cfg.bulk,
+                               seed=cfg.seed)
+    _TEMPLATE_RUNNERS[cfg.template](cfg, service)
+    return service.log, sum(r.credit for r in service.records.values())
+
+
+def write_reports(event_log, out_dir, rate_window):
     """Write utilization/overhead/rate reports plus the timeline CSV next
     to the event log; returns the report dict."""
     util = utilization(event_log)
@@ -177,21 +142,20 @@ def write_reports(event_log, out_dir, rate_window=60.0):
 def run_campaign(cfg):
     """Execute one campaign; returns (summary dict, exit status)."""
     pilot = acquire(cfg.pilot)
-    if cfg.backend == 'overlay' and cfg.template in ('flat', 'wf1-overlay'):
-        runner = _run_overlay
-    else:
-        runner = _TEMPLATE_RUNNERS[cfg.template]
-    event_log, done, total = runner(cfg, pilot)
+    runner = _run_overlay if cfg.backend == 'overlay' else _run_service
+    event_log, total = runner(cfg, pilot)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     event_log.write(os.path.join(cfg.output_dir, 'events.jsonl'))
-    reports = write_reports(event_log, cfg.output_dir,
-                            rate_window=cfg.rate_window)
+    reports = write_reports(event_log, cfg.output_dir, cfg.rate_window)
 
     states = {}
+    done = 0     # work items: a done row carries its bundle's credit
     for row in event_log.task_rows():
-        if row['event'] in ('done', 'failed', 'lost'):
+        if row['event'] in TERMINAL:
             states[row['event']] = states.get(row['event'], 0) + 1
+        if row['event'] == 'done':
+            done += row['credit']
     fraction = done / total if total else 0.0
     summary = {
         'template': cfg.template, 'backend': cfg.backend,
@@ -212,18 +176,19 @@ def run_campaign(cfg):
 
 def _cmd_run(args):
     try:
-        cfg = load_config(args.config)
+        raw = read_config(args.config)
+        # overrides edit the file's mapping, so they are validated like it
+        if isinstance(raw, dict):
+            for key in ('seed', 'backend', 'flavor'):
+                if getattr(args, key) is not None:
+                    raw[key] = getattr(args, key)
+            if args.out is not None and \
+                    isinstance(raw.setdefault('output', {}), dict):
+                raw['output']['dir'] = args.out
+        cfg = parse_config(raw)
     except (ConfigError, OSError) as exc:
         print('config error: %s' % exc, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.backend is not None:
-        cfg = replace(cfg, backend=args.backend)
-    if args.flavor is not None:
-        cfg = replace(cfg, flavor=args.flavor)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
     summary, status = run_campaign(cfg)
     print('completed %d/%d work items (%.1f%%); artifacts in %s'
           % (summary['work_done'], summary['work_total'],
@@ -238,7 +203,7 @@ def _cmd_report(args):
         print('log error: %s' % exc, file=sys.stderr)
         return 2
     out_dir = args.out or os.path.dirname(os.path.abspath(args.log))
-    reports = write_reports(event_log, out_dir, rate_window=args.window)
+    reports = write_reports(event_log, out_dir, args.window)
     print(json.dumps({'utilization': reports['utilization'],
                       'overhead': reports['overhead']},
                      indent=2, sort_keys=True))

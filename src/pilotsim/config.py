@@ -2,10 +2,11 @@
 
 A campaign file describes one run: the resource, the pilot, the scheduler,
 the execution backend and flavor, and either a flat workload or a workflow
-template.  Validation errors name the offending key path.
+template.  Validation errors name the offending key path.  A key the file
+leaves out takes the default of the dataclass it configures.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -21,6 +22,9 @@ TEMPLATES = ('flat', 'wf1-overlay', 'wf2-deepdrive', 'wf3-esmacs',
              'wf4-ties', 'hybrid-lb')
 BACKENDS = ('direct', 'partitioned', 'bulk', 'overlay')
 FLAVORS = ('sim', 'real')
+
+# the accepted types of a number; _get returns it as a float
+_FLOAT = (int, float)
 
 
 class ConfigError(Exception):
@@ -43,6 +47,8 @@ def _get(d, key, path, required=False, default=None, types=None):
                           'expected %s, got %s'
                           % ('/'.join(t.__name__ for t in types),
                              type(val).__name__))
+    if types is _FLOAT:
+        return float(val)
     return val
 
 
@@ -53,31 +59,39 @@ def _check_known(d, known, path):
                               'unknown key (known: %s)' % ', '.join(sorted(known)))
 
 
+def _present(d, path, types_by_key, required=()):
+    """Keyword arguments for the keys of `types_by_key` that `d` sets,
+    type-checked; a key left out is left to the dataclass default."""
+    return {key: _get(d, key, path, required=key in required, types=types)
+            for key, types in types_by_key.items()
+            if key in d or key in required}
+
+
 @dataclass
 class CampaignConfig:
     seed: int
     resource: ResourceSpec
     pilot: PilotDescription
     scheduler: SchedulerConfig
-    backend: str = 'direct'
-    flavor: str = 'sim'
-    template: str = 'flat'
-    template_params: dict = field(default_factory=dict)
-    workload: object = None          # WorkloadPreset or None
-    plan: PartitionPlan = None
-    limits: StabilityLimits = None
-    bulk: BulkBackendConfig = None
-    overlay: MasterConfig = None
-    overlay_latency: float = 0.0
-    overlay_slot_kind: str = 'cores'
-    output_dir: str = 'out'
-    completion_threshold: float = 0.95
-    rate_window: float = 60.0
+    backend: str
+    flavor: str
+    template: str
+    template_params: dict
+    workload: object                 # WorkloadPreset or None
+    plan: PartitionPlan              # or None
+    limits: StabilityLimits
+    bulk: BulkBackendConfig
+    overlay: MasterConfig
+    overlay_latency: float
+    output_dir: str
+    completion_threshold: float
+    rate_window: float
 
 
 def _parse_resource(raw):
-    _check_known(raw, {'preset', 'nodes', 'cpu_cores', 'gpus',
-                       'usable_cpu_cores'}, 'resource')
+    node_keys = {'cpu_cores': (int,), 'gpus': (int,),
+                 'usable_cpu_cores': (int,)}
+    _check_known(raw, {'preset', 'nodes', *node_keys}, 'resource')
     n_nodes = _get(raw, 'nodes', 'resource', required=True, types=(int,))
     if n_nodes < 1:
         raise ConfigError('resource.nodes', 'must be >= 1')
@@ -88,14 +102,10 @@ def _parse_resource(raw):
                               'unknown preset %r (known: %s)'
                               % (preset, ', '.join(sorted(NODE_PRESETS))))
         return ResourceSpec.from_preset(preset, n_nodes)
-    cores = _get(raw, 'cpu_cores', 'resource', required=True, types=(int,))
-    gpus = _get(raw, 'gpus', 'resource', default=0, types=(int,))
-    usable = _get(raw, 'usable_cpu_cores', 'resource', types=(int,))
+    node = _present(raw, 'resource', node_keys, required=('cpu_cores',))
     try:
-        nodes = tuple(NodeSpec(node_id=i, cpu_cores=cores, gpus=gpus,
-                               usable_cpu_cores=usable)
-                      for i in range(n_nodes))
-        return ResourceSpec(nodes=nodes)
+        return ResourceSpec(nodes=tuple(NodeSpec(node_id=i, **node)
+                                        for i in range(n_nodes)))
     except ValueError as exc:
         raise ConfigError('resource', str(exc))
 
@@ -103,41 +113,18 @@ def _parse_resource(raw):
 def _parse_plan(raw):
     if raw is None:
         return None
-    _check_known(raw, {'count', 'nodes_per_partition', 'max_tasks_per_partition',
-                       'per_partition_start_cost', 'post_start_sleep',
-                       'per_launch_delay'}, 'pilot.partitions')
+    plan_keys = {'count': (int,), 'nodes_per_partition': (int,),
+                 'max_tasks_per_partition': (int,),
+                 'per_partition_start_cost': _FLOAT, 'post_start_sleep': _FLOAT,
+                 'per_launch_delay': _FLOAT}
+    _check_known(raw, plan_keys, 'pilot.partitions')
+    plan = _present(raw, 'pilot.partitions', plan_keys,
+                    required=('count', 'nodes_per_partition'))
+    plan['partition_count'] = plan.pop('count')
     try:
-        return PartitionPlan(
-            partition_count=_get(raw, 'count', 'pilot.partitions',
-                                 required=True, types=(int,)),
-            nodes_per_partition=_get(raw, 'nodes_per_partition',
-                                     'pilot.partitions', required=True,
-                                     types=(int,)),
-            max_tasks_per_partition=_get(raw, 'max_tasks_per_partition',
-                                         'pilot.partitions', types=(int,)),
-            per_partition_start_cost=float(_get(raw, 'per_partition_start_cost',
-                                                'pilot.partitions', default=0.5,
-                                                types=(int, float))),
-            post_start_sleep=float(_get(raw, 'post_start_sleep',
-                                        'pilot.partitions', default=10.0,
-                                        types=(int, float))),
-            per_launch_delay=float(_get(raw, 'per_launch_delay',
-                                        'pilot.partitions', default=0.1,
-                                        types=(int, float))))
+        return PartitionPlan(**plan)
     except ValueError as exc:
         raise ConfigError('pilot.partitions', str(exc))
-
-
-def _parse_limits(raw):
-    if raw is None:
-        return None
-    _check_known(raw, {'stable_max_nodes', 'stable_max_tasks',
-                       'startup_failure_p', 'internal_failure_p',
-                       'lost_connection_p'}, 'stability')
-    try:
-        return StabilityLimits(**{k: raw[k] for k in raw})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError('stability', str(exc))
 
 
 def parse_config(raw):
@@ -166,25 +153,18 @@ def parse_config(raw):
     try:
         pilot = PilotDescription(
             resource=resource,
-            walltime=float(_get(raw_pilot, 'walltime', 'pilot', required=True,
-                                types=(int, float))),
-            startup_latency=float(_get(raw_pilot, 'startup_latency', 'pilot',
-                                       default=0.0, types=(int, float))),
-            partition_plan=plan)
+            **_present(raw_pilot, 'pilot', {'walltime': _FLOAT,
+                                            'startup_latency': _FLOAT},
+                       required=('walltime',)))
     except ValueError as exc:
         raise ConfigError('pilot', str(exc))
 
     raw_sched = _get(raw, 'scheduler', '', default={}, types=(dict,))
-    _check_known(raw_sched, {'algorithm', 'prioritize_large', 'tie_break'},
-                 'scheduler')
+    sched_keys = {'algorithm': (str,), 'prioritize_large': (bool,)}
+    _check_known(raw_sched, sched_keys, 'scheduler')
     try:
-        scheduler = SchedulerConfig(
-            algorithm=_get(raw_sched, 'algorithm', 'scheduler',
-                           default='continuous', types=(str,)),
-            prioritize_large=_get(raw_sched, 'prioritize_large', 'scheduler',
-                                  default=True, types=(bool,)),
-            tie_break=_get(raw_sched, 'tie_break', 'scheduler',
-                           default='lowest-node-id', types=(str,)))
+        scheduler = SchedulerConfig(**_present(raw_sched, 'scheduler',
+                                               sched_keys))
     except ValueError as exc:
         raise ConfigError('scheduler', str(exc))
 
@@ -196,6 +176,9 @@ def parse_config(raw):
     if flavor not in FLAVORS:
         raise ConfigError('flavor', 'unknown flavor %r (known: %s)'
                           % (flavor, ', '.join(FLAVORS)))
+    if backend == 'overlay' and flavor != 'sim':
+        raise ConfigError('flavor', 'the overlay backend runs only the sim '
+                          'flavor, not %r' % flavor)
     if backend == 'partitioned' and plan is None:
         raise ConfigError('pilot.partitions',
                           'partitioned backend needs a partition plan')
@@ -224,66 +207,51 @@ def parse_config(raw):
             item_count=_get(raw_wl, 'items', 'workload', types=(int,)),
             seed=seed)
         scale = _get(raw_wl, 'duration_scale', 'workload', default=1.0,
-                     types=(int, float))
+                     types=_FLOAT)
         if scale != 1.0:
-            workload = type(workload)(
-                name=workload.name, item_count=workload.item_count,
-                model=workload.model.scaled(float(scale)),
-                bundle_size=workload.bundle_size, cores=workload.cores,
-                gpus=workload.gpus, ranks=workload.ranks)
+            workload = replace(workload, model=workload.model.scaled(scale))
     if template in ('flat', 'wf1-overlay') and workload is None:
         raise ConfigError('workload',
                           'template %r needs a workload section' % template)
     if backend == 'overlay' and template not in ('flat', 'wf1-overlay'):
         raise ConfigError('backend',
                           'overlay backend only runs flat workloads')
+    if template == 'wf1-overlay' and backend != 'overlay':
+        raise ConfigError('workflow.template',
+                          'template wf1-overlay runs only on the overlay '
+                          'backend, not %r' % backend)
 
-    raw_bulk = _get(raw, 'bulk', '', types=(dict,))
-    bulk = None
-    if raw_bulk is not None:
-        _check_known(raw_bulk, {'scheduling_rate', 'startup_cost'}, 'bulk')
-        try:
-            bulk = BulkBackendConfig(
-                scheduling_rate=_get(raw_bulk, 'scheduling_rate', 'bulk',
-                                     default=14.21),
-                startup_cost=float(_get(raw_bulk, 'startup_cost', 'bulk',
-                                        default=0.0, types=(int, float))))
-        except ValueError as exc:
-            raise ConfigError('bulk', str(exc))
+    raw_bulk = _get(raw, 'bulk', '', default={}, types=(dict,))
+    bulk_keys = {'scheduling_rate': (int, float, type(None)),
+                 'startup_cost': _FLOAT}
+    _check_known(raw_bulk, bulk_keys, 'bulk')
+    try:
+        bulk = BulkBackendConfig(**_present(raw_bulk, 'bulk', bulk_keys))
+    except ValueError as exc:
+        raise ConfigError('bulk', str(exc))
 
-    raw_ov = _get(raw, 'overlay', '', types=(dict,))
-    overlay = None
-    overlay_latency = 0.0
-    overlay_slot_kind = 'cores'
-    if raw_ov is not None:
-        _check_known(raw_ov, {'nodes_per_master', 'bulk_size', 'latency',
-                              'slot_kind', 'dispatch_order'}, 'overlay')
-        try:
-            overlay = MasterConfig(
-                nodes_per_master=_get(raw_ov, 'nodes_per_master', 'overlay',
-                                      default=100, types=(int,)),
-                bulk_size=_get(raw_ov, 'bulk_size', 'overlay', default=1,
-                               types=(int,)),
-                dispatch_order=_get(raw_ov, 'dispatch_order', 'overlay',
-                                    default='longest-first', types=(str,)))
-        except ValueError as exc:
-            raise ConfigError('overlay', str(exc))
-        overlay_latency = float(_get(raw_ov, 'latency', 'overlay',
-                                     default=0.0, types=(int, float)))
-        overlay_slot_kind = _get(raw_ov, 'slot_kind', 'overlay',
-                                 default='cores', types=(str,))
-        if overlay_slot_kind not in ('cores', 'gpus'):
-            raise ConfigError('overlay.slot_kind', 'must be cores or gpus')
-    if backend == 'overlay' and overlay is None:
-        overlay = MasterConfig()
+    raw_ov = _get(raw, 'overlay', '', default={}, types=(dict,))
+    master_keys = {'nodes_per_master': (int,), 'bulk_size': (int,)}
+    _check_known(raw_ov, {'latency', *master_keys}, 'overlay')
+    try:
+        overlay = MasterConfig(**_present(raw_ov, 'overlay', master_keys))
+    except ValueError as exc:
+        raise ConfigError('overlay', str(exc))
 
-    limits = _parse_limits(_get(raw, 'stability', '', types=(dict,)))
+    raw_limits = _get(raw, 'stability', '', default={}, types=(dict,))
+    _check_known(raw_limits, {'stable_max_nodes', 'stable_max_tasks',
+                              'startup_failure_p', 'internal_failure_p',
+                              'lost_connection_p'}, 'stability')
+    try:
+        limits = StabilityLimits(**raw_limits)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError('stability', str(exc))
 
     raw_out = _get(raw, 'output', '', default={}, types=(dict,))
     _check_known(raw_out, {'dir', 'completion_threshold', 'rate_window'},
                  'output')
-    threshold = float(_get(raw_out, 'completion_threshold', 'output',
-                           default=0.95, types=(int, float)))
+    threshold = _get(raw_out, 'completion_threshold', 'output', default=0.95,
+                     types=_FLOAT)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError('output.completion_threshold', 'must be in [0, 1]')
 
@@ -291,18 +259,23 @@ def parse_config(raw):
         seed=seed, resource=resource, pilot=pilot, scheduler=scheduler,
         backend=backend, flavor=flavor, template=template,
         template_params=params, workload=workload, plan=plan, limits=limits,
-        bulk=bulk, overlay=overlay, overlay_latency=overlay_latency,
-        overlay_slot_kind=overlay_slot_kind,
+        bulk=bulk, overlay=overlay,
+        overlay_latency=_get(raw_ov, 'latency', 'overlay', default=0.0,
+                             types=_FLOAT),
         output_dir=_get(raw_out, 'dir', 'output', default='out', types=(str,)),
         completion_threshold=threshold,
-        rate_window=float(_get(raw_out, 'rate_window', 'output', default=60.0,
-                               types=(int, float))))
+        rate_window=_get(raw_out, 'rate_window', 'output', default=60.0,
+                         types=_FLOAT))
+
+
+def read_config(path):
+    """The mapping of a campaign YAML file, before validation."""
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError('<file>', 'not valid YAML: %s' % exc)
 
 
 def load_config(path):
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError('<file>', 'not valid YAML: %s' % exc)
-    return parse_config(raw)
+    return parse_config(read_config(path))

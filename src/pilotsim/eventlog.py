@@ -6,9 +6,7 @@ keys, so identical runs produce byte-identical logs.
 
 import json
 
-TASK_EVENTS = ('queued', 'scheduled', 'launching', 'running',
-               'done', 'failed', 'lost')
-META_EVENTS = ('pilot', 'partition_start', 'partition_dead', 'admitted')
+from .tasks import STATES as TASK_EVENTS
 
 
 class LogError(Exception):

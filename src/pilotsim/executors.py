@@ -4,8 +4,8 @@ All three run on the same event kernel in either flavor:
 
   * sim  -- virtual time, payload durations consumed exactly;
   * real -- wall-clock pacing, payloads run as local subprocesses that
-            sleep (or busy-spin) for the sampled duration and report back
-            through one ordered completion channel.
+            sleep for the sampled duration and report back through one
+            ordered completion channel.
 
 The partitioned backend models a set of sequentially started runtime
 partitions with a serialized launch lane and optional failure injection
@@ -90,8 +90,7 @@ class ExecutionService:
     execution on one pilot, emitting the event log."""
 
     def __init__(self, pilot, sched_cfg=None, backend='direct', flavor='sim',
-                 plan=None, limits=None, bulk_cfg=None, seed=0, log=None,
-                 payload_mode='sleep'):
+                 plan=None, limits=None, bulk_cfg=None, seed=0, log=None):
         if backend not in ('direct', 'partitioned', 'bulk'):
             raise ValueError('unknown backend: %s' % backend)
         if flavor not in ('sim', 'real'):
@@ -103,7 +102,6 @@ class ExecutionService:
         self.plan = plan
         self.limits = limits or StabilityLimits()
         self.bulk_cfg = bulk_cfg or BulkBackendConfig()
-        self.payload_mode = payload_mode
         self.log = log if log is not None else EventLog()
         self.records = {}
         self.on_terminal = []    # callbacks fn(record, t_us)
@@ -133,7 +131,6 @@ class ExecutionService:
         self.groups = self._init_groups()
         delay = plan.per_launch_delay if (backend == 'partitioned' and plan) else 0.0
         self.lane = LaunchLane(delay_us=us(delay))
-        self.partition_startup_elapsed_us = 0
         if backend == 'partitioned':
             self._start_partitions()
         elif backend == 'bulk':
@@ -170,7 +167,6 @@ class ExecutionService:
         for g in self.groups:
             t += step
             self.engine.at(t, lambda g=g: self._partition_up(g))
-        self.partition_startup_elapsed_us = t - self.engine.now
 
     def _partition_up(self, group):
         unstable = self.plan.nodes_per_partition > self.limits.stable_max_nodes
@@ -419,12 +415,7 @@ class ExecutionService:
     # real-flavor payloads
 
     def _spawn_payload(self, rec, group):
-        duration = (rec.duration_us or 0) / 1e6
-        if self.payload_mode == 'spin':
-            code = ('import time; t=time.perf_counter()+%f\n'
-                    'while time.perf_counter()<t: pass' % duration)
-        else:
-            code = 'import time; time.sleep(%f)' % duration
+        code = 'import time; time.sleep(%f)' % ((rec.duration_us or 0) / 1e6)
         proc = subprocess.Popen([sys.executable, '-c', code],
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)

@@ -29,20 +29,18 @@ class OverlayDrainedError(OverlayError):
     """All workers dead while items remain."""
 
 
+# a worker's dispatch buffer, in multiples of its slot count
+BUFFER_FACTOR = 2
+
+
 @dataclass(frozen=True)
 class MasterConfig:
     nodes_per_master: int = 100
     bulk_size: int = 1
-    buffer_factor: int = 2           # max in-flight = capacity * this
-    dispatch_order: str = 'longest-first'   # or 'arrival'
 
     def __post_init__(self):
         if self.nodes_per_master < 1 or self.bulk_size < 1:
             raise ValueError('nodes_per_master and bulk_size must be >= 1')
-        if self.buffer_factor < 1:
-            raise ValueError('buffer_factor must be >= 1')
-        if self.dispatch_order not in ('longest-first', 'arrival'):
-            raise ValueError('unknown dispatch order: %s' % self.dispatch_order)
 
 
 @dataclass
@@ -58,7 +56,7 @@ class WorkerState:
     worker_id: int
     node_id: int
     capacity: int                  # concurrently executing slots
-    max_in_flight: int = None      # dispatch buffer; capacity * buffer_factor
+    max_in_flight: int = None      # dispatch buffer; capacity * BUFFER_FACTOR
     in_flight: int = 0             # dispatched, not yet completed
     running: int = 0
     completed: int = 0
@@ -77,10 +75,9 @@ class Master:
     """Bookkeeping side of one master: item queue, in-flight map, and the
     dispatched/completed/lost conservation counters."""
 
-    def __init__(self, master_id, node_id, cfg):
+    def __init__(self, master_id, node_id):
         self.master_id = master_id
         self.node_id = node_id
-        self.cfg = cfg
         self.queue = []
         self.in_flight = {}      # item_id -> (WorkItem, worker_id)
         self.dispatched = 0
@@ -90,9 +87,9 @@ class Master:
         self.protocol_errors = []
 
     def add_items(self, items):
+        """Queue items longest first."""
         self.queue.extend(items)
-        if self.cfg.dispatch_order == 'longest-first':
-            self.queue.sort(key=lambda i: -i.duration_s)
+        self.queue.sort(key=lambda i: -i.duration_s)
 
     def has_items(self):
         return bool(self.queue)
@@ -164,14 +161,14 @@ def spawn_overlay(pilot, cfg, slot_kind='cores'):
     n_workers = n - n_masters
     if n_masters < 1 or n_workers < 1:
         raise OverlayError('pilot too small for >= 1 master and >= 1 worker')
-    masters = [Master(i, pilot.nodes[i].spec.node_id, cfg)
+    masters = [Master(i, pilot.nodes[i].spec.node_id)
                for i in range(n_masters)]
     workers = []
     for w, node in enumerate(pilot.nodes[n_masters:]):
         cap = node.spec.gpus if slot_kind == 'gpus' else node.spec.usable_cpu_cores
         workers.append(WorkerState(worker_id=w, node_id=node.spec.node_id,
                                    capacity=cap,
-                                   max_in_flight=cap * cfg.buffer_factor))
+                                   max_in_flight=cap * BUFFER_FACTOR))
     return Overlay(masters=masters, workers=workers,
                    master_nodes=[m.node_id for m in masters],
                    worker_nodes=[w.node_id for w in workers])
@@ -266,12 +263,12 @@ class OverlaySim:
 
     def _worker_start(self, worker):
         t = self.engine.now
+        gpus = int(self.slot_kind == 'gpus')
         while worker.buffer and worker.running < worker.capacity:
             master, item = worker.buffer.pop(0)
             worker.running += 1
             self.log.append(t, 'scheduled', task=item.item_id,
-                            cores=1 if self.slot_kind == 'cores' else 1,
-                            gpus=1 if self.slot_kind == 'gpus' else 0)
+                            cores=1 - gpus, gpus=gpus)
             self.log.append(t, 'running', task=item.item_id)
             end = t + us(item.duration_s)
             self.engine.at(end, lambda m=master, w=worker, i=item:

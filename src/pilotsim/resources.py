@@ -93,7 +93,6 @@ class PilotDescription:
     resource: ResourceSpec
     walltime: float                  # seconds
     startup_latency: float = 0.0     # seconds
-    partition_plan: object = None    # executors.PartitionPlan, optional
 
     def __post_init__(self):
         if self.walltime <= 0:

@@ -24,7 +24,6 @@ class UnschedulableError(Exception):
 class SchedulerConfig:
     algorithm: str = 'continuous'           # continuous | noop
     prioritize_large: bool = True
-    tie_break: str = 'lowest-node-id'
     colocation: dict = field(default_factory=dict)  # tag -> policy
 
     def __post_init__(self):

@@ -105,13 +105,6 @@ class DurationModel:
         raw = rng.lognormal(mean=mu, sigma=sigma, size=n)
         return np.clip(raw, self.min_clip, self.max_clip)
 
-    def expected_mean(self):
-        if self.kind == 'constant':
-            return float(self.constant)
-        if self.kind == 'empirical-table':
-            return float(np.mean(self.samples))
-        return float(self.mean)
-
     def scaled(self, factor):
         """Rescale the time axis (mean and clips) by `factor`."""
         if self.kind == 'constant':
@@ -121,10 +114,6 @@ class DurationModel:
         return replace(self, mean=self.mean * factor,
                        min_clip=self.min_clip * factor,
                        max_clip=self.max_clip * factor)
-
-
-def sample_durations(model, n, seed=None):
-    return model.sample(n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -142,6 +131,16 @@ class WorkloadPreset:
             raise ValueError('item_count must be >= 1')
         if self.bundle_size < 1:
             raise ValueError('bundle_size must be >= 1')
+
+    def bundles(self, seed):
+        """Group the items into execution bundles of bundle_size; returns
+        one id, one sampled duration (seconds) and one credit per bundle,
+        the last bundle credited with the remainder."""
+        n = math.ceil(self.item_count / self.bundle_size)
+        ids = ['%s-%06d' % (self.name, i) for i in range(n)]
+        credits = [self.bundle_size] * (n - 1)
+        credits.append(self.item_count - self.bundle_size * (n - 1))
+        return ids, self.model.sample(n, seed=seed), credits
 
 
 # Docking-time statistics (seconds): long-tailed, clipped lognormal fits.

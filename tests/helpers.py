@@ -33,6 +33,29 @@ def replay_no_oversubscription(log):
     return checked
 
 
+def replay_slot_counts(log):
+    """Replay the core/GPU counts of a log's scheduled rows (the overlay
+    writes counts, not placements): busy slots never exceed the pilot
+    row's.  Returns the number of scheduled rows checked."""
+    info = log.pilot_info()
+    assert info is not None, 'log has no pilot row'
+    free = [info['nodes'] * info['cores_per_node'],
+            info['nodes'] * info['gpus_per_node']]
+    held = {}
+    checked = 0
+    for i, row in enumerate(log.rows, 1):
+        if row['event'] == 'scheduled':
+            checked += 1
+            held[row['task']] = (row['cores'], row['gpus'])
+            free = [f - n for f, n in zip(free, held[row['task']])]
+            assert min(free) >= 0, 'row %d: more slots busy than the pilot ' \
+                                   'has' % i
+        elif row['event'] in ('done', 'failed', 'lost'):
+            free = [f + n for f, n in zip(free, held.pop(row['task']))]
+    assert not held, 'tasks never released: %s' % sorted(held)
+    return checked
+
+
 def tick_busy_slot_seconds(intervals, t0, t1, tick_us=1000):
     """Per-tick oracle for busy slot-time: a slot-weighted interval is busy
     in a tick iff the tick start falls inside it."""

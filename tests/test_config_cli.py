@@ -8,6 +8,10 @@ from pilotsim.cli import main, run_campaign
 from pilotsim.config import ConfigError, load_config, parse_config
 from pilotsim.eventlog import EventLog
 
+from helpers import replay_slot_counts
+
+RECIPES = os.path.join(os.path.dirname(__file__), os.pardir, 'recipes')
+
 
 def _base_config(**overrides):
     cfg = {
@@ -129,6 +133,33 @@ def test_backend_and_flavor_overrides(tmp_path):
     assert any(r['event'] == 'admitted' for r in log.rows)
 
 
+@pytest.mark.parametrize('recipe, args, key', [
+    ('fig10-wf2-utilization', ['--backend', 'partitioned'], 'pilot.partitions'),
+    ('fig10-wf2-utilization', ['--backend', 'overlay'], 'backend'),
+    ('fig5-7-wf1-rates', ['--flavor', 'real'], 'flavor'),
+    ('fig5-7-wf1-rates', ['--backend', 'direct'], 'workflow.template'),
+])
+def test_invalid_override_exits_2_naming_key(tmp_path, capsys, recipe, args,
+                                             key):
+    path = os.path.join(RECIPES, recipe + '.yaml')
+    status = main(['run', '--config', path, '--out', str(tmp_path)] + args)
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith('config error: %s:' % key), err
+    assert 'Traceback' not in err
+
+
+@pytest.mark.parametrize('section, key', [
+    ({'backend': 'overlay', 'flavor': 'real'}, 'flavor'),
+    ({'workflow': {'template': 'wf1-overlay'}}, 'workflow.template'),
+])
+def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
+                                                key):
+    cfg = _base_config(output={'dir': str(tmp_path / 'out')}, **section)
+    assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith('config error: %s:' % key)
+
+
 def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
     cfg = {
         'schema_version': 1,
@@ -138,10 +169,14 @@ def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
         'backend': 'overlay',
         'workflow': {'template': 'wf1-overlay'},
         'workload': {'preset': 'wf1-uc3', 'items': 10000},
-        'overlay': {'bulk_size': 4, 'latency': 0.001, 'slot_kind': 'gpus'},
+        'overlay': {'bulk_size': 4, 'latency': 0.001},
         'output': {'dir': str(tmp_path / 'out')},
     }
     summary, status = run_campaign(load_config(_write(tmp_path, cfg)))
     assert status == 0
     assert summary['work_done'] == 10000
     assert summary['utilization']['gpu_utilization'] >= 0.90
+    # GPU slots book no cores: the pilot row offers none
+    assert summary['utilization']['combined_utilization'] <= 1.0
+    log = EventLog.read(str(tmp_path / 'out' / 'events.jsonl'))
+    assert replay_slot_counts(log) == 625

@@ -106,7 +106,7 @@ def test_all_workers_dead_drains():
 
 
 def test_report_completion_is_idempotent():
-    master = Master(0, 0, MasterConfig())
+    master = Master(0, 0)
     worker = WorkerState(worker_id=0, node_id=1, capacity=2)
     other = WorkerState(worker_id=1, node_id=2, capacity=2)
     item = WorkItem('x', 1.0)
@@ -123,7 +123,6 @@ def test_report_completion_is_idempotent():
 
 
 def test_longest_first_dispatch_order():
-    cfg = MasterConfig(dispatch_order='longest-first')
-    master = Master(0, 0, cfg)
+    master = Master(0, 0)
     master.add_items(_items([1.0, 9.0, 4.0]))
     assert [i.duration_s for i in master.next_bulk(3)] == [9.0, 4.0, 1.0]

@@ -1,0 +1,55 @@
+"""Golden outputs: every shipped recipe, run as shipped except for its
+output directory, reproduces its event log and summary byte for byte.
+
+A change that alters a recipe's output on purpose updates its row here
+and names the change in CHANGES.md."""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+import yaml
+
+from pilotsim.cli import run_campaign
+from pilotsim.config import parse_config
+
+RECIPES = Path(__file__).resolve().parent.parent / 'recipes'
+
+# recipe -> sha256 of (events.jsonl, summary.json)
+GOLDEN = {
+    'fig10-wf2-utilization': (
+        '1ff1cab4dfb8ba6069d6b1ad754dd7557aab747031d256f66bb822b260a2910e',
+        'a66f03790a7629ce9bcd6450c95b5c124518ebbe74bc7c0b28683f4a12efd6be'),
+    'fig11-13-hybrid': (
+        '5ee82304be1e54f4c898c357501528bef89b79ee37b6e06fc4a475a5b7a9c4ff',
+        'e00e631396375a171f638a4c0463a9e0ac3c8ac46ea2134d5222c42505914abc'),
+    'fig14-partitioned': (
+        'faa1beb6e9e8269709e35816df97c0445e87a180a2343c3092b8bb6c401b49b5',
+        '192d3ca2bf80ed7cd528351d46d47e040a3ce205b2d6e84c0df4b47d72162bd8'),
+    'fig5-7-wf1-rates': (
+        'edda43b7ae00d5822c9c68b5733d84a0eb2c379a3a570ac68cf0c2db41a4f756',
+        '2873af89f3d3e242e5b48cb95c4f7a37a26e10a7c422fef97e396d2a7864278d'),
+    'fig9-overhead-vs-iterations': (
+        '48fbcec879899de8966ea9813cd30aa900cdee6499004c0ad391cf87fef0a8cb',
+        'adc80e1aca76fe80f2c844dfae135d0c476210a9cab63e5e736ab3d1d3a2ea48'),
+    'table2-bulk': (
+        'e88f81d89681b3c4eb9af28850b45236d0f1a3987b7cebcd4fd43233ee21a14d',
+        'c13af70205f0b81d57a0aa185b2ddfc98f9fa555c4a3cceed027898e6523c18a'),
+    'wf1-uc3-bundled': (
+        'add5eaec3d8e07eaab164904b29d1a86ef95f295845a26f3a7b2e680aba0a39f',
+        '1e627709cdcf9d618ddbb9477c2eeb4149c2b115b67ef0870cb275bb2bc7cbc2'),
+}
+
+
+def test_every_recipe_has_a_golden_row():
+    assert sorted(p.stem for p in RECIPES.glob('*.yaml')) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize('recipe', sorted(GOLDEN))
+def test_recipe_output_is_golden(recipe, tmp_path):
+    raw = yaml.safe_load((RECIPES / (recipe + '.yaml')).read_text())
+    raw['output']['dir'] = str(tmp_path)
+    run_campaign(parse_config(raw))
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ('events.jsonl', 'summary.json'))
+    assert digests == GOLDEN[recipe]
