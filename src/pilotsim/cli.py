@@ -66,9 +66,9 @@ def _run_overlay(cfg, pilot):
 def _run_deepdrive(cfg, service):
     p = cfg.template_params
     loop = AdaptiveLoopConfig(
-        max_iterations=int(p.get('iterations', 4)),
-        outlier_probability=float(p.get('outlier_probability', 0.0)),
-        comm_latency=float(p.get('comm_latency', 0.1)),
+        max_iterations=p.get('iterations', 4),
+        outlier_probability=p.get('outlier_probability', 0.0),
+        comm_latency=p.get('comm_latency', 0.1),
         seed=cfg.seed)
     durations = p.get('durations')
 
@@ -81,21 +81,20 @@ def _run_deepdrive(cfg, service):
 
 def _run_ensemble(cfg, service, make_pipeline):
     p = cfg.template_params
-    duration = float(p.get('duration', 320.0))
+    duration = p.get('duration', 320.0)
     pipelines = [make_pipeline(i, duration=duration)
-                 for i in range(int(p.get('count', 1)))]
+                 for i in range(p.get('count', 1))]
     engine = WorkflowEngine(service,
-                            comm_latency_s=float(p.get('comm_latency', 0.0)))
+                            comm_latency_s=p.get('comm_latency', 0.0))
     engine.run_pipelines(pipelines)
 
 
 def _run_hybrid(cfg, service):
     p = cfg.template_params
-    run_hybrid(int(p.get('wf3_count', 1)), int(p.get('wf4_count', 1)),
-               service,
-               wf3_duration=float(p.get('wf3_duration', 320.0)),
-               wf4_duration=float(p.get('wf4_duration', 320.0)),
-               comm_latency_s=float(p.get('comm_latency', 0.0)))
+    run_hybrid(p.get('wf3_count', 1), p.get('wf4_count', 1), service,
+               wf3_duration=p.get('wf3_duration', 320.0),
+               wf4_duration=p.get('wf4_duration', 320.0),
+               comm_latency_s=p.get('comm_latency', 0.0))
 
 
 _TEMPLATE_RUNNERS = {

@@ -14,17 +14,35 @@ from .executors import BulkBackendConfig, PartitionPlan, StabilityLimits
 from .overlay import MasterConfig
 from .resources import NODE_PRESETS, NodeSpec, PilotDescription, ResourceSpec
 from .scheduler import SchedulerConfig
+from .workflow import DEEPDRIVE_DEFAULTS
 from .workloads import make_preset, preset_names
 
 SCHEMA_VERSION = 1
 
-TEMPLATES = ('flat', 'wf1-overlay', 'wf2-deepdrive', 'wf3-esmacs',
-             'wf4-ties', 'hybrid-lb')
 BACKENDS = ('direct', 'partitioned', 'bulk', 'overlay')
 FLAVORS = ('sim', 'real')
 
 # the accepted types of a number; _get returns it as a float
 _FLOAT = (int, float)
+
+_ENSEMBLE_PARAMS = {'count': (int,), 'duration': _FLOAT,
+                    'comm_latency': _FLOAT}
+# template -> the workflow.params keys its runner reads, with their types
+_TEMPLATE_PARAMS = {
+    'flat': {},
+    'wf1-overlay': {},
+    'wf2-deepdrive': {'iterations': (int,), 'outlier_probability': _FLOAT,
+                      'comm_latency': _FLOAT, 'durations': (dict,)},
+    'wf3-esmacs': _ENSEMBLE_PARAMS,
+    'wf4-ties': _ENSEMBLE_PARAMS,
+    'hybrid-lb': {'wf3_count': (int,), 'wf4_count': (int,),
+                  'wf3_duration': _FLOAT, 'wf4_duration': _FLOAT,
+                  'comm_latency': _FLOAT},
+}
+TEMPLATES = tuple(_TEMPLATE_PARAMS)
+# wf2-deepdrive's params.durations overrides DEEPDRIVE_DEFAULTS entries
+_DEEPDRIVE_DURATIONS = {key: (int,) if isinstance(default, int) else _FLOAT
+                        for key, default in DEEPDRIVE_DEFAULTS.items()}
 
 
 class ConfigError(Exception):
@@ -56,7 +74,8 @@ def _check_known(d, known, path):
     for key in d:
         if key not in known:
             raise ConfigError('%s.%s' % (path, key) if path else key,
-                              'unknown key (known: %s)' % ', '.join(sorted(known)))
+                              'unknown key (known: %s)'
+                              % (', '.join(sorted(known)) or 'none'))
 
 
 def _present(d, path, types_by_key, required=()):
@@ -191,7 +210,16 @@ def parse_config(raw):
         raise ConfigError('workflow.template',
                           'unknown template %r (known: %s)'
                           % (template, ', '.join(TEMPLATES)))
-    params = _get(raw_wf, 'params', 'workflow', default={}, types=(dict,))
+    raw_params = _get(raw_wf, 'params', 'workflow', default={},
+                      types=(dict,))
+    param_keys = _TEMPLATE_PARAMS[template]
+    _check_known(raw_params, param_keys, 'workflow.params')
+    params = _present(raw_params, 'workflow.params', param_keys)
+    if 'durations' in params:
+        path = 'workflow.params.durations'
+        _check_known(params['durations'], _DEEPDRIVE_DURATIONS, path)
+        params['durations'] = _present(params['durations'], path,
+                                       _DEEPDRIVE_DURATIONS)
 
     workload = None
     raw_wl = _get(raw, 'workload', '', types=(dict,))
@@ -239,12 +267,14 @@ def parse_config(raw):
         raise ConfigError('overlay', str(exc))
 
     raw_limits = _get(raw, 'stability', '', default={}, types=(dict,))
-    _check_known(raw_limits, {'stable_max_nodes', 'stable_max_tasks',
-                              'startup_failure_p', 'internal_failure_p',
-                              'lost_connection_p'}, 'stability')
+    limit_keys = {'stable_max_nodes': (int,), 'stable_max_tasks': (int,),
+                  'startup_failure_p': _FLOAT, 'internal_failure_p': _FLOAT,
+                  'lost_connection_p': _FLOAT}
+    _check_known(raw_limits, limit_keys, 'stability')
     try:
-        limits = StabilityLimits(**raw_limits)
-    except (TypeError, ValueError) as exc:
+        limits = StabilityLimits(**_present(raw_limits, 'stability',
+                                            limit_keys))
+    except ValueError as exc:
         raise ConfigError('stability', str(exc))
 
     raw_out = _get(raw, 'output', '', default={}, types=(dict,))

@@ -79,7 +79,8 @@ class _NodeGroup:
         self.nodes = nodes
         self.alive = True
         self.started = True
-        self.pending = []
+        self.pending = []    # scheduling descriptions, in arrival order
+        self.waiting = {}    # task id -> record, for each pending one
         self.tag_bindings = {}
         self.assigned = 0    # admission count (partition capacity cap)
         self.launched = 0    # stability-limit accounting
@@ -187,8 +188,9 @@ class ExecutionService:
                 self._kick(g)
 
     def _reassign(self, dead_group):
-        pending, dead_group.pending = dead_group.pending, []
-        for rec in pending:
+        waiting, dead_group.waiting = dead_group.waiting, {}
+        dead_group.pending = []
+        for rec in waiting.values():
             self._assign(rec)
 
     # ------------------------------------------------------------------
@@ -231,7 +233,13 @@ class ExecutionService:
             self._finish(rec, 'failed', error='no partition capacity')
             return
         rec.partition_id = group.gid if self.backend == 'partitioned' else None
-        group.pending.append(rec)
+        # schedule under the record id (resubmitted logical tasks share a
+        # description id but each record is unique)
+        desc = rec.description
+        if desc.task_id != rec.task_id:
+            desc = replace(desc, task_id=rec.task_id)
+        group.pending.append(desc)
+        group.waiting[rec.task_id] = rec
         group.assigned += 1
         if group.started and group.alive:
             self._request_kick(group)
@@ -287,21 +295,15 @@ class ExecutionService:
         if self.sched_cfg.algorithm == 'noop':
             batch = schedule_noop(group.pending, self.sched_cfg)
             group.pending = []
-            for rec in batch:
-                self._to_lane(rec, group, placement=None)
+            for desc in batch:
+                self._to_lane(group.waiting.pop(desc.task_id), group,
+                              placement=None)
             return
-        # schedule under the record id (resubmitted logical tasks share a
-        # description id but each record is unique)
-        descs = [r.description if r.description.task_id == r.task_id
-                 else replace(r.description, task_id=r.task_id)
-                 for r in group.pending]
-        placements, remaining = schedule(descs, group.nodes, self.sched_cfg,
-                                         tag_bindings=group.tag_bindings)
-        remaining_ids = {t.task_id for t in remaining}
-        by_id = {r.task_id: r for r in group.pending}
-        group.pending = [r for r in group.pending if r.task_id in remaining_ids]
+        placements, group.pending = schedule(group.pending, group.nodes,
+                                             self.sched_cfg,
+                                             tag_bindings=group.tag_bindings)
         for task_id, placement in placements:
-            rec = by_id[task_id]
+            rec = group.waiting.pop(task_id)
             self.pilot.occupy(placement)
             rec.placement = placement
             rec.stamp('scheduled', now)

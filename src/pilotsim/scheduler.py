@@ -7,9 +7,21 @@ noop algorithm forwards tasks untouched, tracking lifecycle only.
 
 Both are pure functions over explicit state: they never mutate the node
 states they are given and are safe to call from tests without any runtime.
+
+A continuous pass reads each queued task once, to check its shape's
+feasibility and bucket it by priority, but tries to place only about as
+many tasks as fit.  The skipped tries cannot change a placement.  Within a
+pass the free slots only shrink, and colocation state only narrows: a
+same-node tag gets bound, a different-node tag uses up nodes.  Whether a
+task fits depends only on its shape (cores per rank, ranks, GPUs) and,
+under a colocation policy, on its tag.  So once one task fails, every
+later task of the same shape and tag would fail too, and is skipped.
+Every task needs at least one free core or GPU, so once none is left the
+pass stops.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .resources import Placement
 from .tasks import TaskDescription
@@ -40,15 +52,19 @@ class _FreeView:
     mutually disjoint placements without touching the real NodeStates."""
 
     def __init__(self, nodes):
-        self.nodes = nodes
-        self.free_cores = {n.spec.node_id: list(n.free_core_ids()) for n in nodes}
-        self.free_gpus = {n.spec.node_id: list(n.free_gpu_ids()) for n in nodes}
+        self.free_cores = {n.spec.node_id: n.free_core_ids() for n in nodes}
+        self.free_gpus = {n.spec.node_id: n.free_gpu_ids() for n in nodes}
+        self.node_ids = sorted(self.free_cores)
+        # free cores plus free GPUs; 0 means no task can fit any more
+        self.free_slots = sum(map(len, self.free_cores.values())) + \
+            sum(map(len, self.free_gpus.values()))
 
     def take(self, node_id, n_cores, n_gpus):
         cores = self.free_cores[node_id][:n_cores]
         gpus = self.free_gpus[node_id][:n_gpus]
         del self.free_cores[node_id][:n_cores]
         del self.free_gpus[node_id][:n_gpus]
+        self.free_slots -= len(cores) + len(gpus)
         return cores, gpus
 
 
@@ -59,12 +75,18 @@ def gpu_weight_for(node_spec):
     return node_spec.usable_cpu_cores / node_spec.gpus
 
 
-def check_feasible(task, nodes):
+def _capacity(nodes):
+    """(usable cores, GPUs) of all the nodes, busy or free."""
+    return (sum(n.spec.usable_cpu_cores for n in nodes),
+            sum(n.spec.gpus for n in nodes))
+
+
+def check_feasible(task, nodes, capacity=None):
     """Raise UnschedulableError if the task can never run on this pilot,
-    even with every slot free."""
+    even with every slot free.  `capacity` is `_capacity(nodes)`, for a
+    caller that checks many tasks."""
     node_spec = nodes[0].spec
-    total_cores = sum(n.spec.usable_cpu_cores for n in nodes)
-    total_gpus = sum(n.spec.gpus for n in nodes)
+    total_cores, total_gpus = capacity or _capacity(nodes)
     if task.effective_cores > total_cores or task.gpus > total_gpus:
         raise UnschedulableError('task %s exceeds pilot capacity' % task.task_id)
     if not task.is_mpi:
@@ -80,7 +102,7 @@ def check_feasible(task, nodes):
 def _fit_single_node(task, view, allowed=None, forbidden=()):
     """First free node (ascending id) with room for a non-MPI task."""
     need_cores = task.effective_cores
-    for node_id in sorted(view.free_cores):
+    for node_id in view.node_ids:
         if allowed is not None and node_id not in allowed:
             continue
         if node_id in forbidden:
@@ -98,7 +120,7 @@ def _fit_mpi(task, view, forbidden=()):
     remaining_gpus = task.gpus
     chosen = []
     taken = []  # (node_id, n_cores, n_gpus) to commit on success
-    for node_id in sorted(view.free_cores):
+    for node_id in view.node_ids:
         if node_id in forbidden:
             continue
         cores_here = len(view.free_cores[node_id])
@@ -121,8 +143,7 @@ def _fit_mpi(task, view, forbidden=()):
     return tuple(chosen)
 
 
-def _try_place(task, view, cfg, tag_bindings):
-    policy = cfg.colocation.get(task.tag, 'none') if task.tag else 'none'
+def _try_place(task, policy, view, tag_bindings):
     if policy == 'same-node':
         bound = tag_bindings.get(task.tag)
         allowed = {bound} if bound is not None else None
@@ -157,24 +178,40 @@ def schedule(queue, nodes, cfg, tag_bindings=None):
         raise ValueError('noop scheduling goes through schedule_noop')
     if tag_bindings is None:
         tag_bindings = {}
-    for task in queue:
-        check_feasible(task, nodes)
-
+    capacity = _capacity(nodes)
     weight = gpu_weight_for(nodes[0].spec)
-    order = list(queue)
-    if cfg.prioritize_large:
-        order.sort(key=lambda t: -t.priority_hint(weight))  # stable: FIFO ties
+    hints = {}      # shape -> sort key, for each shape checked
+    buckets = {}    # sort key -> its tasks, in queue order
+    for task in queue:
+        shape = (task.cpu_cores_per_rank, task.ranks, task.gpus)
+        key = hints.get(shape)
+        if key is None:
+            check_feasible(task, nodes, capacity)
+            key = hints[shape] = -task.priority_hint(weight) \
+                if cfg.prioritize_large else 0
+            buckets.setdefault(key, [])
+        buckets[key].append(task)
 
     view = _FreeView(nodes)
-    placed = {}
-    for task in order:
-        slots = _try_place(task, view, cfg, tag_bindings)
-        if slots is not None:
-            placed[task.task_id] = Placement(task_id=task.task_id,
-                                             node_slots=slots)
+    placements = []
+    unplaceable = set()     # (shape, colocation tag) that failed this pass
+    # largest first; FIFO among equal priority hints
+    for task in chain.from_iterable(buckets[k] for k in sorted(buckets)):
+        if not view.free_slots:
+            break
+        policy = cfg.colocation.get(task.tag, 'none') if task.tag else 'none'
+        memo = (task.cpu_cores_per_rank, task.ranks, task.gpus,
+                None if policy == 'none' else task.tag)
+        if memo in unplaceable:
+            continue
+        slots = _try_place(task, policy, view, tag_bindings)
+        if slots is None:
+            unplaceable.add(memo)
+        else:
+            placements.append((task.task_id, Placement(task_id=task.task_id,
+                                                       node_slots=slots)))
 
-    placements = [(t.task_id, placed[t.task_id]) for t in order
-                  if t.task_id in placed]
+    placed = {task_id for task_id, _ in placements}
     remaining = [t for t in queue if t.task_id not in placed]
     return placements, remaining
 

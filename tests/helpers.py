@@ -1,8 +1,10 @@
-"""Shared test oracles: log replay, per-tick utilization, slot enumeration."""
+"""Shared test oracles: log replay, per-tick utilization, slot enumeration,
+and the reference continuous scheduler."""
 
 import itertools
 
 from pilotsim.resources import NodeSpec, NodeState, Placement
+from pilotsim.scheduler import check_feasible, gpu_weight_for
 
 
 def replay_no_oversubscription(log):
@@ -92,12 +94,14 @@ def oracle_single_node(task, free_cores, free_gpus):
 
 
 def oracle_mpi(task, free_cores, free_gpus):
-    """Dense-pack oracle for MPI tasks: fill nodes in ascending id order."""
+    """Dense-pack oracle for MPI tasks: fill nodes in ascending id order.
+    Ranks of a GPU-only task hold no core, so all of them go to the first
+    node visited."""
     ranks, gpus_left = task.ranks, task.gpus
     slots = []
     for node_id in sorted(free_cores):
-        take_r = min(len(free_cores[node_id]) // task.cpu_cores_per_rank,
-                     ranks)
+        take_r = ranks if not task.cpu_cores_per_rank else \
+            min(len(free_cores[node_id]) // task.cpu_cores_per_rank, ranks)
         take_g = min(len(free_gpus[node_id]), gpus_left)
         if take_r == 0 and take_g == 0:
             continue
@@ -132,3 +136,116 @@ def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
             free_gpus[node_id] -= set(gpus)
         out.append((task.task_id, fit))
     return out
+
+
+# ----------------------------------------------------------------------
+# The continuous scheduler as it was before the per-pass failure memo and
+# early stop, kept verbatim apart from its names (prefixed `_ref`) and
+# docstrings.  It is the oracle for colocation-tagged queues, which
+# `oracle_schedule` does not model, and it tries every queued task on
+# every pass.
+
+class _RefFreeView:
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.free_cores = {n.spec.node_id: list(n.free_core_ids()) for n in nodes}
+        self.free_gpus = {n.spec.node_id: list(n.free_gpu_ids()) for n in nodes}
+
+    def take(self, node_id, n_cores, n_gpus):
+        cores = self.free_cores[node_id][:n_cores]
+        gpus = self.free_gpus[node_id][:n_gpus]
+        del self.free_cores[node_id][:n_cores]
+        del self.free_gpus[node_id][:n_gpus]
+        return cores, gpus
+
+
+def _ref_fit_single_node(task, view, allowed=None, forbidden=()):
+    need_cores = task.effective_cores
+    for node_id in sorted(view.free_cores):
+        if allowed is not None and node_id not in allowed:
+            continue
+        if node_id in forbidden:
+            continue
+        if len(view.free_cores[node_id]) >= need_cores and \
+                len(view.free_gpus[node_id]) >= task.gpus:
+            cores, gpus = view.take(node_id, need_cores, task.gpus)
+            return ((node_id, tuple(cores), tuple(gpus)),)
+    return None
+
+
+def _ref_fit_mpi(task, view, forbidden=()):
+    remaining_ranks = task.ranks
+    remaining_gpus = task.gpus
+    chosen = []
+    taken = []  # (node_id, n_cores, n_gpus) to commit on success
+    for node_id in sorted(view.free_cores):
+        if node_id in forbidden:
+            continue
+        cores_here = len(view.free_cores[node_id])
+        ranks_here = (cores_here // task.cpu_cores_per_rank
+                      if task.cpu_cores_per_rank else remaining_ranks)
+        ranks_here = min(ranks_here, remaining_ranks)
+        gpus_here = min(len(view.free_gpus[node_id]), remaining_gpus)
+        if ranks_here == 0 and gpus_here == 0:
+            continue
+        taken.append((node_id, ranks_here * task.cpu_cores_per_rank, gpus_here))
+        remaining_ranks -= ranks_here
+        remaining_gpus -= gpus_here
+        if remaining_ranks == 0 and remaining_gpus == 0:
+            break
+    if remaining_ranks or remaining_gpus:
+        return None
+    for node_id, n_cores, n_gpus in taken:
+        cores, gpus = view.take(node_id, n_cores, n_gpus)
+        chosen.append((node_id, tuple(cores), tuple(gpus)))
+    return tuple(chosen)
+
+
+def _ref_try_place(task, view, cfg, tag_bindings):
+    policy = cfg.colocation.get(task.tag, 'none') if task.tag else 'none'
+    if policy == 'same-node':
+        bound = tag_bindings.get(task.tag)
+        allowed = {bound} if bound is not None else None
+        slots = _ref_fit_single_node(task, view, allowed=allowed)
+        if slots and bound is None:
+            tag_bindings[task.tag] = slots[0][0]
+        return slots
+    if policy == 'different-node':
+        used = tag_bindings.setdefault((task.tag, 'used'), set())
+        if task.is_mpi:
+            slots = _ref_fit_mpi(task, view, forbidden=used)
+        else:
+            slots = _ref_fit_single_node(task, view, forbidden=used)
+        if slots:
+            used.update(nid for nid, _, _ in slots)
+        return slots
+    if task.is_mpi:
+        return _ref_fit_mpi(task, view)
+    return _ref_fit_single_node(task, view)
+
+
+def reference_schedule(queue, nodes, cfg, tag_bindings=None):
+    if cfg.algorithm == 'noop':
+        raise ValueError('noop scheduling goes through schedule_noop')
+    if tag_bindings is None:
+        tag_bindings = {}
+    for task in queue:
+        check_feasible(task, nodes)
+
+    weight = gpu_weight_for(nodes[0].spec)
+    order = list(queue)
+    if cfg.prioritize_large:
+        order.sort(key=lambda t: -t.priority_hint(weight))  # stable: FIFO ties
+
+    view = _RefFreeView(nodes)
+    placed = {}
+    for task in order:
+        slots = _ref_try_place(task, view, cfg, tag_bindings)
+        if slots is not None:
+            placed[task.task_id] = Placement(task_id=task.task_id,
+                                             node_slots=slots)
+
+    placements = [(t.task_id, placed[t.task_id]) for t in order
+                  if t.task_id in placed]
+    remaining = [t for t in queue if t.task_id not in placed]
+    return placements, remaining

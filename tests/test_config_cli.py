@@ -160,6 +160,34 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     assert capsys.readouterr().err.startswith('config error: %s:' % key)
 
 
+@pytest.mark.parametrize('recipe, key, value', [
+    ('fig14-partitioned', 'stability.stable_max_nodes', 'x'),
+    ('fig14-partitioned', 'stability.lost_connection_p', 'often'),
+    ('fig9-overhead-vs-iterations', 'workflow.params.iterations', 'four'),
+    ('fig9-overhead-vs-iterations', 'workflow.params.iteration', 2),
+    ('fig9-overhead-vs-iterations', 'workflow.params.durations.mdd', 6.0),
+    ('fig11-13-hybrid', 'workflow.params.wf3_count', 1.5),
+    ('fig14-partitioned', 'workflow.params.count', 2),
+])
+def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
+                                             value):
+    """Bad stability and workflow.params values are named before the run
+    starts, instead of failing inside it or being ignored."""
+    with open(os.path.join(RECIPES, recipe + '.yaml')) as fh:
+        raw = yaml.safe_load(fh)
+    raw['output']['dir'] = str(tmp_path / 'out')
+    *parents, last = key.split('.')
+    section = raw
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[last] = value
+    status = main(['run', '--config', _write(tmp_path, raw)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith('config error: %s:' % key), err
+    assert not (tmp_path / 'out').exists()
+
+
 def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
     cfg = {
         'schema_version': 1,

@@ -6,7 +6,7 @@ from pilotsim.executors import (BulkBackendConfig, ExecutionService,
                                 StabilityLimits, make_records)
 from pilotsim.resources import (PilotDescription, ResourceSpec, acquire,
                                 us)
-from pilotsim.scheduler import SchedulerConfig
+from pilotsim.scheduler import SchedulerConfig, UnschedulableError
 from pilotsim.tasks import TaskDescription
 from pilotsim import metrics
 
@@ -200,3 +200,12 @@ def test_real_flavor_single_task():
     # wall-clock pacing: exec_end trails exec_start by at least the payload
     for r in records:
         assert r.exec_end - r.exec_start >= us(0.05)
+
+
+def test_task_wider_than_a_node_raises_naming_it():
+    svc = ExecutionService(_pilot(nodes=2), SchedulerConfig())
+    wide = make_records([TaskDescription(task_id='wide',
+                                         cpu_cores_per_rank=35)], [1.0])
+    svc.submit(_tasks(3) + wide)
+    with pytest.raises(UnschedulableError, match='task wide exceeds'):
+        svc.run()

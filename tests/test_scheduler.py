@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pilotsim.resources import NodeSpec, NodeState, ResourceSpec
+from pilotsim.resources import NodeSpec, NodeState, Placement, ResourceSpec
 from pilotsim.scheduler import (SchedulerConfig, UnschedulableError,
                                 check_feasible, gpu_weight_for,
                                 place_colocated, schedule, schedule_noop)
 from pilotsim.tasks import TaskDescription
 
-from helpers import oracle_schedule
+from helpers import oracle_schedule, reference_schedule
 
 
 def _nodes(n, cores, gpus=0, usable=None):
@@ -159,3 +161,87 @@ def test_matches_exhaustive_oracle_on_random_instances():
         want = oracle_schedule(tasks, nodes,
                                gpu_weight_for(nodes[0].spec))
         assert got == want
+
+
+def test_first_infeasible_task_in_queue_order_is_named():
+    """Feasibility is checked once per shape, still in queue order."""
+    nodes = _nodes(2, 8, gpus=1)
+    ok = TaskDescription(task_id='ok', cpu_cores_per_rank=8)
+    first = TaskDescription(task_id='first', cpu_cores_per_rank=9)
+    second = TaskDescription(task_id='second', cpu_cores_per_rank=9)
+    with pytest.raises(UnschedulableError, match='task first '):
+        schedule([ok, first, second], nodes, SchedulerConfig())
+
+
+@st.composite
+def _busy_instances(draw):
+    """Nodes with some slots already taken, and queues drawn from a few
+    shapes, so that many tasks share a shape; GPU-only MPI shapes (no
+    cores per rank, several ranks) are among them."""
+    n_nodes = draw(st.integers(1, 3))
+    cores = draw(st.integers(1, 6))
+    gpus = draw(st.integers(0, 3))
+    nodes = _nodes(n_nodes, cores, gpus=gpus)
+    for node in nodes:
+        busy_cores = draw(st.sets(st.integers(0, cores - 1)))
+        busy_gpus = draw(st.sets(st.integers(0, gpus - 1))) if gpus else set()
+        node.occupy(Placement(task_id='busy', node_slots=(
+            (node.spec.node_id, tuple(sorted(busy_cores)),
+             tuple(sorted(busy_gpus))),)))
+    # a few (cores per rank, GPUs) pairs, each at one to three widths: the
+    # shapes that differ only in ranks are the ones a memo keyed without
+    # ranks would confuse
+    pairs = draw(st.lists(st.tuples(st.integers(0, cores),
+                                    st.integers(0, gpus))
+                          .filter(lambda p: p[0] or p[1]),
+                          min_size=1, max_size=2))
+    shapes = [(cpr, ranks, n_gpus) for cpr, n_gpus in pairs
+              for ranks in draw(st.sets(st.integers(1, 4), min_size=1,
+                                        max_size=3))]
+    tags = draw(st.sampled_from([[None], [None, 'same', 'spread', 'free']]))
+    tasks = []
+    for i, (tag, (cpr, ranks, n_gpus)) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(tags), st.sampled_from(shapes)),
+            min_size=1, max_size=14))):
+        task = TaskDescription(task_id='t%02d' % i, cpu_cores_per_rank=cpr,
+                               ranks=ranks, gpus=n_gpus, tag=tag)
+        try:
+            check_feasible(task, nodes)
+        except UnschedulableError:
+            continue
+        tasks.append(task)
+    return nodes, tasks, draw(st.booleans())
+
+
+_POLICIES = {'same': 'same-node', 'spread': 'different-node', 'free': 'none'}
+
+
+def _nonempty_bindings(bindings):
+    return {k: v for k, v in bindings.items() if v != set()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_busy_instances())
+def test_memo_and_early_stop_keep_every_placement(instance):
+    """One pass places what trying every task would: untagged queues
+    against the enumeration oracle, tagged ones against the scheduler
+    kept verbatim from before the memo and the early stop."""
+    nodes, tasks, prioritize = instance
+    cfg = SchedulerConfig(prioritize_large=prioritize, colocation=_POLICIES)
+    bindings = {}
+    placements, remaining = schedule(tasks, nodes, cfg, tag_bindings=bindings)
+    got = [(tid, pl.node_slots) for tid, pl in placements]
+    placed = {tid for tid, _ in got}
+    assert [t.task_id for t in remaining] == \
+        [t.task_id for t in tasks if t.task_id not in placed]
+    if all(t.tag is None for t in tasks):
+        assert got == oracle_schedule(tasks, nodes,
+                                      gpu_weight_for(nodes[0].spec),
+                                      prioritize=prioritize)
+    ref_bindings = {}
+    ref_placements, _ = reference_schedule(tasks, nodes, cfg,
+                                           tag_bindings=ref_bindings)
+    assert got == [(tid, pl.node_slots) for tid, pl in ref_placements]
+    # the reference records an empty node set for a different-node tag it
+    # tried and failed; a skipped try records nothing
+    assert _nonempty_bindings(bindings) == _nonempty_bindings(ref_bindings)
