@@ -25,7 +25,7 @@ import sys
 from .config import ConfigError, parse_config, read_config
 from .eventlog import EventLog, LogError
 from .executors import ExecutionService, make_records
-from .metrics import overhead, rate, utilization
+from .metrics import MetricsError, overhead, rate, utilization, window_us
 from .overlay import OverlaySim, WorkItem
 from .resources import acquire
 from .tasks import TERMINAL, TaskDescription
@@ -202,11 +202,25 @@ def _cmd_report(args):
         print('log error: %s' % exc, file=sys.stderr)
         return 2
     out_dir = args.out or os.path.dirname(os.path.abspath(args.log))
-    reports = write_reports(event_log, out_dir, args.window)
+    try:
+        reports = write_reports(event_log, out_dir, args.window)
+    except (LogError, MetricsError) as exc:
+        print('log error: %s' % exc, file=sys.stderr)
+        return 2
     print(json.dumps({'utilization': reports['utilization'],
                       'overhead': reports['overhead']},
                      indent=2, sort_keys=True))
     return 0
+
+
+def _window_arg(text):
+    """--window seconds; argparse exits 2 on a value `rate` would reject."""
+    try:
+        window = float(text)
+        window_us(window)
+    except (ValueError, MetricsError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return window
 
 
 def main(argv=None):
@@ -229,7 +243,7 @@ def main(argv=None):
 
     p_rep = sub.add_parser('report', help='recompute reports from a log')
     p_rep.add_argument('--log', required=True, help='events.jsonl path')
-    p_rep.add_argument('--window', type=float, default=60.0,
+    p_rep.add_argument('--window', type=_window_arg, default=60.0,
                        help='rate window in seconds')
     p_rep.add_argument('--out', help='report output directory')
     p_rep.set_defaults(fn=_cmd_report)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .executors import BulkBackendConfig, PartitionPlan, StabilityLimits
+from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
 from .resources import NODE_PRESETS, NodeSpec, PilotDescription, ResourceSpec
 from .scheduler import SchedulerConfig
@@ -40,6 +41,10 @@ _TEMPLATE_PARAMS = {
                   'comm_latency': _FLOAT},
 }
 TEMPLATES = tuple(_TEMPLATE_PARAMS)
+# workflow.params key -> the lowest and highest value it accepts (None: any)
+_PARAM_RANGES = {'iterations': (1, None), 'outlier_probability': (0.0, 1.0),
+                 'count': (0, None), 'wf3_count': (0, None),
+                 'wf4_count': (0, None)}
 # wf2-deepdrive's params.durations overrides DEEPDRIVE_DEFAULTS entries
 _DEEPDRIVE_DURATIONS = {key: (int,) if isinstance(default, int) else _FLOAT
                         for key, default in DEEPDRIVE_DEFAULTS.items()}
@@ -215,6 +220,12 @@ def parse_config(raw):
     param_keys = _TEMPLATE_PARAMS[template]
     _check_known(raw_params, param_keys, 'workflow.params')
     params = _present(raw_params, 'workflow.params', param_keys)
+    for key, (lo, hi) in _PARAM_RANGES.items():
+        if key in params and not (lo <= params[key]
+                                  and (hi is None or params[key] <= hi)):
+            raise ConfigError('workflow.params.' + key,
+                              'must be >= %s' % lo if hi is None else
+                              'must be in [%s, %s]' % (lo, hi))
     if 'durations' in params:
         path = 'workflow.params.durations'
         _check_known(params['durations'], _DEEPDRIVE_DURATIONS, path)
@@ -284,6 +295,12 @@ def parse_config(raw):
                      types=_FLOAT)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError('output.completion_threshold', 'must be in [0, 1]')
+    rate_window = _get(raw_out, 'rate_window', 'output', default=60.0,
+                       types=_FLOAT)
+    try:
+        window_us(rate_window)
+    except MetricsError as exc:
+        raise ConfigError('output.rate_window', str(exc))
 
     return CampaignConfig(
         seed=seed, resource=resource, pilot=pilot, scheduler=scheduler,
@@ -293,9 +310,7 @@ def parse_config(raw):
         overlay_latency=_get(raw_ov, 'latency', 'overlay', default=0.0,
                              types=_FLOAT),
         output_dir=_get(raw_out, 'dir', 'output', default='out', types=(str,)),
-        completion_threshold=threshold,
-        rate_window=_get(raw_out, 'rate_window', 'output', default=60.0,
-                         types=_FLOAT))
+        completion_threshold=threshold, rate_window=rate_window)
 
 
 def read_config(path):

@@ -1,12 +1,16 @@
 """JSON-lines event log: one row per state transition.
 
 Rows carry integer-microsecond timestamps and are serialized with sorted
-keys, so identical runs produce byte-identical logs.
+keys, so identical runs produce byte-identical logs.  Rows are only ever
+appended, never edited, so the per-task table is built once per log length.
 """
 
 import json
 
 from .tasks import STATES as TASK_EVENTS
+
+# one encoder for every row: json.dumps with options builds a new one per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(',', ':')).encode
 
 
 class LogError(Exception):
@@ -20,6 +24,7 @@ class LogError(Exception):
 class EventLog:
     def __init__(self, rows=None):
         self.rows = rows or []
+        self._table = None       # (rows list, its length, task_intervals())
 
     def append(self, t_us, event, task=None, **extra):
         row = {'t': int(t_us), 'event': event}
@@ -32,8 +37,7 @@ class EventLog:
         return [r for r in self.rows if r['event'] in TASK_EVENTS]
 
     def dumps(self):
-        return ''.join(json.dumps(r, sort_keys=True, separators=(',', ':')) + '\n'
-                       for r in self.rows)
+        return '\n'.join(map(_encode, self.rows)) + '\n' if self.rows else ''
 
     def write(self, path):
         with open(path, 'w') as fh:
@@ -68,17 +72,25 @@ class EventLog:
 
         Returns {task_id: {'queued': t, 'exec_start': t, 'exec_end': t,
         'state': final, 'cores': n, 'gpus': n, 'credit': n, ...}}.
+        The table is shared by every caller until a row is appended, so a
+        caller must not modify it.
         """
+        rows = self.rows
+        if self._table is not None and self._table[0] is rows \
+                and self._table[1] == len(rows):
+            return self._table[2]
         tasks = {}
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(rows):
             ev = r['event']
             if ev not in TASK_EVENTS:
                 continue
             tid = r.get('task')
             if tid is None:
                 raise LogError('task event without task id', row=i + 1)
-            rec = tasks.setdefault(tid, {'state': None, 'cores': 0, 'gpus': 0,
-                                         'credit': 1})
+            rec = tasks.get(tid)
+            if rec is None:
+                rec = tasks[tid] = {'state': None, 'cores': 0, 'gpus': 0,
+                                    'credit': 1}
             t = r['t']
             if ev == 'queued':
                 rec['queued'] = t
@@ -100,6 +112,7 @@ class EventLog:
                     rec['credit'] = r['credit']
             if rec['state'] not in ('done', 'failed', 'lost'):
                 rec['state'] = ev
+        self._table = (rows, len(rows), tasks)
         return tasks
 
 

@@ -2,9 +2,13 @@
 
 All computations are pure functions over an immutable log; results are
 order-independent with respect to row permutation within one timestamp.
+The per-task table (`EventLog.task_intervals`) is computed once per log and
+shared by `utilization` and `overhead`; the utilization timeline and the
+rate series are each built in one pass over the tasks or completions.
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .resources import US_PER_S, secs
 
@@ -59,24 +63,18 @@ def intersect(intervals, other):
     return merge_intervals(out)
 
 
-def _busy_end(rec):
-    """End of a task's busy interval: exec_end for completed tasks, the
-    terminal timestamp for tasks that died while running."""
-    if rec.get('exec_end') is not None:
-        return rec['exec_end']
-    for state in ('failed', 'lost'):
-        if state in rec:
-            return rec[state]
-    return None
-
-
 def _running_intervals(tasks):
+    """(tid, start, end, rec) of every task that started running; the busy
+    interval ends at exec_end for completed tasks and at the terminal
+    timestamp for tasks that died while running."""
     out = []
     for tid, rec in tasks.items():
         start = rec.get('exec_start')
         if start is None:
             continue
-        end = _busy_end(rec)
+        end = rec.get('exec_end')
+        if end is None:
+            end = rec['failed'] if 'failed' in rec else rec.get('lost')
         if end is None:
             raise MetricsError('task %s has exec_start but no end' % tid)
         if end < start:
@@ -150,28 +148,47 @@ def utilization(log, span_us=None, bucket_s=1.0):
     if span > 0:
         bucket = max(int(round(bucket_s * US_PER_S)), 1)
         n_buckets = (span + bucket - 1) // bucket
+        # partial first and last buckets are added directly; the buckets
+        # in between are counted in run_c/run_g (+n at b0+1, -n at b1) and
+        # filled in by one prefix pass, all in exact integers
         acc_c = [0] * n_buckets
         acc_g = [0] * n_buckets
+        run_c = [0] * n_buckets
+        run_g = [0] * n_buckets
         for tid, start, end, rec in per_task:
             lo, hi = max(start, t0), min(end, t1)
             if hi <= lo:
                 continue
+            c, g = rec['cores'], rec['gpus']
             b0 = (lo - t0) // bucket
             b1 = (hi - t0 - 1) // bucket
-            for b in range(b0, b1 + 1):
-                blo = t0 + b * bucket
-                bhi = min(blo + bucket, t1)
-                ov = min(hi, bhi) - max(lo, blo)
-                acc_c[b] += ov * rec['cores']
-                acc_g[b] += ov * rec['gpus']
+            if b0 == b1:
+                acc_c[b0] += (hi - lo) * c
+                acc_g[b0] += (hi - lo) * g
+                continue
+            head = t0 + (b0 + 1) * bucket - lo
+            tail = hi - (t0 + b1 * bucket)
+            acc_c[b0] += head * c
+            acc_g[b0] += head * g
+            acc_c[b1] += tail * c
+            acc_g[b1] += tail * g
+            run_c[b0 + 1] += c
+            run_g[b0 + 1] += g
+            run_c[b1] -= c
+            run_g[b1] -= g
+        running_c = running_g = 0
         for b in range(n_buckets):
+            running_c += run_c[b]
+            running_g += run_g[b]
             blo = t0 + b * bucket
             width = min(bucket, t1 - blo)
             cap_c = width * cores
             cap_g = width * gpus
+            busy_bc = acc_c[b] + running_c * bucket
+            busy_bg = acc_g[b] + running_g * bucket
             timeline.append((secs(blo),
-                             acc_c[b] / cap_c if cap_c else 0.0,
-                             acc_g[b] / cap_g if cap_g else 0.0))
+                             busy_bc / cap_c if cap_c else 0.0,
+                             busy_bg / cap_g if cap_g else 0.0))
 
     return UtilizationReport(
         busy_core_seconds=busy_c / US_PER_S,
@@ -194,11 +211,19 @@ class RateSeries:
                 'points': [list(p) for p in self.points]}
 
 
+def window_us(window_s):
+    """A rate window in whole microseconds; MetricsError unless it is a
+    finite number of seconds that rounds to at least one microsecond."""
+    window = round(window_s * US_PER_S) if isfinite(window_s) else 0
+    if window < 1:
+        raise MetricsError('window must be > 0 (at least 1e-6 s), got %r'
+                           % window_s)
+    return window
+
+
 def rate(log, window_s, credit=None):
     """Completion rate per hour in tiled windows, credited per bundle."""
-    if window_s <= 0:
-        raise MetricsError('window must be > 0')
-    window = int(round(window_s * US_PER_S))
+    window = window_us(window_s)
     completions = [(r['t'], r.get('credit', 1)) for r in log.rows
                    if r['event'] == 'done']
     info = log.pilot_info()
@@ -207,16 +232,17 @@ def rate(log, window_s, credit=None):
     if completions:
         t_last = max(t for t, _ in completions)
         n_windows = max((t_last - t0) // window + 1, 1)
-        for k in range(n_windows):
-            lo = t0 + k * window
-            hi = lo + window
-            credited = sum((credit if credit is not None else c)
-                           for t, c in completions if lo < t <= hi)
-            # completions exactly at t0 belong to the first window
-            if k == 0:
-                credited += sum((credit if credit is not None else c)
-                                for t, c in completions if t == t0)
-            points.append((secs(hi), credited * 3600.0 / window_s))
+        # window k holds the completions in (t0 + k*window, t0 + (k+1)*window];
+        # those exactly at t0 belong to the first window
+        credited = [0] * n_windows
+        for t, c in completions:
+            if t < t0:
+                continue
+            k = (t - t0 - 1) // window if t > t0 else 0
+            if k < n_windows:
+                credited[k] += c if credit is None else credit
+        points = [(secs(t0 + (k + 1) * window), n * 3600.0 / window_s)
+                  for k, n in enumerate(credited)]
     return RateSeries(window=window_s,
                       credit=credit if credit is not None else 1,
                       points=points)

@@ -1,9 +1,13 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
-and the reference continuous scheduler."""
+the reference continuous scheduler, and the reference per-task table,
+utilization timeline and rate series."""
 
 import itertools
 
-from pilotsim.resources import NodeSpec, NodeState, Placement
+from pilotsim.eventlog import LogError, TASK_EVENTS
+from pilotsim.metrics import _running_intervals
+from pilotsim.resources import (US_PER_S, NodeSpec, NodeState, Placement,
+                                secs)
 from pilotsim.scheduler import check_feasible, gpu_weight_for
 
 
@@ -249,3 +253,111 @@ def reference_schedule(queue, nodes, cfg, tag_bindings=None):
                   if t.task_id in placed]
     remaining = [t for t in queue if t.task_id not in placed]
     return placements, remaining
+
+
+# ----------------------------------------------------------------------
+# Reference report computations: the straightforward versions the one-pass
+# metrics must match exactly.
+
+def reference_task_intervals(rows):
+    """EventLog.task_intervals rebuilt from scratch on every call, with a
+    fresh default record built for every row."""
+    tasks = {}
+    for i, r in enumerate(rows):
+        ev = r['event']
+        if ev not in TASK_EVENTS:
+            continue
+        tid = r.get('task')
+        if tid is None:
+            raise LogError('task event without task id', row=i + 1)
+        rec = tasks.setdefault(tid, {'state': None, 'cores': 0, 'gpus': 0,
+                                     'credit': 1})
+        t = r['t']
+        if ev == 'queued':
+            rec['queued'] = t
+        elif ev == 'scheduled':
+            rec['scheduled'] = t
+            if 'cores' in r:
+                rec['cores'] = r['cores']
+            if 'gpus' in r:
+                rec['gpus'] = r['gpus']
+        elif ev == 'launching':
+            rec['launch_start'] = t
+        elif ev == 'running':
+            rec['exec_start'] = t
+        elif ev in ('done', 'failed', 'lost'):
+            rec[ev] = t
+            if ev == 'done':
+                rec['exec_end'] = r.get('exec_end', t)
+            if 'credit' in r:
+                rec['credit'] = r['credit']
+        if rec['state'] not in ('done', 'failed', 'lost'):
+            rec['state'] = ev
+    return tasks
+
+
+def reference_timeline(log, span_us=None, bucket_s=1.0):
+    """The utilization timeline [(t, cpu_frac, gpu_frac)], visiting every
+    bucket each running task overlaps."""
+    info = log.pilot_info()
+    cores = info['nodes'] * info['cores_per_node']
+    gpus = info['nodes'] * info['gpus_per_node']
+    if span_us is None:
+        t0 = info['t']
+        t1 = max((r['t'] for r in log.rows), default=t0)
+    else:
+        t0, t1 = span_us
+    span = max(t1 - t0, 0)
+    per_task = _running_intervals(reference_task_intervals(log.rows))
+    timeline = []
+    if span > 0:
+        bucket = max(int(round(bucket_s * US_PER_S)), 1)
+        n_buckets = (span + bucket - 1) // bucket
+        acc_c = [0] * n_buckets
+        acc_g = [0] * n_buckets
+        for tid, start, end, rec in per_task:
+            lo, hi = max(start, t0), min(end, t1)
+            if hi <= lo:
+                continue
+            b0 = (lo - t0) // bucket
+            b1 = (hi - t0 - 1) // bucket
+            for b in range(b0, b1 + 1):
+                blo = t0 + b * bucket
+                bhi = min(blo + bucket, t1)
+                ov = min(hi, bhi) - max(lo, blo)
+                acc_c[b] += ov * rec['cores']
+                acc_g[b] += ov * rec['gpus']
+        for b in range(n_buckets):
+            blo = t0 + b * bucket
+            width = min(bucket, t1 - blo)
+            cap_c = width * cores
+            cap_g = width * gpus
+            timeline.append((secs(blo),
+                             acc_c[b] / cap_c if cap_c else 0.0,
+                             acc_g[b] / cap_g if cap_g else 0.0))
+    return timeline
+
+
+def reference_rate_points(log, window_s, credit=None):
+    """Rate series points [(t, per hour)], summing every completion for
+    every window."""
+    window = int(round(window_s * US_PER_S))
+    completions = [(r['t'], r.get('credit', 1)) for r in log.rows
+                   if r['event'] == 'done']
+    info = log.pilot_info()
+    t0 = info['t'] if info else (completions[0][0] if completions else 0)
+    points = []
+    if completions:
+        t_last = max(t for t, _ in completions)
+        n_windows = max((t_last - t0) // window + 1, 1)
+        for k in range(n_windows):
+            lo = t0 + k * window
+            hi = lo + window
+            credited = sum((credit if credit is not None else c)
+                           for t, c in completions if lo < t <= hi)
+            # completions exactly at t0 belong to the first window
+            if k == 0:
+                credited += sum((credit if credit is not None else c)
+                                for t, c in completions if t == t0)
+            points.append((secs(hi), credited * 3600.0 / window_s))
+    return points

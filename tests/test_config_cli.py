@@ -168,6 +168,14 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig9-overhead-vs-iterations', 'workflow.params.durations.mdd', 6.0),
     ('fig11-13-hybrid', 'workflow.params.wf3_count', 1.5),
     ('fig14-partitioned', 'workflow.params.count', 2),
+    ('fig14-partitioned', 'output.rate_window', 0),
+    ('fig9-overhead-vs-iterations', 'workflow.params.iterations', 0),
+    ('fig9-overhead-vs-iterations', 'workflow.params.outlier_probability',
+     1.5),
+    ('fig9-overhead-vs-iterations', 'workflow.params.outlier_probability',
+     -0.1),
+    ('fig11-13-hybrid', 'workflow.params.wf3_count', -1),
+    ('fig11-13-hybrid', 'workflow.params.wf4_count', -1),
 ])
 def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
                                              value):
@@ -186,6 +194,49 @@ def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
     assert status == 2
     assert err.startswith('config error: %s:' % key), err
     assert not (tmp_path / 'out').exists()
+
+
+@pytest.mark.parametrize('template', ['wf3-esmacs', 'wf4-ties'])
+def test_negative_ensemble_count_exits_2_naming_key(tmp_path, capsys,
+                                                    template):
+    cfg = _base_config(output={'dir': str(tmp_path / 'out')},
+                       workflow={'template': template,
+                                 'params': {'count': -1}})
+    assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        'config error: workflow.params.count:')
+    assert not (tmp_path / 'out').exists()
+
+
+_PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
+              'gpus_per_node': 0}
+
+
+@pytest.mark.parametrize('rows, message', [
+    ([{'t': 0, 'event': 'queued', 'task': 'a'}], 'log carries no pilot row'),
+    ([_PILOT_ROW, {'t': 1, 'event': 'queued'}],
+     'row 2: task event without task id'),
+    ([_PILOT_ROW, {'t': 1, 'event': 'queued', 'task': 'a'},
+      {'t': 2, 'event': 'running', 'task': 'a'}], 'exec_start but no end'),
+])
+def test_report_on_inconsistent_log_exits_2(tmp_path, capsys, rows, message):
+    """Rows that parse but cannot be reported on are named, not raised."""
+    path = tmp_path / 'events.jsonl'
+    path.write_text(''.join(json.dumps(r) + '\n' for r in rows))
+    status = main(['report', '--log', str(path), '--out', str(tmp_path / 'r')])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith('log error: ') and message in err, err
+    assert not (tmp_path / 'r').exists()
+
+
+def test_report_rejects_zero_window(tmp_path, capsys):
+    path = tmp_path / 'events.jsonl'
+    path.write_text(json.dumps(_PILOT_ROW) + '\n')
+    with pytest.raises(SystemExit) as exc:
+        main(['report', '--log', str(path), '--window', '0'])
+    assert exc.value.code == 2
+    assert 'argument --window' in capsys.readouterr().err
 
 
 def test_uc3_bundled_campaign_gpu_utilization(tmp_path):

@@ -1,6 +1,12 @@
-import pytest
+import json
 
-from pilotsim.eventlog import EventLog, LogError, state_sequence
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pilotsim.eventlog import TASK_EVENTS, EventLog, LogError, state_sequence
+
+from helpers import reference_task_intervals
 
 
 def _sample_log():
@@ -32,6 +38,23 @@ def test_dumps_is_deterministic_bytes():
     assert a.dumps() == b.dumps()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(st.text(), st.integers(), st.floats(allow_nan=False),
+              st.booleans(), st.none(), st.lists(st.integers(), max_size=3)),
+    max_size=4), max_size=6))
+def test_dumps_equals_one_json_dumps_per_row(extras):
+    """Any value, including strings holding newlines or braces, serializes
+    exactly as a per-row json.dumps with sorted keys would."""
+    log = EventLog()
+    for i, extra in enumerate(extras):
+        log.rows.append({'t': i, 'event': 'done', **extra})
+    assert log.dumps() == ''.join(
+        json.dumps(r, sort_keys=True, separators=(',', ':')) + '\n'
+        for r in log.rows)
+
+
 def test_read_rejects_malformed_rows(tmp_path):
     path = tmp_path / 'bad.jsonl'
     path.write_text('{"t": 1, "event": "queued", "task": "a"}\nnot json\n')
@@ -57,6 +80,40 @@ def test_task_intervals_requires_task_id():
     log.append(0, 'queued')
     with pytest.raises(LogError, match='without task id'):
         log.task_intervals()
+
+
+def test_task_intervals_sees_rows_appended_after_a_call():
+    log = _sample_log()
+    first = log.task_intervals()
+    assert log.task_intervals() is first
+    log.append(40, 'queued', task='b')
+    log.append(50, 'lost', task='b')
+    again = log.task_intervals()
+    assert again['b']['state'] == 'lost' and again['b']['lost'] == 50
+    assert again['a'] == first['a']
+
+
+_task_rows = st.fixed_dictionaries(
+    {'t': st.integers(0, 50), 'event': st.sampled_from(TASK_EVENTS),
+     'task': st.sampled_from('abc')},
+    optional={'cores': st.integers(0, 4), 'gpus': st.integers(0, 2),
+              'credit': st.integers(1, 16), 'exec_end': st.integers(0, 50)})
+_other_rows = st.fixed_dictionaries(
+    {'t': st.integers(0, 50), 'event': st.sampled_from(('pilot', 'admitted'))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_task_rows, _other_rows), st.booleans()),
+                max_size=25))
+def test_task_intervals_equals_reference_while_appending(steps):
+    """Rows in any order, each maybe followed by a call: every call returns
+    the table a fresh build over the rows so far would."""
+    log = EventLog()
+    for row, call in steps:
+        log.rows.append(row)
+        if call:
+            assert log.task_intervals() == reference_task_intervals(log.rows)
+    assert log.task_intervals() == reference_task_intervals(log.rows)
 
 
 def test_state_sequence_ignores_completion_jitter():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotsim.eventlog import EventLog
 from pilotsim.metrics import (MetricsError, intersect, merge_intervals,
                               overhead, rate, subtract, total_length,
                               utilization)
 
-from helpers import tick_busy_slot_seconds
+from helpers import (reference_rate_points, reference_timeline,
+                     tick_busy_slot_seconds)
 
 
 def test_interval_algebra():
@@ -151,3 +154,78 @@ def test_overhead_decomposition_sums_exactly():
 def test_overhead_empty_log():
     rep = overhead(EventLog())
     assert rep.ttx == 0.0 and rep.overhead == 0.0
+
+
+# ----------------------------------------------------------------------
+# The one-pass timeline and rate against the reference versions in helpers
+
+_WINDOWS_S = (0.5, 1.0, 3.0, 7.25)
+
+
+@st.composite
+def _near_edges(draw, t0, step):
+    """A timestamp before t0, at t0, on a window or bucket edge, one
+    microsecond beside one, or anywhere."""
+    k = draw(st.integers(-2, 9))
+    off = draw(st.sampled_from((-1, 0, 1, step // 3, step // 2)))
+    return t0 + k * step + off
+
+
+@st.composite
+def _rate_logs(draw):
+    window_s = draw(st.sampled_from(_WINDOWS_S))
+    step = int(round(window_s * 1e6))
+    t0 = draw(st.integers(0, 3 * step))
+    rows = [{'t': draw(_near_edges(t0, step)), 'event': 'done',
+             'task': 't%d' % i, **draw(st.sampled_from(
+                 ({}, {'credit': 1}, {'credit': 16})))}
+            for i in range(draw(st.integers(0, 30)))]
+    if draw(st.booleans()):
+        pilot = {'t': t0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 1,
+                 'gpus_per_node': 0}
+        rows.insert(draw(st.integers(0, len(rows))), pilot)
+    credit = draw(st.sampled_from((None, 1, 3)))
+    return EventLog(rows), window_s, credit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rate_logs())
+def test_one_pass_rate_equals_reference(case):
+    log, window_s, credit = case
+    assert rate(log, window_s, credit=credit).points == \
+        reference_rate_points(log, window_s, credit=credit)
+
+
+@st.composite
+def _utilization_logs(draw):
+    bucket_s = draw(st.sampled_from(_WINDOWS_S))
+    step = int(round(bucket_s * 1e6))
+    t0 = draw(st.integers(0, 2 * step))
+    log = EventLog()
+    log.append(t0, 'pilot', nodes=draw(st.integers(1, 3)),
+               cores_per_node=draw(st.integers(0, 8)),
+               gpus_per_node=draw(st.integers(0, 4)))
+    for i in range(draw(st.integers(0, 12))):
+        tid = 't%d' % i
+        a, b = sorted((draw(_near_edges(t0, step)),
+                       draw(_near_edges(t0, step))))
+        log.append(a, 'queued', task=tid)
+        log.append(a, 'scheduled', task=tid, cores=draw(st.integers(0, 8)),
+                   gpus=draw(st.integers(0, 4)))
+        if draw(st.booleans()):            # some tasks never start
+            log.append(a, 'running', task=tid)
+        end = draw(st.sampled_from(('done', 'failed', 'lost')))
+        log.append(b, end, task=tid, **({'exec_end': b, 'credit': 1}
+                                        if end == 'done' else {}))
+    span_us = None
+    if draw(st.booleans()):                # clipped, t1 inside a bucket
+        span_us = (draw(_near_edges(t0, step)), draw(_near_edges(t0, step)))
+    return log, span_us, bucket_s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_utilization_logs())
+def test_difference_array_timeline_equals_reference(case):
+    log, span_us, bucket_s = case
+    assert utilization(log, span_us=span_us, bucket_s=bucket_s).timeline == \
+        reference_timeline(log, span_us=span_us, bucket_s=bucket_s)
