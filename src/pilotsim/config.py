@@ -41,13 +41,19 @@ _TEMPLATE_PARAMS = {
                   'comm_latency': _FLOAT},
 }
 TEMPLATES = tuple(_TEMPLATE_PARAMS)
-# workflow.params key -> the lowest and highest value it accepts (None: any)
+# workflow.params key -> the lowest and highest value it accepts (None: any);
+# a negative latency or duration would schedule events in the past
 _PARAM_RANGES = {'iterations': (1, None), 'outlier_probability': (0.0, 1.0),
                  'count': (0, None), 'wf3_count': (0, None),
-                 'wf4_count': (0, None)}
+                 'wf4_count': (0, None), 'comm_latency': (0.0, None),
+                 'duration': (0.0, None), 'wf3_duration': (0.0, None),
+                 'wf4_duration': (0.0, None)}
 # wf2-deepdrive's params.durations overrides DEEPDRIVE_DEFAULTS entries
 _DEEPDRIVE_DURATIONS = {key: (int,) if isinstance(default, int) else _FLOAT
                         for key, default in DEEPDRIVE_DEFAULTS.items()}
+# durations are >= 0; train_nodes_per_task divides the node count
+_DEEPDRIVE_RANGES = {key: (1 if key == 'train_nodes_per_task' else 0.0, None)
+                     for key in DEEPDRIVE_DEFAULTS}
 
 
 class ConfigError(Exception):
@@ -81,6 +87,16 @@ def _check_known(d, known, path):
             raise ConfigError('%s.%s' % (path, key) if path else key,
                               'unknown key (known: %s)'
                               % (', '.join(sorted(known)) or 'none'))
+
+
+def _check_ranges(values, ranges, path):
+    """ConfigError naming the first key of `values` outside its range."""
+    for key, (lo, hi) in ranges.items():
+        if key in values and not (lo <= values[key]
+                                  and (hi is None or values[key] <= hi)):
+            raise ConfigError('%s.%s' % (path, key),
+                              'must be >= %s' % lo if hi is None else
+                              'must be in [%s, %s]' % (lo, hi))
 
 
 def _present(d, path, types_by_key, required=()):
@@ -220,17 +236,13 @@ def parse_config(raw):
     param_keys = _TEMPLATE_PARAMS[template]
     _check_known(raw_params, param_keys, 'workflow.params')
     params = _present(raw_params, 'workflow.params', param_keys)
-    for key, (lo, hi) in _PARAM_RANGES.items():
-        if key in params and not (lo <= params[key]
-                                  and (hi is None or params[key] <= hi)):
-            raise ConfigError('workflow.params.' + key,
-                              'must be >= %s' % lo if hi is None else
-                              'must be in [%s, %s]' % (lo, hi))
+    _check_ranges(params, _PARAM_RANGES, 'workflow.params')
     if 'durations' in params:
         path = 'workflow.params.durations'
         _check_known(params['durations'], _DEEPDRIVE_DURATIONS, path)
         params['durations'] = _present(params['durations'], path,
                                        _DEEPDRIVE_DURATIONS)
+        _check_ranges(params['durations'], _DEEPDRIVE_RANGES, path)
 
     workload = None
     raw_wl = _get(raw, 'workload', '', types=(dict,))
@@ -276,6 +288,10 @@ def parse_config(raw):
         overlay = MasterConfig(**_present(raw_ov, 'overlay', master_keys))
     except ValueError as exc:
         raise ConfigError('overlay', str(exc))
+    overlay_latency = _get(raw_ov, 'latency', 'overlay', default=0.0,
+                           types=_FLOAT)
+    if overlay_latency < 0:
+        raise ConfigError('overlay.latency', 'must be >= 0')
 
     raw_limits = _get(raw, 'stability', '', default={}, types=(dict,))
     limit_keys = {'stable_max_nodes': (int,), 'stable_max_tasks': (int,),
@@ -307,8 +323,7 @@ def parse_config(raw):
         backend=backend, flavor=flavor, template=template,
         template_params=params, workload=workload, plan=plan, limits=limits,
         bulk=bulk, overlay=overlay,
-        overlay_latency=_get(raw_ov, 'latency', 'overlay', default=0.0,
-                             types=_FLOAT),
+        overlay_latency=overlay_latency,
         output_dir=_get(raw_out, 'dir', 'output', default='out', types=(str,)),
         completion_threshold=threshold, rate_window=rate_window)
 

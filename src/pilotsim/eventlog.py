@@ -11,6 +11,12 @@ from .tasks import STATES as TASK_EVENTS
 
 # one encoder for every row: json.dumps with options builds a new one per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(',', ':')).encode
+# the pilot row's slot counts, which the utilization report multiplies
+_PILOT_COUNTS = ('nodes', 'cores_per_node', 'gpus_per_node')
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class LogError(Exception):
@@ -55,15 +61,28 @@ class EventLog:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LogError('malformed JSON (%s)' % exc, row=i + 1)
-                if 't' not in row or 'event' not in row:
+                if not isinstance(row, dict) or 't' not in row \
+                        or 'event' not in row:
                     raise LogError('missing t/event field', row=i + 1)
+                if not _is_int(row['t']):
+                    raise LogError('t must be an integer, got %r' % row['t'],
+                                   row=i + 1)
+                if not isinstance(row['event'], str):
+                    raise LogError('event must be a string, got %r'
+                                   % row['event'], row=i + 1)
                 rows.append(row)
         return cls(rows)
 
     def pilot_info(self):
-        """The pilot metadata row, if the log carries one."""
-        for r in self.rows:
+        """The pilot metadata row, if the log carries one; LogError naming
+        the row when one of its slot counts is not an integer >= 0."""
+        for i, r in enumerate(self.rows):
             if r['event'] == 'pilot':
+                for key in _PILOT_COUNTS:
+                    if not (_is_int(r.get(key)) and r[key] >= 0):
+                        raise LogError('pilot row %s must be an integer '
+                                       '>= 0, got %r' % (key, r.get(key)),
+                                       row=i + 1)
                 return r
         return None
 

@@ -10,10 +10,23 @@ Workers prefetch: a worker accepts up to two buffer-loads of its slot
 count so the slots never starve between bulk refills; the master refills a
 worker once its in-flight count falls below half of that buffer, which is
 exactly its slot count.
+
+Taking an item from a queue or a buffer, or putting a lost item back, is
+O(1): a master's item queue and a worker's buffer are deques.  The
+simulator keeps its list of live workers instead of rebuilding it per
+bulk; picking the worker for a bulk still scans that list.
+
+A master that stops dispatching because no worker has room for its next
+bulk is marked stalled.  Its own acks cannot wake it when none of its
+items is in flight, so whenever any worker falls below its watermark,
+every stalled master gets a refill too, in master order, after the acking
+master's own.  With one master the acking master is the only one that can
+stall, so a single-master run dispatches exactly as before.
 """
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import SimEngine
@@ -61,7 +74,7 @@ class WorkerState:
     running: int = 0
     completed: int = 0
     alive: bool = True
-    buffer: list = field(default_factory=list)
+    buffer: deque = field(default_factory=deque)
 
     def __post_init__(self):
         if self.max_in_flight is None:
@@ -78,7 +91,7 @@ class Master:
     def __init__(self, master_id, node_id):
         self.master_id = master_id
         self.node_id = node_id
-        self.queue = []
+        self.queue = deque()
         self.in_flight = {}      # item_id -> (WorkItem, worker_id)
         self.dispatched = 0
         self.completed = 0
@@ -87,16 +100,17 @@ class Master:
         self.protocol_errors = []
 
     def add_items(self, items):
-        """Queue items longest first."""
-        self.queue.extend(items)
-        self.queue.sort(key=lambda i: -i.duration_s)
+        """Queue items longest first (a stable sort: ties keep their
+        order)."""
+        self.queue = deque(sorted([*self.queue, *items],
+                                  key=lambda i: -i.duration_s))
 
     def has_items(self):
         return bool(self.queue)
 
     def next_bulk(self, max_items):
-        bulk, self.queue = self.queue[:max_items], self.queue[max_items:]
-        return bulk
+        popleft = self.queue.popleft
+        return [popleft() for _ in range(min(max_items, len(self.queue)))]
 
     def note_dispatched(self, items, worker_id):
         for item in items:
@@ -138,7 +152,7 @@ class Master:
                 self.failed_items.append(item)
             else:
                 self.dispatched -= 1
-                self.queue.insert(0, item)
+                self.queue.appendleft(item)
 
     def conservation_ok(self):
         return self.dispatched == (self.completed + len(self.in_flight)
@@ -185,6 +199,8 @@ class OverlaySim:
 
     def __init__(self, pilot, cfg, items, latency_s=0.0, slot_kind='cores',
                  log=None, invariant_hook=None):
+        if latency_s < 0:
+            raise ValueError('latency_s must be >= 0, got %r' % latency_s)
         self.pilot = pilot
         self.cfg = cfg
         self.overlay = spawn_overlay(pilot, cfg, slot_kind=slot_kind)
@@ -196,6 +212,8 @@ class OverlaySim:
         self.message_count = 0
         self.dispatch_message_count = 0
         self._refill_flagged = set()
+        self._live = list(self.overlay.workers)
+        self._stalled = set()    # master ids waiting for worker room
 
         parts = partition_items(list(items), len(self.overlay.masters))
         for master, part in zip(self.overlay.masters, parts):
@@ -221,26 +239,18 @@ class OverlaySim:
             for master in self.overlay.masters:
                 self.invariant_hook(master, self.overlay.workers)
 
-    def _live_workers(self):
-        return [w for w in self.overlay.workers if w.alive]
-
     def dispatch_bulk(self, master):
         """Greedy bulk dispatch: full bulks to the worker with the most
         free buffer (ties: lowest id); a partial bulk only for the tail of
-        the item queue."""
+        the item queue.  Stopping for lack of room stalls the master."""
         while master.has_items():
-            live = self._live_workers()
-            if not live:
+            if not self._live:
                 raise OverlayDrainedError('no live workers for master %d'
                                           % master.master_id)
-            worker = max(live, key=lambda w: (w.free(), -w.worker_id))
-            free = worker.free()
-            if free == 0:
-                return
-            want = self.cfg.bulk_size
-            if len(master.queue) < want:
-                want = len(master.queue)   # tail partial
-            if free < want:
+            worker = max(self._live, key=lambda w: (w.free(), -w.worker_id))
+            want = min(self.cfg.bulk_size, len(master.queue))  # tail partial
+            if worker.free() < want:
+                self._stalled.add(master.master_id)
                 return                     # wait for a watermark refill
             bulk = master.next_bulk(want)
             master.note_dispatched(bulk, worker.worker_id)
@@ -265,7 +275,7 @@ class OverlaySim:
         t = self.engine.now
         gpus = int(self.slot_kind == 'gpus')
         while worker.buffer and worker.running < worker.capacity:
-            master, item = worker.buffer.pop(0)
+            master, item = worker.buffer.popleft()
             worker.running += 1
             self.log.append(t, 'scheduled', task=item.item_id,
                             cores=1 - gpus, gpus=gpus)
@@ -295,17 +305,24 @@ class OverlaySim:
         self._check()
         # watermark refill, batched per (master, worker) and timestamp so a
         # wave of simultaneous completions triggers one refill at full size
-        threshold = worker.max_in_flight / 2
+        if worker.in_flight >= worker.max_in_flight / 2:
+            return
         key = (master.master_id, worker.worker_id)
-        if worker.in_flight < threshold and master.has_items() and \
-                key not in self._refill_flagged:
+        if master.has_items() and key not in self._refill_flagged:
             self._refill_flagged.add(key)
             self.engine.at(self.engine.now,
                            lambda m=master, k=key: self._refill(m, k))
+        # wake the other stalled masters: no ack of their own may be due
+        self._stalled.discard(master.master_id)
+        for mid in sorted(self._stalled):
+            self.engine.at(self.engine.now,
+                           lambda m=self.overlay.masters[mid]:
+                           self._refill(m))
+        self._stalled.clear()
 
-    def _refill(self, master, key):
+    def _refill(self, master, key=None):
         self._refill_flagged.discard(key)
-        if master.has_items() and self._live_workers():
+        if master.has_items() and self._live:
             self.dispatch_bulk(master)
 
     def kill_worker(self, worker_id, at_s):
@@ -313,8 +330,10 @@ class OverlaySim:
         reported lost to their masters."""
         def die():
             worker = self.overlay.workers[worker_id]
+            if worker.alive:
+                self._live.remove(worker)
             worker.alive = False
-            worker.buffer = []
+            worker.buffer = deque()
             for master in self.overlay.masters:
                 lost = [iid for iid, (_, wid) in master.in_flight.items()
                         if wid == worker_id]

@@ -1,6 +1,6 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
-the reference continuous scheduler, and the reference per-task table,
-utilization timeline and rate series."""
+the reference continuous scheduler, the reference per-task table,
+utilization timeline and rate series, and the reference overlay master."""
 
 import itertools
 
@@ -361,3 +361,44 @@ def reference_rate_points(log, window_s, credit=None):
                                 for t, c in completions if t == t0)
             points.append((secs(hi), credited * 3600.0 / window_s))
     return points
+
+
+# ----------------------------------------------------------------------
+# Reference overlay master: the list-based item queue the deque queue of
+# pilotsim.overlay.Master must match bulk for bulk.
+
+class ReferenceMaster:
+    """Queue side of the previous overlay Master: a list sorted longest
+    first, sliced per bulk, with lost items re-inserted at its head."""
+
+    def __init__(self):
+        self.queue = []
+        self.in_flight = {}
+        self.dispatched = 0
+        self.lost = 0
+
+    def add_items(self, items):
+        self.queue.extend(items)
+        self.queue.sort(key=lambda i: -i.duration_s)
+
+    def next_bulk(self, max_items):
+        bulk, self.queue = self.queue[:max_items], self.queue[max_items:]
+        return bulk
+
+    def note_dispatched(self, items, worker_id):
+        for item in items:
+            item.attempts += 1
+            self.in_flight[item.item_id] = (item, worker_id)
+            self.dispatched += 1
+
+    def report_lost(self, item_ids):
+        for item_id in item_ids:
+            entry = self.in_flight.pop(item_id, None)
+            if entry is None:
+                continue
+            item, _ = entry
+            if item.attempts > 1:
+                self.lost += 1
+            else:
+                self.dispatched -= 1
+                self.queue.insert(0, item)

@@ -176,6 +176,14 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
      -0.1),
     ('fig11-13-hybrid', 'workflow.params.wf3_count', -1),
     ('fig11-13-hybrid', 'workflow.params.wf4_count', -1),
+    ('fig9-overhead-vs-iterations', 'workflow.params.comm_latency', -5.0),
+    ('fig9-overhead-vs-iterations', 'workflow.params.durations.md', -1.0),
+    ('fig9-overhead-vs-iterations',
+     'workflow.params.durations.train_nodes_per_task', 0),
+    ('fig11-13-hybrid', 'workflow.params.wf3_duration', -1.0),
+    ('fig11-13-hybrid', 'workflow.params.wf4_duration', -1.0),
+    ('fig11-13-hybrid', 'workflow.params.comm_latency', -0.1),
+    ('fig5-7-wf1-rates', 'overlay.latency', -0.001),
 ])
 def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
                                              value):
@@ -208,6 +216,18 @@ def test_negative_ensemble_count_exits_2_naming_key(tmp_path, capsys,
     assert not (tmp_path / 'out').exists()
 
 
+@pytest.mark.parametrize('template', ['wf3-esmacs', 'wf4-ties'])
+def test_negative_ensemble_duration_exits_2_naming_key(tmp_path, capsys,
+                                                       template):
+    cfg = _base_config(output={'dir': str(tmp_path / 'out')},
+                       workflow={'template': template,
+                                 'params': {'duration': -1.0}})
+    assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        'config error: workflow.params.duration:')
+    assert not (tmp_path / 'out').exists()
+
+
 _PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
               'gpus_per_node': 0}
 
@@ -218,6 +238,15 @@ _PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
      'row 2: task event without task id'),
     ([_PILOT_ROW, {'t': 1, 'event': 'queued', 'task': 'a'},
       {'t': 2, 'event': 'running', 'task': 'a'}], 'exec_start but no end'),
+    ([{k: v for k, v in _PILOT_ROW.items() if k != 'nodes'}],
+     'row 1: pilot row nodes must be an integer >= 0, got None'),
+    ([dict(_PILOT_ROW, gpus_per_node='2')],
+     'row 1: pilot row gpus_per_node must be an integer >= 0'),
+    ([_PILOT_ROW, {'t': '5', 'event': 'queued', 'task': 'a'}],
+     "row 2: t must be an integer, got '5'"),
+    ([_PILOT_ROW, {'t': 5, 'event': 7, 'task': 'a'}],
+     'row 2: event must be a string, got 7'),
+    ([_PILOT_ROW, 5], 'row 2: missing t/event field'),
 ])
 def test_report_on_inconsistent_log_exits_2(tmp_path, capsys, rows, message):
     """Rows that parse but cannot be reported on are named, not raised."""

@@ -65,6 +65,28 @@ def test_read_rejects_malformed_rows(tmp_path):
         EventLog.read(path)
 
 
+@pytest.mark.parametrize('line, message', [
+    ('{"t": 1.5, "event": "queued", "task": "a"}',
+     'row 2: t must be an integer'),
+    ('{"t": true, "event": "queued", "task": "a"}',
+     'row 2: t must be an integer'),
+    ('{"t": 1, "event": null}', 'row 2: event must be a string'),
+    ('5', 'row 2: missing t/event'),
+])
+def test_read_rejects_wrong_field_types(tmp_path, line, message):
+    path = tmp_path / 'bad.jsonl'
+    path.write_text('{"t": 0, "event": "queued", "task": "a"}\n%s\n' % line)
+    with pytest.raises(LogError, match=message):
+        EventLog.read(path)
+
+
+def test_pilot_info_checks_slot_counts():
+    log = _sample_log()
+    log.rows[0]['cores_per_node'] = -4
+    with pytest.raises(LogError, match='row 1: pilot row cores_per_node'):
+        log.pilot_info()
+
+
 def test_task_intervals_lifecycle():
     tasks = _sample_log().task_intervals()
     rec = tasks['a']

@@ -1,11 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotsim.overlay import (Master, MasterConfig, OverlayDrainedError,
                               OverlaySim, WorkItem, WorkerState,
                               lpt_makespan, partition_items, spawn_overlay)
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
 from pilotsim import metrics
+
+from helpers import ReferenceMaster
 
 
 def _pilot(nodes, cores=8, walltime=1e6):
@@ -126,3 +132,78 @@ def test_longest_first_dispatch_order():
     master = Master(0, 0)
     master.add_items(_items([1.0, 9.0, 4.0]))
     assert [i.duration_s for i in master.next_bulk(3)] == [9.0, 4.0, 1.0]
+
+
+_QUEUE_OPS = st.lists(st.one_of(
+    st.tuples(st.just('add'),
+              st.lists(st.sampled_from([1.0, 2.0, 3.0]), max_size=8)),
+    st.tuples(st.just('bulk'), st.integers(1, 6)),
+    # lose the in-flight items at these positions of the in-flight map
+    st.tuples(st.just('lose'), st.lists(st.integers(0, 30), max_size=6))),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_QUEUE_OPS)
+def test_deque_queue_matches_list_reference(ops):
+    """Adds, bulks and worker losses in any order give the same bulks and
+    the same queue order as the list-based queue."""
+    master, ref = Master(0, 0), ReferenceMaster()
+    n = 0
+    for op, arg in ops:
+        if op == 'add':
+            ids = ['it%03d' % i for i in range(n, n + len(arg))]
+            n += len(arg)
+            master.add_items([WorkItem(i, d) for i, d in zip(ids, arg)])
+            ref.add_items([WorkItem(i, d) for i, d in zip(ids, arg)])
+        elif op == 'bulk':
+            bulk, ref_bulk = master.next_bulk(arg), ref.next_bulk(arg)
+            assert [i.item_id for i in bulk] == \
+                [i.item_id for i in ref_bulk]
+            master.note_dispatched(bulk, 0)
+            ref.note_dispatched(ref_bulk, 0)
+        else:
+            in_flight = list(master.in_flight)
+            lost = [in_flight[k] for k in arg if k < len(in_flight)]
+            master.report_lost(lost)
+            ref.report_lost(lost)
+        assert [i.item_id for i in master.queue] == \
+            [i.item_id for i in ref.queue]
+        assert (master.dispatched, master.lost) == (ref.dispatched, ref.lost)
+        assert master.conservation_ok()
+
+
+def test_log_with_requeued_items_is_unchanged():
+    """Two workers die mid-run: ten items are re-queued at the head of the
+    queue and three die a second time.  The sha256 was recorded with the
+    list-based queue and buffers."""
+    durations = np.random.default_rng(3).choice([1.0, 2.0, 3.5], size=120)
+    sim = OverlaySim(_pilot(4, cores=4), MasterConfig(bulk_size=3),
+                     _items(durations), latency_s=0.01)
+    sim.kill_worker(1, at_s=6.0)
+    sim.kill_worker(2, at_s=14.0)
+    log = sim.run()
+    queued = [r['task'] for r in log.rows if r['event'] == 'queued']
+    master = sim.overlay.masters[0]
+    assert len(queued) - len(set(queued)) == 10
+    assert (master.completed, master.lost) == (117, 3)
+    assert hashlib.sha256(log.dumps().encode()).hexdigest() == \
+        'bdf65b8a928499d766a3d2dbef1facecb7a589b71c265c3e480a434631235106'
+
+
+def test_every_master_dispatches_when_one_fills_the_workers():
+    """Master 0 fills every worker's buffer at the start; masters 1-3 must
+    still be woken once workers have room, and all work completes."""
+    sim = OverlaySim(_pilot(8), MasterConfig(nodes_per_master=2, bulk_size=4),
+                     _items([0.5, 1.0, 1.5, 2.0] * 200), latency_s=0.001)
+    sim.run()
+    masters = sim.overlay.masters
+    assert len(masters) == 4 and len(sim.overlay.workers) == 4
+    assert [m.completed for m in masters] == [200] * 4
+    assert all(m.conservation_ok() and not m.queue for m in masters)
+    assert sum(r['event'] == 'done' for r in sim.log.rows) == 800
+
+
+def test_negative_latency_is_rejected():
+    with pytest.raises(ValueError, match='latency_s'):
+        OverlaySim(_pilot(2), MasterConfig(), _items([1.0]), latency_s=-0.1)
