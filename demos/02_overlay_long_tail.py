@@ -17,7 +17,7 @@ pilot = acquire(PilotDescription(
     resource=ResourceSpec.from_preset('frontera-node', 4), walltime=3600.0))
 items = [WorkItem('lig-%05d' % i, float(d)) for i, d in enumerate(durations)]
 
-sim = OverlaySim(pilot, MasterConfig(bulk_size=16), items, latency_s=0.001)
+sim = OverlaySim(pilot, MasterConfig(bulk_size=16, latency=0.001), items)
 log = sim.run()
 
 report = utilization(log)

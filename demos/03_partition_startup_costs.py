@@ -13,7 +13,7 @@ from pilotsim import (ExecutionService, PartitionPlan, PilotDescription,
 pilot = acquire(PilotDescription(
     resource=ResourceSpec.from_preset('frontera-node', 32),
     walltime=100_000.0))
-plan = PartitionPlan(partition_count=32, nodes_per_partition=1,
+plan = PartitionPlan(count=32, nodes_per_partition=1,
                      per_partition_start_cost=0.5, post_start_sleep=10.0,
                      per_launch_delay=0.1)
 

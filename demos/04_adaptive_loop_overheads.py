@@ -7,10 +7,10 @@ count; with 1 ms it is flat.
 
 from pilotsim import (AdaptiveLoopConfig, ExecutionService,
                       PilotDescription, ResourceSpec, SchedulerConfig,
-                      acquire, deepdrive_pipeline, iterate_adaptive,
-                      overhead)
+                      StageDurations, acquire, deepdrive_pipeline,
+                      iterate_adaptive, overhead)
 
-DURATIONS = {'md': 6.0, 'aggregate': 0.5, 'train': 0.5, 'infer': 0.2}
+DURATIONS = StageDurations(md=6.0, aggregate=0.5, train=0.5, infer=0.2)
 
 
 def loop_overhead(iterations, comm_latency):
@@ -18,11 +18,11 @@ def loop_overhead(iterations, comm_latency):
         resource=ResourceSpec.from_preset('summit-node', 4),
         walltime=100_000.0, startup_latency=10.0))
     service = ExecutionService(pilot, SchedulerConfig())
-    cfg = AdaptiveLoopConfig(max_iterations=iterations,
-                             comm_latency=comm_latency, seed=42)
+    cfg = AdaptiveLoopConfig(iterations=iterations, comm_latency=comm_latency,
+                             durations=DURATIONS, seed=42)
     iterate_adaptive(cfg, service,
                      lambda gen: deepdrive_pipeline(pilot, iteration=gen,
-                                                    durations=DURATIONS))
+                                                    durations=cfg.durations))
     return overhead(service.log).overhead
 
 

@@ -6,7 +6,7 @@ engine, all running on one discrete-event kernel in either virtual time
 (sim) or wall-clock time (real).
 """
 
-from .resources import (NODE_PRESETS, NodeSpec, NodeState, Pilot,
+from .resources import (NODE_PRESETS, FieldError, NodeSpec, NodeState, Pilot,
                         PilotDescription, Placement, ResourceSpec, SlotError,
                         acquire, secs, us)
 from .tasks import TaskDescription, TaskRecord
@@ -21,7 +21,8 @@ from .executors import (BulkBackendConfig, ExecutionService, ExecutorError,
 from .overlay import (Master, MasterConfig, Overlay, OverlayDrainedError,
                       OverlayError, OverlaySim, WorkItem, WorkerState,
                       lpt_makespan, partition_items, spawn_overlay)
-from .workflow import (AdaptiveLoopConfig, Pipeline, Stage, WorkflowEngine,
+from .workflow import (AdaptiveLoopConfig, EnsembleParams, HybridParams,
+                       Pipeline, Stage, StageDurations, WorkflowEngine,
                        WorkflowError, deepdrive_pipeline, esmacs_pipeline,
                        iterate_adaptive, run_hybrid, run_pipeline,
                        ties_pipeline)

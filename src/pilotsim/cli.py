@@ -8,8 +8,9 @@
 executes, and writes the event log plus utilization/overhead/rate reports.
 `report` recomputes the same reports from an event log alone.  Exit status
 is 0 when at least the configured fraction of work completed, and 2 when
-the config is invalid.  The `run` overrides are applied to the config
-mapping before validation, so a bad override is named like a bad key.
+the config is invalid or asks for a task its resource can never fit.  The
+`run` overrides are applied to the config mapping before validation, so a
+bad override is named like a bad key.
 
 Log verbosity is controlled by the PILOTSIM_LOG_LEVEL environment variable
 (DEBUG, INFO, WARNING; default WARNING).
@@ -22,16 +23,16 @@ import logging
 import os
 import sys
 
-from .config import ConfigError, parse_config, read_config
+from .config import BACKENDS, FLAVORS, ConfigError, parse_config, read_config
 from .eventlog import EventLog, LogError
 from .executors import ExecutionService, make_records
 from .metrics import MetricsError, overhead, rate, utilization, window_us
 from .overlay import OverlaySim, WorkItem
 from .resources import acquire
 from .tasks import TERMINAL, TaskDescription
-from .workflow import (AdaptiveLoopConfig, WorkflowEngine, deepdrive_pipeline,
-                       esmacs_pipeline, iterate_adaptive, run_hybrid,
-                       ties_pipeline)
+from .scheduler import UnschedulableError
+from .workflow import (WorkflowEngine, deepdrive_pipeline, esmacs_pipeline,
+                       iterate_adaptive, run_hybrid, ties_pipeline)
 
 log = logging.getLogger('pilotsim')
 
@@ -54,9 +55,7 @@ def _run_overlay(cfg, pilot):
     ids, durations, credits = preset.bundles(cfg.seed)
     items = [WorkItem(item_id, float(d), credit=credit)
              for item_id, d, credit in zip(ids, durations, credits)]
-    sim = OverlaySim(pilot, cfg.overlay, items,
-                     latency_s=cfg.overlay_latency,
-                     slot_kind='gpus' if preset.gpus else 'cores')
+    sim = OverlaySim(pilot, cfg.overlay, items, slot_kind=preset.slot_kind)
     sim.run()
     log.info('overlay: %d bundles done, %d messages',
              sum(m.completed for m in sim.overlay.masters), sim.message_count)
@@ -64,37 +63,16 @@ def _run_overlay(cfg, pilot):
 
 
 def _run_deepdrive(cfg, service):
-    p = cfg.template_params
-    loop = AdaptiveLoopConfig(
-        max_iterations=p.get('iterations', 4),
-        outlier_probability=p.get('outlier_probability', 0.0),
-        comm_latency=p.get('comm_latency', 0.1),
-        seed=cfg.seed)
-    durations = p.get('durations')
-
-    def factory(generation):
-        return deepdrive_pipeline(service.pilot, iteration=generation,
-                                  durations=durations)
-
-    iterate_adaptive(loop, service, factory)
+    loop = cfg.template_params
+    iterate_adaptive(loop, service, lambda generation: deepdrive_pipeline(
+        service.pilot, iteration=generation, durations=loop.durations))
 
 
 def _run_ensemble(cfg, service, make_pipeline):
     p = cfg.template_params
-    duration = p.get('duration', 320.0)
-    pipelines = [make_pipeline(i, duration=duration)
-                 for i in range(p.get('count', 1))]
-    engine = WorkflowEngine(service,
-                            comm_latency_s=p.get('comm_latency', 0.0))
+    pipelines = [make_pipeline(i, duration=p.duration) for i in range(p.count)]
+    engine = WorkflowEngine(service, comm_latency_s=p.comm_latency)
     engine.run_pipelines(pipelines)
-
-
-def _run_hybrid(cfg, service):
-    p = cfg.template_params
-    run_hybrid(p.get('wf3_count', 1), p.get('wf4_count', 1), service,
-               wf3_duration=p.get('wf3_duration', 320.0),
-               wf4_duration=p.get('wf4_duration', 320.0),
-               comm_latency_s=p.get('comm_latency', 0.0))
 
 
 _TEMPLATE_RUNNERS = {
@@ -102,7 +80,7 @@ _TEMPLATE_RUNNERS = {
     'wf2-deepdrive': _run_deepdrive,
     'wf3-esmacs': lambda cfg, svc: _run_ensemble(cfg, svc, esmacs_pipeline),
     'wf4-ties': lambda cfg, svc: _run_ensemble(cfg, svc, ties_pipeline),
-    'hybrid-lb': _run_hybrid,
+    'hybrid-lb': lambda cfg, svc: run_hybrid(svc, cfg.template_params),
 }
 
 
@@ -188,7 +166,12 @@ def _cmd_run(args):
     except (ConfigError, OSError) as exc:
         print('config error: %s' % exc, file=sys.stderr)
         return 2
-    summary, status = run_campaign(cfg)
+    try:
+        summary, status = run_campaign(cfg)
+    except UnschedulableError as exc:
+        # raised before any artifact is written
+        print('config error: resource: %s' % exc, file=sys.stderr)
+        return 2
     print('completed %d/%d work items (%.1f%%); artifacts in %s'
           % (summary['work_done'], summary['work_total'],
              100.0 * summary['completion_fraction'], cfg.output_dir))
@@ -233,10 +216,9 @@ def main(argv=None):
     p_run = sub.add_parser('run', help='execute a campaign config')
     p_run.add_argument('--config', required=True, help='campaign YAML')
     p_run.add_argument('--seed', type=int, help='override the config seed')
-    p_run.add_argument('--backend',
-                       choices=('direct', 'partitioned', 'bulk', 'overlay'),
+    p_run.add_argument('--backend', choices=BACKENDS,
                        help='override the execution backend')
-    p_run.add_argument('--flavor', choices=('sim', 'real'),
+    p_run.add_argument('--flavor', choices=FLAVORS,
                        help='override the execution flavor')
     p_run.add_argument('--out', help='override the output directory')
     p_run.set_defaults(fn=_cmd_run)

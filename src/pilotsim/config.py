@@ -2,20 +2,25 @@
 
 A campaign file describes one run: the resource, the pilot, the scheduler,
 the execution backend and flavor, and either a flat workload or a workflow
-template.  Validation errors name the offending key path.  A key the file
-leaves out takes the default of the dataclass it configures.
+template.  A section that builds a dataclass is read from it: the section's
+keys are the dataclass's fields, typed by their annotations, and a key the
+file leaves out takes the field's default.  The dataclass checks its own
+ranges.  Validation errors name the offending key path.
 """
 
-from dataclasses import dataclass, replace
+import dataclasses
+import typing
+from contextlib import contextmanager
 
 import yaml
 
 from .executors import BulkBackendConfig, PartitionPlan, StabilityLimits
 from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
-from .resources import NODE_PRESETS, NodeSpec, PilotDescription, ResourceSpec
+from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
+                        ResourceSpec)
 from .scheduler import SchedulerConfig
-from .workflow import DEEPDRIVE_DEFAULTS
+from .workflow import AdaptiveLoopConfig, EnsembleParams, HybridParams
 from .workloads import make_preset, preset_names
 
 SCHEMA_VERSION = 1
@@ -23,37 +28,12 @@ SCHEMA_VERSION = 1
 BACKENDS = ('direct', 'partitioned', 'bulk', 'overlay')
 FLAVORS = ('sim', 'real')
 
-# the accepted types of a number; _get returns it as a float
-_FLOAT = (int, float)
-
-_ENSEMBLE_PARAMS = {'count': (int,), 'duration': _FLOAT,
-                    'comm_latency': _FLOAT}
-# template -> the workflow.params keys its runner reads, with their types
+# template -> the dataclass its workflow.params build (None: it takes none)
 _TEMPLATE_PARAMS = {
-    'flat': {},
-    'wf1-overlay': {},
-    'wf2-deepdrive': {'iterations': (int,), 'outlier_probability': _FLOAT,
-                      'comm_latency': _FLOAT, 'durations': (dict,)},
-    'wf3-esmacs': _ENSEMBLE_PARAMS,
-    'wf4-ties': _ENSEMBLE_PARAMS,
-    'hybrid-lb': {'wf3_count': (int,), 'wf4_count': (int,),
-                  'wf3_duration': _FLOAT, 'wf4_duration': _FLOAT,
-                  'comm_latency': _FLOAT},
-}
+    'flat': None, 'wf1-overlay': None, 'wf2-deepdrive': AdaptiveLoopConfig,
+    'wf3-esmacs': EnsembleParams, 'wf4-ties': EnsembleParams,
+    'hybrid-lb': HybridParams}
 TEMPLATES = tuple(_TEMPLATE_PARAMS)
-# workflow.params key -> the lowest and highest value it accepts (None: any);
-# a negative latency or duration would schedule events in the past
-_PARAM_RANGES = {'iterations': (1, None), 'outlier_probability': (0.0, 1.0),
-                 'count': (0, None), 'wf3_count': (0, None),
-                 'wf4_count': (0, None), 'comm_latency': (0.0, None),
-                 'duration': (0.0, None), 'wf3_duration': (0.0, None),
-                 'wf4_duration': (0.0, None)}
-# wf2-deepdrive's params.durations overrides DEEPDRIVE_DEFAULTS entries
-_DEEPDRIVE_DURATIONS = {key: (int,) if isinstance(default, int) else _FLOAT
-                        for key, default in DEEPDRIVE_DEFAULTS.items()}
-# durations are >= 0; train_nodes_per_task divides the node count
-_DEEPDRIVE_RANGES = {key: (1 if key == 'train_nodes_per_task' else 0.0, None)
-                     for key in DEEPDRIVE_DEFAULTS}
 
 
 class ConfigError(Exception):
@@ -64,50 +44,67 @@ class ConfigError(Exception):
         self.path = path
 
 
-def _get(d, key, path, required=False, default=None, types=None):
+def _key(path, key):
+    return '%s.%s' % (path, key) if path else key
+
+
+def _typed(val, path, tp):
+    """`val` checked against the annotation `tp`: a class, `X | None` or a
+    dataclass, which a mapping builds.  An int passes as a float; a bool
+    never passes as a number."""
+    if dataclasses.is_dataclass(tp):
+        return _section(_typed(val, path, dict), path, tp)
+    types = typing.get_args(tp) or (tp,)
+    if float in types and type(val) is int:
+        return float(val)
+    if isinstance(val, types) and (bool in types
+                                   or not isinstance(val, bool)):
+        return val
+    raise ConfigError(path, 'expected %s, got %s'
+                      % (getattr(tp, '__name__', tp), type(val).__name__))
+
+
+def _get(d, key, path, tp, default=None, required=False):
     if key not in d:
         if required:
-            raise ConfigError('%s.%s' % (path, key) if path else key,
-                              'required key missing')
+            raise ConfigError(_key(path, key), 'required key missing')
         return default
-    val = d[key]
-    if types is not None and not isinstance(val, types):
-        raise ConfigError('%s.%s' % (path, key) if path else key,
-                          'expected %s, got %s'
-                          % ('/'.join(t.__name__ for t in types),
-                             type(val).__name__))
-    if types is _FLOAT:
-        return float(val)
-    return val
+    return _typed(d[key], _key(path, key), tp)
 
 
 def _check_known(d, known, path):
     for key in d:
         if key not in known:
-            raise ConfigError('%s.%s' % (path, key) if path else key,
-                              'unknown key (known: %s)'
+            raise ConfigError(_key(path, key), 'unknown key (known: %s)'
                               % (', '.join(sorted(known)) or 'none'))
 
 
-def _check_ranges(values, ranges, path):
-    """ConfigError naming the first key of `values` outside its range."""
-    for key, (lo, hi) in ranges.items():
-        if key in values and not (lo <= values[key]
-                                  and (hi is None or values[key] <= hi)):
-            raise ConfigError('%s.%s' % (path, key),
-                              'must be >= %s' % lo if hi is None else
-                              'must be in [%s, %s]' % (lo, hi))
+@contextmanager
+def _named(path):
+    """A FieldError raised inside becomes a ConfigError naming its key."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError('%s.%s' % (path, exc.field), exc.message) from None
 
 
-def _present(d, path, types_by_key, required=()):
-    """Keyword arguments for the keys of `types_by_key` that `d` sets,
-    type-checked; a key left out is left to the dataclass default."""
-    return {key: _get(d, key, path, required=key in required, types=types)
-            for key, types in types_by_key.items()
-            if key in d or key in required}
+def _section(raw, path, cls, skip=(), **given):
+    """`cls` built from the mapping `raw` found at key `path`.  Its keys are
+    the fields of `cls` not in `given`, plus the keys in `skip` that the
+    caller reads itself; a field without a default is a required key."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_known(raw, {f.name for f in fields} | set(skip), path)
+    for f in fields:
+        if f.name in raw:
+            given[f.name] = _typed(raw[f.name], _key(path, f.name), f.type)
+        elif f.default is dataclasses.MISSING and \
+                f.default_factory is dataclasses.MISSING:
+            raise ConfigError(_key(path, f.name), 'required key missing')
+    with _named(path):
+        return cls(**given)
 
 
-@dataclass
+@dataclasses.dataclass
 class CampaignConfig:
     seed: int
     resource: ResourceSpec
@@ -116,55 +113,49 @@ class CampaignConfig:
     backend: str
     flavor: str
     template: str
-    template_params: dict
+    template_params: object          # _TEMPLATE_PARAMS[template] or None
     workload: object                 # WorkloadPreset or None
     plan: PartitionPlan              # or None
     limits: StabilityLimits
     bulk: BulkBackendConfig
     overlay: MasterConfig
-    overlay_latency: float
     output_dir: str
     completion_threshold: float
     rate_window: float
 
 
 def _parse_resource(raw):
-    node_keys = {'cpu_cores': (int,), 'gpus': (int,),
-                 'usable_cpu_cores': (int,)}
-    _check_known(raw, {'preset', 'nodes', *node_keys}, 'resource')
-    n_nodes = _get(raw, 'nodes', 'resource', required=True, types=(int,))
+    n_nodes = _get(raw, 'nodes', 'resource', int, required=True)
     if n_nodes < 1:
         raise ConfigError('resource.nodes', 'must be >= 1')
-    preset = _get(raw, 'preset', 'resource', types=(str,))
-    if preset is not None:
-        if preset not in NODE_PRESETS:
-            raise ConfigError('resource.preset',
-                              'unknown preset %r (known: %s)'
-                              % (preset, ', '.join(sorted(NODE_PRESETS))))
-        return ResourceSpec.from_preset(preset, n_nodes)
-    node = _present(raw, 'resource', node_keys, required=('cpu_cores',))
-    try:
-        return ResourceSpec(nodes=tuple(NodeSpec(node_id=i, **node)
+    preset = _get(raw, 'preset', 'resource', str)
+    if preset is None:
+        node = _section(raw, 'resource', NodeSpec, skip=('nodes', 'preset'),
+                        node_id=0)
+        return ResourceSpec(nodes=tuple(dataclasses.replace(node, node_id=i)
                                         for i in range(n_nodes)))
-    except ValueError as exc:
-        raise ConfigError('resource', str(exc))
+    if preset not in NODE_PRESETS:
+        raise ConfigError('resource.preset', 'unknown preset %r (known: %s)'
+                          % (preset, ', '.join(sorted(NODE_PRESETS))))
+    # a preset fixes the node shape
+    _check_known(raw, ('nodes', 'preset'), 'resource')
+    return ResourceSpec.from_preset(preset, n_nodes)
 
 
-def _parse_plan(raw):
-    if raw is None:
-        return None
-    plan_keys = {'count': (int,), 'nodes_per_partition': (int,),
-                 'max_tasks_per_partition': (int,),
-                 'per_partition_start_cost': _FLOAT, 'post_start_sleep': _FLOAT,
-                 'per_launch_delay': _FLOAT}
-    _check_known(raw, plan_keys, 'pilot.partitions')
-    plan = _present(raw, 'pilot.partitions', plan_keys,
-                    required=('count', 'nodes_per_partition'))
-    plan['partition_count'] = plan.pop('count')
-    try:
-        return PartitionPlan(**plan)
-    except ValueError as exc:
-        raise ConfigError('pilot.partitions', str(exc))
+def _parse_workload(raw, seed):
+    _check_known(raw, {'preset', 'items', 'duration_scale'}, 'workload')
+    preset = _get(raw, 'preset', 'workload', str, required=True)
+    if preset not in preset_names():
+        raise ConfigError('workload.preset', 'unknown preset %r (known: %s)'
+                          % (preset, ', '.join(preset_names())))
+    items = _get(raw, 'items', 'workload', int)
+    if items is not None and items < 1:
+        raise ConfigError('workload.items', 'must be >= 1')
+    scale = _get(raw, 'duration_scale', 'workload', float, default=1.0)
+    if not 0 < scale < float('inf'):
+        raise ConfigError('workload.duration_scale', 'must be > 0 and finite')
+    workload = make_preset(preset, item_count=items, seed=seed)
+    return dataclasses.replace(workload, model=workload.model.scaled(scale))
 
 
 def parse_config(raw):
@@ -175,44 +166,30 @@ def parse_config(raw):
                        'scheduler', 'backend', 'flavor', 'workflow',
                        'workload', 'bulk', 'overlay', 'stability', 'output'},
                  '')
-    version = _get(raw, 'schema_version', '', default=SCHEMA_VERSION,
-                   types=(int,))
+    version = _get(raw, 'schema_version', '', int, default=SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError('schema_version',
                           'unsupported version %d (supported: %d)'
                           % (version, SCHEMA_VERSION))
-    seed = _get(raw, 'seed', '', required=True, types=(int,))
+    seed = _get(raw, 'seed', '', int, required=True)
 
-    resource = _parse_resource(_get(raw, 'resource', '', required=True,
-                                    types=(dict,)))
+    resource = _parse_resource(_get(raw, 'resource', '', dict,
+                                    required=True))
+    raw_pilot = _get(raw, 'pilot', '', dict, required=True)
+    raw_plan = _get(raw_pilot, 'partitions', 'pilot', dict)
+    plan = None if raw_plan is None else \
+        _section(raw_plan, 'pilot.partitions', PartitionPlan)
+    pilot = _section(raw_pilot, 'pilot', PilotDescription,
+                     skip=('partitions',), resource=resource)
+    # colocation is library-only: no template or preset tags a task
+    scheduler = _section(_get(raw, 'scheduler', '', dict, default={}),
+                         'scheduler', SchedulerConfig, colocation={})
 
-    raw_pilot = _get(raw, 'pilot', '', required=True, types=(dict,))
-    _check_known(raw_pilot, {'walltime', 'startup_latency', 'partitions'},
-                 'pilot')
-    plan = _parse_plan(_get(raw_pilot, 'partitions', 'pilot', types=(dict,)))
-    try:
-        pilot = PilotDescription(
-            resource=resource,
-            **_present(raw_pilot, 'pilot', {'walltime': _FLOAT,
-                                            'startup_latency': _FLOAT},
-                       required=('walltime',)))
-    except ValueError as exc:
-        raise ConfigError('pilot', str(exc))
-
-    raw_sched = _get(raw, 'scheduler', '', default={}, types=(dict,))
-    sched_keys = {'algorithm': (str,), 'prioritize_large': (bool,)}
-    _check_known(raw_sched, sched_keys, 'scheduler')
-    try:
-        scheduler = SchedulerConfig(**_present(raw_sched, 'scheduler',
-                                               sched_keys))
-    except ValueError as exc:
-        raise ConfigError('scheduler', str(exc))
-
-    backend = _get(raw, 'backend', '', default='direct', types=(str,))
+    backend = _get(raw, 'backend', '', str, default='direct')
     if backend not in BACKENDS:
         raise ConfigError('backend', 'unknown backend %r (known: %s)'
                           % (backend, ', '.join(BACKENDS)))
-    flavor = _get(raw, 'flavor', '', default='sim', types=(str,))
+    flavor = _get(raw, 'flavor', '', str, default='sim')
     if flavor not in FLAVORS:
         raise ConfigError('flavor', 'unknown flavor %r (known: %s)'
                           % (flavor, ', '.join(FLAVORS)))
@@ -223,44 +200,25 @@ def parse_config(raw):
         raise ConfigError('pilot.partitions',
                           'partitioned backend needs a partition plan')
 
-    raw_wf = _get(raw, 'workflow', '', default={}, types=(dict,))
+    raw_wf = _get(raw, 'workflow', '', dict, default={})
     _check_known(raw_wf, {'template', 'params'}, 'workflow')
-    template = _get(raw_wf, 'template', 'workflow', default='flat',
-                    types=(str,))
+    template = _get(raw_wf, 'template', 'workflow', str, default='flat')
     if template not in TEMPLATES:
         raise ConfigError('workflow.template',
                           'unknown template %r (known: %s)'
                           % (template, ', '.join(TEMPLATES)))
-    raw_params = _get(raw_wf, 'params', 'workflow', default={},
-                      types=(dict,))
-    param_keys = _TEMPLATE_PARAMS[template]
-    _check_known(raw_params, param_keys, 'workflow.params')
-    params = _present(raw_params, 'workflow.params', param_keys)
-    _check_ranges(params, _PARAM_RANGES, 'workflow.params')
-    if 'durations' in params:
-        path = 'workflow.params.durations'
-        _check_known(params['durations'], _DEEPDRIVE_DURATIONS, path)
-        params['durations'] = _present(params['durations'], path,
-                                       _DEEPDRIVE_DURATIONS)
-        _check_ranges(params['durations'], _DEEPDRIVE_RANGES, path)
+    raw_params = _get(raw_wf, 'params', 'workflow', dict, default={})
+    params_cls = _TEMPLATE_PARAMS[template]
+    params = None
+    if params_cls is None:
+        _check_known(raw_params, (), 'workflow.params')
+    else:
+        # the adaptive loop draws its outliers from the campaign seed
+        given = {'seed': seed} if params_cls is AdaptiveLoopConfig else {}
+        params = _section(raw_params, 'workflow.params', params_cls, **given)
 
-    workload = None
-    raw_wl = _get(raw, 'workload', '', types=(dict,))
-    if raw_wl is not None:
-        _check_known(raw_wl, {'preset', 'items', 'duration_scale'}, 'workload')
-        preset = _get(raw_wl, 'preset', 'workload', required=True, types=(str,))
-        if preset not in preset_names():
-            raise ConfigError('workload.preset',
-                              'unknown preset %r (known: %s)'
-                              % (preset, ', '.join(preset_names())))
-        workload = make_preset(
-            preset,
-            item_count=_get(raw_wl, 'items', 'workload', types=(int,)),
-            seed=seed)
-        scale = _get(raw_wl, 'duration_scale', 'workload', default=1.0,
-                     types=_FLOAT)
-        if scale != 1.0:
-            workload = replace(workload, model=workload.model.scaled(scale))
+    raw_wl = _get(raw, 'workload', '', dict)
+    workload = None if raw_wl is None else _parse_workload(raw_wl, seed)
     if template in ('flat', 'wf1-overlay') and workload is None:
         raise ConfigError('workload',
                           'template %r needs a workload section' % template)
@@ -272,47 +230,24 @@ def parse_config(raw):
                           'template wf1-overlay runs only on the overlay '
                           'backend, not %r' % backend)
 
-    raw_bulk = _get(raw, 'bulk', '', default={}, types=(dict,))
-    bulk_keys = {'scheduling_rate': (int, float, type(None)),
-                 'startup_cost': _FLOAT}
-    _check_known(raw_bulk, bulk_keys, 'bulk')
-    try:
-        bulk = BulkBackendConfig(**_present(raw_bulk, 'bulk', bulk_keys))
-    except ValueError as exc:
-        raise ConfigError('bulk', str(exc))
+    bulk = _section(_get(raw, 'bulk', '', dict, default={}), 'bulk',
+                    BulkBackendConfig)
+    overlay = _section(_get(raw, 'overlay', '', dict, default={}), 'overlay',
+                       MasterConfig)
+    if backend == 'overlay':
+        with _named('overlay'):
+            overlay.check_buffer(resource.node_type, workload.slot_kind)
+    limits = _section(_get(raw, 'stability', '', dict, default={}),
+                      'stability', StabilityLimits)
 
-    raw_ov = _get(raw, 'overlay', '', default={}, types=(dict,))
-    master_keys = {'nodes_per_master': (int,), 'bulk_size': (int,)}
-    _check_known(raw_ov, {'latency', *master_keys}, 'overlay')
-    try:
-        overlay = MasterConfig(**_present(raw_ov, 'overlay', master_keys))
-    except ValueError as exc:
-        raise ConfigError('overlay', str(exc))
-    overlay_latency = _get(raw_ov, 'latency', 'overlay', default=0.0,
-                           types=_FLOAT)
-    if overlay_latency < 0:
-        raise ConfigError('overlay.latency', 'must be >= 0')
-
-    raw_limits = _get(raw, 'stability', '', default={}, types=(dict,))
-    limit_keys = {'stable_max_nodes': (int,), 'stable_max_tasks': (int,),
-                  'startup_failure_p': _FLOAT, 'internal_failure_p': _FLOAT,
-                  'lost_connection_p': _FLOAT}
-    _check_known(raw_limits, limit_keys, 'stability')
-    try:
-        limits = StabilityLimits(**_present(raw_limits, 'stability',
-                                            limit_keys))
-    except ValueError as exc:
-        raise ConfigError('stability', str(exc))
-
-    raw_out = _get(raw, 'output', '', default={}, types=(dict,))
+    raw_out = _get(raw, 'output', '', dict, default={})
     _check_known(raw_out, {'dir', 'completion_threshold', 'rate_window'},
                  'output')
-    threshold = _get(raw_out, 'completion_threshold', 'output', default=0.95,
-                     types=_FLOAT)
+    threshold = _get(raw_out, 'completion_threshold', 'output', float,
+                     default=0.95)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError('output.completion_threshold', 'must be in [0, 1]')
-    rate_window = _get(raw_out, 'rate_window', 'output', default=60.0,
-                       types=_FLOAT)
+    rate_window = _get(raw_out, 'rate_window', 'output', float, default=60.0)
     try:
         window_us(rate_window)
     except MetricsError as exc:
@@ -323,8 +258,7 @@ def parse_config(raw):
         backend=backend, flavor=flavor, template=template,
         template_params=params, workload=workload, plan=plan, limits=limits,
         bulk=bulk, overlay=overlay,
-        overlay_latency=overlay_latency,
-        output_dir=_get(raw_out, 'dir', 'output', default='out', types=(str,)),
+        output_dir=_get(raw_out, 'dir', 'output', str, default='out'),
         completion_threshold=threshold, rate_window=rate_window)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog
-from .resources import us
+from .resources import check_range, us
 from .scheduler import SchedulerConfig, schedule, schedule_noop
 from .tasks import TaskRecord
 
@@ -32,16 +32,18 @@ class ExecutorError(Exception):
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    partition_count: int
+    count: int
     nodes_per_partition: int
-    max_tasks_per_partition: int = None
+    max_tasks_per_partition: int | None = None
     per_partition_start_cost: float = 0.5   # seconds, fitted constant
     post_start_sleep: float = 10.0          # seconds after each start
     per_launch_delay: float = 0.1           # seconds between launches
 
     def __post_init__(self):
-        if self.partition_count < 1 or self.nodes_per_partition < 1:
-            raise ValueError('partition plan must cover >= 1 node')
+        check_range(self, 1, None, 'count', 'nodes_per_partition',
+                    'max_tasks_per_partition')
+        check_range(self, 0.0, None, 'per_partition_start_cost',
+                    'post_start_sleep', 'per_launch_delay')
 
 
 @dataclass(frozen=True)
@@ -55,20 +57,19 @@ class StabilityLimits:
     lost_connection_p: float = 0.01
 
     def __post_init__(self):
-        for p in (self.startup_failure_p, self.internal_failure_p,
-                  self.lost_connection_p):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError('probabilities must be within [0, 1]')
+        check_range(self, 0, None, 'stable_max_nodes', 'stable_max_tasks')
+        check_range(self, 0.0, 1.0, 'startup_failure_p',
+                    'internal_failure_p', 'lost_connection_p')
 
 
 @dataclass(frozen=True)
 class BulkBackendConfig:
-    scheduling_rate: float = 14.21   # tasks/second; None disables the cap
+    scheduling_rate: float | None = 14.21  # tasks/second; None: no cap
     startup_cost: float = 0.0
 
     def __post_init__(self):
-        if self.scheduling_rate is not None and self.scheduling_rate <= 0:
-            raise ValueError('scheduling_rate must be > 0')
+        check_range(self, 0.0, None, 'scheduling_rate', strict=True)
+        check_range(self, 0.0, None, 'startup_cost')
 
 
 class _NodeGroup:
@@ -146,12 +147,12 @@ class ExecutionService:
         plan = self.plan
         if plan is None:
             raise ValueError('partitioned backend needs a PartitionPlan')
-        needed = plan.partition_count * plan.nodes_per_partition
+        needed = plan.count * plan.nodes_per_partition
         if needed > len(self.pilot.nodes):
             raise ExecutorError('partition plan wants %d nodes, pilot has %d'
                                 % (needed, len(self.pilot.nodes)))
         groups = []
-        for pid in range(plan.partition_count):
+        for pid in range(plan.count):
             lo = pid * plan.nodes_per_partition
             nodes = self.pilot.nodes[lo:lo + plan.nodes_per_partition]
             g = _NodeGroup(pid, nodes)
@@ -437,8 +438,14 @@ class ExecutionService:
 
     def run(self):
         """Drain all events; at teardown, any task still not terminal is
-        marked lost."""
-        self.engine.run()
+        marked lost.  However the run ends, every payload still running
+        is terminated and reaped."""
+        try:
+            self.engine.run()
+        finally:
+            for proc, _, _ in self._procs.values():
+                proc.terminate()
+                proc.wait()
         self._closed = True
         for rec in self.records.values():
             if not rec.is_terminal:

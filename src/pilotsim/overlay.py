@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .engine import SimEngine
 from .eventlog import EventLog
-from .resources import us
+from .resources import FieldError, check_range, us
 
 
 class OverlayError(Exception):
@@ -46,14 +46,29 @@ class OverlayDrainedError(OverlayError):
 BUFFER_FACTOR = 2
 
 
+def worker_slots(spec, slot_kind):
+    """Items a worker on a `spec` node runs at once."""
+    return spec.gpus if slot_kind == 'gpus' else spec.usable_cpu_cores
+
+
 @dataclass(frozen=True)
 class MasterConfig:
     nodes_per_master: int = 100
     bulk_size: int = 1
+    latency: float = 0.0             # seconds per master<->worker message
 
     def __post_init__(self):
-        if self.nodes_per_master < 1 or self.bulk_size < 1:
-            raise ValueError('nodes_per_master and bulk_size must be >= 1')
+        check_range(self, 1, None, 'nodes_per_master', 'bulk_size')
+        check_range(self, 0.0, None, 'latency')
+
+    def check_buffer(self, spec, slot_kind):
+        """FieldError unless a full bulk fits the dispatch buffer of a
+        worker on a `spec` node; a larger bulk would never be sent."""
+        slots = worker_slots(spec, slot_kind)
+        if self.bulk_size > slots * BUFFER_FACTOR:
+            raise FieldError('bulk_size', 'must be <= %d: a worker buffers %d '
+                             'x its %d %s' % (BUFFER_FACTOR * slots,
+                                              BUFFER_FACTOR, slots, slot_kind))
 
 
 @dataclass
@@ -170,6 +185,7 @@ class Overlay:
 def spawn_overlay(pilot, cfg, slot_kind='cores'):
     """One master per ~nodes_per_master nodes on dedicated nodes, one
     worker on every remaining node."""
+    cfg.check_buffer(pilot.resource.node_type, slot_kind)
     n = len(pilot.nodes)
     n_masters = math.ceil(n / cfg.nodes_per_master)
     n_workers = n - n_masters
@@ -179,7 +195,7 @@ def spawn_overlay(pilot, cfg, slot_kind='cores'):
                for i in range(n_masters)]
     workers = []
     for w, node in enumerate(pilot.nodes[n_masters:]):
-        cap = node.spec.gpus if slot_kind == 'gpus' else node.spec.usable_cpu_cores
+        cap = worker_slots(node.spec, slot_kind)
         workers.append(WorkerState(worker_id=w, node_id=node.spec.node_id,
                                    capacity=cap,
                                    max_in_flight=cap * BUFFER_FACTOR))
@@ -197,14 +213,12 @@ def partition_items(items, n_masters):
 class OverlaySim:
     """Discrete-event run of the overlay with per-message latency."""
 
-    def __init__(self, pilot, cfg, items, latency_s=0.0, slot_kind='cores',
-                 log=None, invariant_hook=None):
-        if latency_s < 0:
-            raise ValueError('latency_s must be >= 0, got %r' % latency_s)
+    def __init__(self, pilot, cfg, items, slot_kind='cores', log=None,
+                 invariant_hook=None):
         self.pilot = pilot
         self.cfg = cfg
         self.overlay = spawn_overlay(pilot, cfg, slot_kind=slot_kind)
-        self.latency_us = us(latency_s)
+        self.latency_us = us(cfg.latency)
         self.slot_kind = slot_kind
         self.log = log if log is not None else EventLog()
         self.engine = SimEngine(start_us=pilot.clock_us)

@@ -5,6 +5,7 @@ increasing clock; both the simulated and the real backend share it (the real
 backend maps wall clock onto it).
 """
 
+import math
 from dataclasses import dataclass, field
 
 FREE = None
@@ -25,20 +26,41 @@ class SlotError(Exception):
     """Occupancy conflict or ownership violation: signals a scheduler bug."""
 
 
+class FieldError(ValueError):
+    """A dataclass field's value is out of range; `field` names the field."""
+
+    def __init__(self, field, message):
+        super().__init__('%s %s' % (field, message))
+        self.field = field
+        self.message = message
+
+
+def check_range(obj, lo, hi, *names, strict=False):
+    """FieldError naming the first of `names` whose value on `obj` is below
+    `lo` (at or below it if `strict`), above `hi` (None: only finite), or
+    NaN.  A None value passes: the field's own default stands for it."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is None or (lo < value if strict else lo <= value) and \
+                (value < math.inf if hi is None else value <= hi):
+            continue
+        bound = ('> %s' if strict else '>= %s') % lo
+        raise FieldError(name, 'must be ' + (
+            bound + ' and finite' if hi is None else 'in [%s, %s]' % (lo, hi)))
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: int
     cpu_cores: int
     gpus: int = 0
-    usable_cpu_cores: int = None  # defaults to cpu_cores
+    usable_cpu_cores: int | None = None  # defaults to cpu_cores
 
     def __post_init__(self):
         if self.usable_cpu_cores is None:
             object.__setattr__(self, 'usable_cpu_cores', self.cpu_cores)
-        if self.cpu_cores < 0 or self.gpus < 0:
-            raise ValueError('core/gpu counts must be >= 0')
-        if not 0 <= self.usable_cpu_cores <= self.cpu_cores:
-            raise ValueError('usable_cpu_cores must be within [0, cpu_cores]')
+        check_range(self, 0, None, 'cpu_cores', 'gpus')
+        check_range(self, 0, self.cpu_cores, 'usable_cpu_cores')
 
 
 # Schedulable shapes of the platforms the framework was characterized on.
@@ -95,10 +117,8 @@ class PilotDescription:
     startup_latency: float = 0.0     # seconds
 
     def __post_init__(self):
-        if self.walltime <= 0:
-            raise ValueError('walltime must be > 0')
-        if self.startup_latency < 0:
-            raise ValueError('startup_latency must be >= 0')
+        check_range(self, 0.0, None, 'walltime', strict=True)
+        check_range(self, 0.0, None, 'startup_latency')
 
 
 @dataclass(frozen=True)

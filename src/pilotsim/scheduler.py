@@ -23,7 +23,7 @@ pass stops.
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .resources import Placement
+from .resources import FieldError, Placement
 from .tasks import TaskDescription
 
 
@@ -40,10 +40,12 @@ class SchedulerConfig:
 
     def __post_init__(self):
         if self.algorithm not in ('continuous', 'noop'):
-            raise ValueError('unknown algorithm: %s' % self.algorithm)
+            raise FieldError('algorithm', 'must be continuous or noop, not %r'
+                             % self.algorithm)
         for tag, policy in self.colocation.items():
             if policy not in ('same-node', 'different-node', 'none'):
-                raise ValueError('unknown colocation policy %r for tag %r'
+                raise FieldError('colocation', 'policy %r of tag %r must be '
+                                 'same-node, different-node or none'
                                  % (policy, tag))
 
 

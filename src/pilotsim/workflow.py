@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .resources import us
+from .resources import check_range, us
+from .scheduler import UnschedulableError
 from .tasks import TaskDescription, TaskRecord
 from .workloads import DurationModel
 
@@ -43,17 +44,57 @@ class Pipeline:
 
 
 @dataclass(frozen=True)
+class StageDurations:
+    """Stage durations (seconds) of the 4-stage MD/ML loop, chosen so a
+    GPU-filled ensemble stage dominates each iteration."""
+    md: float = 600.0
+    aggregate: float = 15.0
+    train: float = 30.0
+    infer: float = 10.0
+    train_nodes_per_task: int = 20
+
+    def __post_init__(self):
+        check_range(self, 0.0, None, 'md', 'aggregate', 'train', 'infer')
+        check_range(self, 1, None, 'train_nodes_per_task')
+
+
+@dataclass(frozen=True)
 class AdaptiveLoopConfig:
-    max_iterations: int = 8
+    iterations: int = 8
     outlier_probability: float = 0.0
     comm_latency: float = 0.0        # seconds per engine<->broker round-trip
+    durations: StageDurations = StageDurations()
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError('max_iterations must be >= 1')
-        if not 0.0 <= self.outlier_probability <= 1.0:
-            raise ValueError('outlier_probability must be in [0, 1]')
+        check_range(self, 1, None, 'iterations')
+        check_range(self, 0.0, 1.0, 'outlier_probability')
+        check_range(self, 0.0, None, 'comm_latency')
+
+
+@dataclass(frozen=True)
+class EnsembleParams:
+    """`count` pipelines of one template; each stage task runs `duration`."""
+    count: int = 1
+    duration: float = 320.0          # seconds
+    comm_latency: float = 0.0
+
+    def __post_init__(self):
+        check_range(self, 0, None, 'count', 'duration', 'comm_latency')
+
+
+@dataclass(frozen=True)
+class HybridParams:
+    """GPU-resident (wf3) and CPU-resident (wf4) pipelines on one pilot."""
+    wf3_count: int = 1
+    wf4_count: int = 1
+    wf3_duration: float = 320.0
+    wf4_duration: float = 320.0
+    comm_latency: float = 0.0
+
+    def __post_init__(self):
+        check_range(self, 0, None, 'wf3_count', 'wf4_count', 'wf3_duration',
+                    'wf4_duration', 'comm_latency')
 
 
 class _PipelineRun:
@@ -194,41 +235,35 @@ def _task(tid, cores=1, gpus=0, ranks=1, payload=0.0, stage_ref=None):
                            gpus=gpus, payload=payload, stage_ref=stage_ref)
 
 
-# Stage durations (seconds) of the 4-stage MD/ML loop template, chosen so a
-# GPU-filled ensemble stage dominates each iteration.
-DEEPDRIVE_DEFAULTS = {
-    'md': 600.0, 'aggregate': 15.0, 'train': 30.0, 'infer': 10.0,
-    'train_nodes_per_task': 20,
-}
-
-
-def deepdrive_pipeline(pilot, iteration=0, durations=None, tag=''):
+def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
+                       tag=''):
     """4-stage adaptive loop: MD ensemble (one task per GPU) -> aggregate
     -> train (one GPU task per ~20 nodes) -> infer."""
-    d = dict(DEEPDRIVE_DEFAULTS)
-    if durations:
-        d.update(durations)
+    d = durations
     n_nodes = len(pilot.nodes)
     n_gpus = pilot.resource.total_gpus
-    n_train = max(n_nodes // d['train_nodes_per_task'], 1)
+    if not n_gpus:
+        raise UnschedulableError('the md stage runs one task per GPU; the '
+                                 'pilot has no GPUs')
+    n_train = max(n_nodes // d.train_nodes_per_task, 1)
     pre = 'wf2%s-i%d' % (tag, iteration)
-    md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d['md'],
+    md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d.md,
                             stage_ref='md') for i in range(n_gpus)])
     agg = Stage('aggregate', [_task('%s-agg' % pre, cores=1,
-                                    payload=d['aggregate'],
+                                    payload=d.aggregate,
                                     stage_ref='aggregate')])
     train = Stage('train', [_task('%s-train%02d' % (pre, i), gpus=1,
-                                  payload=d['train'], stage_ref='train')
+                                  payload=d.train, stage_ref='train')
                             for i in range(n_train)])
     infer = Stage('infer', [_task('%s-infer' % pre, gpus=1,
-                                  payload=d['infer'], stage_ref='infer')])
+                                  payload=d.infer, stage_ref='infer')])
     return Pipeline('%s' % pre, [md, agg, train, infer])
 
 
 def iterate_adaptive(loop_cfg, service, pipeline_factory):
-    """Run a 4-stage loop up to max_iterations; after each iteration the
-    outlier draw decides whether stage 1 is regenerated (outliers found,
-    generation counter advances) or repeated as-is.
+    """Run a 4-stage loop loop_cfg.iterations times; after each
+    iteration the outlier draw decides whether stage 1 is regenerated
+    (outliers found, generation counter advances) or repeated as-is.
 
     pipeline_factory(generation) must return a deterministic 4-stage
     Pipeline for a given generation, so the continue branch reuses the
@@ -243,7 +278,7 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
         raise WorkflowError('adaptive loop template must have 4 stages')
 
     def hook(iteration, records):
-        if iteration + 1 >= loop_cfg.max_iterations:
+        if iteration + 1 >= loop_cfg.iterations:
             summaries.append({'iteration': iteration, 'branch': 'stop',
                               'generation': generation['n']})
             return 'stop'
@@ -283,15 +318,13 @@ def ties_pipeline(index, duration=320.0, stages=3, ranks=36):
                      for s in range(stages)])
 
 
-def run_hybrid(wf3_count, wf4_count, service, wf3_duration=320.0,
-               wf4_duration=320.0, comm_latency_s=0.0):
-    """Concurrent GPU-resident and CPU-resident pipelines on one pilot."""
-    if wf3_count < 0 or wf4_count < 0:
-        raise ValueError('pipeline counts must be >= 0')
-    pipelines = [esmacs_pipeline(i, duration=wf3_duration)
-                 for i in range(wf3_count)]
-    pipelines += [ties_pipeline(i, duration=wf4_duration)
-                  for i in range(wf4_count)]
-    eng = WorkflowEngine(service, comm_latency_s=comm_latency_s)
+def run_hybrid(service, params):
+    """Concurrent GPU-resident and CPU-resident pipelines on one pilot, as
+    HybridParams `params` describes them."""
+    pipelines = [esmacs_pipeline(i, duration=params.wf3_duration)
+                 for i in range(params.wf3_count)]
+    pipelines += [ties_pipeline(i, duration=params.wf4_duration)
+                  for i in range(params.wf4_count)]
+    eng = WorkflowEngine(service, comm_latency_s=params.comm_latency)
     runs = eng.run_pipelines(pipelines)
     return runs, eng

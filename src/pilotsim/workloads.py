@@ -132,6 +132,11 @@ class WorkloadPreset:
         if self.bundle_size < 1:
             raise ValueError('bundle_size must be >= 1')
 
+    @property
+    def slot_kind(self):
+        """The overlay slot one bundle holds: a GPU task's is its GPU."""
+        return 'gpus' if self.gpus else 'cores'
+
     def bundles(self, seed):
         """Group the items into execution bundles of bundle_size; returns
         one id, one sampled duration (seconds) and one credit per bundle,

@@ -19,7 +19,8 @@ from pilotsim.resources import (NodeSpec, NodeState, PilotDescription,
                                 ResourceSpec, acquire, us)
 from pilotsim.scheduler import SchedulerConfig, gpu_weight_for, schedule
 from pilotsim.tasks import TaskDescription
-from pilotsim.workflow import (AdaptiveLoopConfig, deepdrive_pipeline,
+from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams,
+                               StageDurations, deepdrive_pipeline,
                                iterate_adaptive, run_hybrid)
 from pilotsim.workloads import make_preset
 
@@ -112,8 +113,8 @@ def test_criterion_3_throughput_law(capsys, slots, bundle):
     pilot = _pilot(None, 2, custom_cores=slots)
     items = [WorkItem('it%06d' % i, mu, credit=bundle)
              for i in range(slots * waves)]
-    sim = OverlaySim(pilot, MasterConfig(bulk_size=min(slots, 16)),
-                     items, latency_s=0.001)
+    sim = OverlaySim(pilot, MasterConfig(bulk_size=min(slots, 16),
+                                         latency=0.001), items)
     log = sim.run()
     series = metrics.rate(log, 20.0)
     mid = [r for _, r in series.points[3:-3]]
@@ -137,8 +138,8 @@ def test_criterion_4a_wf1_utilization_scaled(capsys):
     pilot = _pilot('frontera-node', 4)
     items = [WorkItem('it%05d' % i, float(d))
              for i, d in enumerate(durations)]
-    sim = OverlaySim(pilot, MasterConfig(bulk_size=16), items,
-                     latency_s=0.001)
+    sim = OverlaySim(pilot, MasterConfig(bulk_size=16, latency=0.001),
+                     items)
     log = sim.run()
     util = metrics.utilization(log).cpu_utilization
     lpt = lpt_makespan(durations, 102)
@@ -153,7 +154,7 @@ def test_criterion_4b_wf2_gpu_utilization(capsys):
     """4-stage MD/ML loop on 20 GPU nodes: GPU utilization 91 +/- 3."""
     pilot = _pilot('summit-node', 20, walltime=1e5, startup=30.0)
     svc = ExecutionService(pilot, SchedulerConfig())
-    loop = AdaptiveLoopConfig(max_iterations=4, comm_latency=0.1, seed=42)
+    loop = AdaptiveLoopConfig(iterations=4, comm_latency=0.1, seed=42)
     iterate_adaptive(loop, svc,
                      lambda gen: deepdrive_pipeline(pilot, iteration=gen))
     util = metrics.utilization(svc.log).gpu_utilization
@@ -166,7 +167,7 @@ def test_criterion_4b_wf2_gpu_utilization(capsys):
 def test_criterion_5_overhead_decomposition_exact(capsys):
     """32 sequential partitions and 6000 launches: startup 336 s and
     launch-delay 600 s appear exactly in the decomposition."""
-    plan = PartitionPlan(partition_count=32, nodes_per_partition=1,
+    plan = PartitionPlan(count=32, nodes_per_partition=1,
                          per_partition_start_cost=0.5, post_start_sleep=10.0,
                          per_launch_delay=0.1)
     pilot = _pilot('frontera-node', 32, walltime=1e5)
@@ -187,13 +188,14 @@ def test_criterion_5_overhead_decomposition_exact(capsys):
 def _adaptive_overhead(iterations, comm_latency):
     pilot = _pilot('summit-node', 4, walltime=1e5, startup=10.0)
     svc = ExecutionService(pilot, SchedulerConfig())
-    loop = AdaptiveLoopConfig(max_iterations=iterations,
-                              comm_latency=comm_latency, seed=42)
+    loop = AdaptiveLoopConfig(iterations=iterations,
+                              comm_latency=comm_latency, seed=42,
+                              durations=StageDurations(md=6.0, aggregate=0.5,
+                                                       train=0.5, infer=0.2))
     iterate_adaptive(
         loop, svc,
         lambda gen: deepdrive_pipeline(pilot, iteration=gen,
-                                       durations={'md': 6.0, 'aggregate': 0.5,
-                                                  'train': 0.5, 'infer': 0.2}))
+                                       durations=loop.durations))
     return metrics.overhead(svc.log).overhead
 
 
@@ -221,8 +223,9 @@ def test_criterion_7_weak_scaling(capsys):
     for nodes, wf3, wf4 in ((32, 1133, 376), (128, 4532, 1504)):
         pilot = _pilot('summit-node', nodes, walltime=1e5, startup=120.0)
         svc = ExecutionService(pilot, SchedulerConfig())
-        run_hybrid(wf3, wf4, svc, wf3_duration=32.0, wf4_duration=32.0,
-                   comm_latency_s=0.1)
+        run_hybrid(svc, HybridParams(wf3_count=wf3, wf4_count=wf4,
+                                     wf3_duration=32.0, wf4_duration=32.0,
+                                     comm_latency=0.1))
         rep = metrics.overhead(svc.log)
         fracs.append(rep.overhead / rep.ttx)
         _REPLAY_LOGS.append(svc.log)
@@ -268,9 +271,8 @@ def test_criterion_9_property_suites(capsys):
 
     # (ii) conservation on an overlay run with a mid-run worker death
     sim = OverlaySim(_pilot(None, 3, custom_cores=8),
-                     MasterConfig(bulk_size=4),
-                     [WorkItem('it%04d' % i, 2.0) for i in range(200)],
-                     latency_s=0.001)
+                     MasterConfig(bulk_size=4, latency=0.001),
+                     [WorkItem('it%04d' % i, 2.0) for i in range(200)])
     sim.kill_worker(0, at_s=5.0)
     sim.run()
     master = sim.overlay.masters[0]

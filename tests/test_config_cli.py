@@ -48,6 +48,9 @@ def test_validation_errors_name_key_paths():
         parse_config({k: v for k, v in _base_config().items() if k != 'seed'})
     with pytest.raises(ConfigError, match='resource.preset'):
         parse_config(_base_config(resource={'preset': 'no-such', 'nodes': 2}))
+    with pytest.raises(ConfigError, match='resource.cpu_cores: unknown key'):
+        parse_config(_base_config(resource={'preset': 'frontera-node',
+                                            'nodes': 2, 'cpu_cores': 8}))
     with pytest.raises(ConfigError, match='workload.preset'):
         parse_config(_base_config(workload={'preset': 'nope'}))
     with pytest.raises(ConfigError, match='workflow.template'):
@@ -184,14 +187,35 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig11-13-hybrid', 'workflow.params.wf4_duration', -1.0),
     ('fig11-13-hybrid', 'workflow.params.comm_latency', -0.1),
     ('fig5-7-wf1-rates', 'overlay.latency', -0.001),
+    ('fig5-7-wf1-rates', 'overlay.bulk_size', 0),
+    ('fig5-7-wf1-rates', 'overlay.bulk_size', 100),   # > 2 x 34 cores
+    ('fig14-partitioned', 'stability.startup_failure_p', 2.0),
+    ('fig14-partitioned', 'stability.stable_max_nodes', -3),
+    ('fig14-partitioned', 'stability.stable_max_nodes', True),
+    ('fig14-partitioned', 'pilot.partitions.count', 0),
+    ('fig14-partitioned', 'pilot.partitions.per_launch_delay', -1.0),
+    ('fig14-partitioned', 'pilot.partitions.max_tasks_per_partition', 0),
+    ('fig14-partitioned', 'pilot.walltime', 0),
+    ('fig14-partitioned', 'pilot.walltime', float('inf')),
+    ('fig14-partitioned', 'scheduler.algorithm', 'bogus'),
+    ('fig14-partitioned', 'resource.cpu_cores', -1),
+    ('fig14-partitioned', 'workload.items', 0),
+    ('fig14-partitioned', 'workload.duration_scale', 0),
+    ('fig14-partitioned', 'workload.duration_scale', -1),
+    ('fig14-partitioned', 'seed', True),
+    ('table2-bulk', 'bulk.scheduling_rate', 0),
+    ('table2-bulk', 'bulk.startup_cost', -5.0),
 ])
 def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
                                              value):
-    """Bad stability and workflow.params values are named before the run
-    starts, instead of failing inside it or being ignored."""
+    """Bad values are named by their full key before the run starts,
+    instead of failing inside it or being ignored."""
     with open(os.path.join(RECIPES, recipe + '.yaml')) as fh:
         raw = yaml.safe_load(fh)
     raw['output']['dir'] = str(tmp_path / 'out')
+    if key.startswith('resource.'):
+        # node-shape keys are read on a resource without a preset
+        raw['resource'] = {'nodes': raw['resource']['nodes'], 'cpu_cores': 34}
     *parents, last = key.split('.')
     section = raw
     for name in parents:
@@ -201,6 +225,35 @@ def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
     err = capsys.readouterr().err
     assert status == 2
     assert err.startswith('config error: %s:' % key), err
+    assert not (tmp_path / 'out').exists()
+
+
+def test_gpu_overlay_on_a_cpu_node_exits_2(tmp_path, capsys):
+    """GPU bundles on GPU-less workers have no slot to run in: the overlay
+    would dispatch nothing."""
+    with open(os.path.join(RECIPES, 'wf1-uc3-bundled.yaml')) as fh:
+        raw = yaml.safe_load(fh)
+    raw['resource']['preset'] = 'frontera-node'
+    raw['output']['dir'] = str(tmp_path / 'out')
+    assert main(['run', '--config', _write(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(
+        'config error: overlay.bulk_size: must be <= 0')
+    assert not (tmp_path / 'out').exists()
+
+
+@pytest.mark.parametrize('workflow', [
+    {'template': 'wf3-esmacs', 'params': {'count': 1}},
+    {'template': 'hybrid-lb', 'params': {'wf3_count': 1, 'wf4_count': 1}},
+    {'template': 'wf2-deepdrive', 'params': {'iterations': 1}},
+])
+def test_gpu_template_on_a_cpu_node_exits_2(tmp_path, capsys, workflow):
+    """A task the resource can never fit is a config error, reported
+    before any artifact is written."""
+    cfg = _base_config(output={'dir': str(tmp_path / 'out')},
+                       workflow=workflow)
+    assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('config error: resource: '), err
     assert not (tmp_path / 'out').exists()
 
 

@@ -1,3 +1,5 @@
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -64,14 +66,14 @@ def test_duplicate_task_id_rejected():
 def test_partitioned_requires_plan_and_enough_nodes():
     with pytest.raises(ValueError, match='PartitionPlan'):
         ExecutionService(_pilot(), SchedulerConfig(), backend='partitioned')
-    plan = PartitionPlan(partition_count=4, nodes_per_partition=1)
+    plan = PartitionPlan(count=4, nodes_per_partition=1)
     with pytest.raises(ExecutorError, match='wants 4 nodes'):
         ExecutionService(_pilot(nodes=2), SchedulerConfig(),
                          backend='partitioned', plan=plan)
 
 
 def test_partition_startup_is_sequential_and_blocking():
-    plan = PartitionPlan(partition_count=4, nodes_per_partition=1,
+    plan = PartitionPlan(count=4, nodes_per_partition=1,
                          per_partition_start_cost=0.5, post_start_sleep=10.0,
                          per_launch_delay=0.0)
     svc = ExecutionService(_pilot(nodes=4), SchedulerConfig(),
@@ -86,7 +88,7 @@ def test_partition_startup_is_sequential_and_blocking():
 
 
 def test_partition_round_robin_and_capacity_exhaustion():
-    plan = PartitionPlan(partition_count=2, nodes_per_partition=1,
+    plan = PartitionPlan(count=2, nodes_per_partition=1,
                          max_tasks_per_partition=2, per_launch_delay=0.0,
                          per_partition_start_cost=0.0, post_start_sleep=0.0)
     svc = ExecutionService(_pilot(nodes=2), SchedulerConfig(),
@@ -104,7 +106,7 @@ def test_partition_round_robin_and_capacity_exhaustion():
 
 
 def test_launch_lane_delay_serializes_launches():
-    plan = PartitionPlan(partition_count=1, nodes_per_partition=1,
+    plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.1)
     svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
@@ -117,7 +119,7 @@ def test_launch_lane_delay_serializes_launches():
 
 
 def test_failure_injection_beyond_stability_envelope():
-    plan = PartitionPlan(partition_count=1, nodes_per_partition=1,
+    plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.0)
     limits = StabilityLimits(stable_max_tasks=100, internal_failure_p=0.05,
@@ -139,7 +141,7 @@ def test_failure_injection_beyond_stability_envelope():
 
 
 def test_within_stability_envelope_no_failures():
-    plan = PartitionPlan(partition_count=1, nodes_per_partition=1,
+    plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.0)
     svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
@@ -175,7 +177,7 @@ def test_seeded_runs_are_byte_identical():
     def run_once():
         svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
                                backend='partitioned',
-                               plan=PartitionPlan(partition_count=1,
+                               plan=PartitionPlan(count=1,
                                                   nodes_per_partition=1,
                                                   per_partition_start_cost=0.0,
                                                   post_start_sleep=0.0,
@@ -200,6 +202,32 @@ def test_real_flavor_single_task():
     # wall-clock pacing: exec_end trails exec_start by at least the payload
     for r in records:
         assert r.exec_end - r.exec_start >= us(0.05)
+
+
+def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
+    """A run that ends in an exception still terminates and reaps every
+    payload subprocess it spawned."""
+    spawned = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, 'Popen', recording_popen)
+    svc = ExecutionService(_pilot(nodes=1, walltime=60.0),
+                           SchedulerConfig(), flavor='real')
+    svc.submit(_tasks(1, duration=0.05, prefix='quick') +
+               _tasks(3, duration=20.0, prefix='slow'))
+
+    def fail(rec, t_us):
+        raise RuntimeError('callback failed on %s' % rec.task_id)
+
+    svc.on_terminal.append(fail)
+    with pytest.raises(RuntimeError, match='quick0000'):
+        svc.run()
+    assert len(spawned) == 4
+    assert all(proc.returncode is not None for proc in spawned)
 
 
 def test_task_wider_than_a_node_raises_naming_it():

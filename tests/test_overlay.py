@@ -52,8 +52,8 @@ def test_conservation_invariant_checked_throughout():
     def invariant(master, workers):
         assert master.conservation_ok()
 
-    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=4),
-                     _items([0.5] * 100), latency_s=0.01,
+    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=4, latency=0.01),
+                     _items([0.5] * 100),
                      invariant_hook=invariant)
     sim.run()
     master = sim.overlay.masters[0]
@@ -63,8 +63,8 @@ def test_conservation_invariant_checked_throughout():
 
 def test_throughput_matches_slot_law():
     """16 slots, constant 10 s items -> steady 1.6 completions/s."""
-    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=8),
-                     _items([10.0] * 320), latency_s=0.001)
+    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=8, latency=0.001),
+                     _items([10.0] * 320))
     log = sim.run()
     series = metrics.rate(log, 20.0)
     mid = [r for _, r in series.points[2:-2]]
@@ -75,8 +75,8 @@ def test_throughput_matches_slot_law():
 def test_load_balance_near_lpt_oracle():
     rng = np.random.default_rng(0)
     durations = rng.lognormal(0.0, 1.2, size=600)
-    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=4),
-                     _items(durations), latency_s=0.0001)
+    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=4, latency=0.0001),
+                     _items(durations))
     sim.run()
     oracle = lpt_makespan(durations, 16)
     assert sim.makespan_s <= oracle * 1.05
@@ -84,15 +84,15 @@ def test_load_balance_near_lpt_oracle():
 
 def test_bulk_dispatch_message_bound():
     """Bulk messaging caps dispatch traffic near N/bulk_size."""
-    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=16),
-                     _items([1.0] * 640), latency_s=0.001)
+    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=16, latency=0.001),
+                     _items([1.0] * 640))
     sim.run()
     assert sim.dispatch_message_count <= 640 // 16 + 2 * len(sim.overlay.workers)
 
 
 def test_worker_death_requeues_then_fails():
-    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=2),
-                     _items([5.0] * 64), latency_s=0.001)
+    sim = OverlaySim(_pilot(3), MasterConfig(bulk_size=2, latency=0.001),
+                     _items([5.0] * 64))
     sim.kill_worker(0, at_s=2.0)
     sim.run()
     master = sim.overlay.masters[0]
@@ -104,8 +104,8 @@ def test_worker_death_requeues_then_fails():
 
 
 def test_all_workers_dead_drains():
-    sim = OverlaySim(_pilot(2), MasterConfig(bulk_size=2),
-                     _items([5.0] * 32), latency_s=0.001)
+    sim = OverlaySim(_pilot(2), MasterConfig(bulk_size=2, latency=0.001),
+                     _items([5.0] * 32))
     sim.kill_worker(0, at_s=1.0)
     with pytest.raises(OverlayDrainedError):
         sim.run()
@@ -178,8 +178,9 @@ def test_log_with_requeued_items_is_unchanged():
     queue and three die a second time.  The sha256 was recorded with the
     list-based queue and buffers."""
     durations = np.random.default_rng(3).choice([1.0, 2.0, 3.5], size=120)
-    sim = OverlaySim(_pilot(4, cores=4), MasterConfig(bulk_size=3),
-                     _items(durations), latency_s=0.01)
+    sim = OverlaySim(_pilot(4, cores=4),
+                     MasterConfig(bulk_size=3, latency=0.01),
+                     _items(durations))
     sim.kill_worker(1, at_s=6.0)
     sim.kill_worker(2, at_s=14.0)
     log = sim.run()
@@ -194,8 +195,9 @@ def test_log_with_requeued_items_is_unchanged():
 def test_every_master_dispatches_when_one_fills_the_workers():
     """Master 0 fills every worker's buffer at the start; masters 1-3 must
     still be woken once workers have room, and all work completes."""
-    sim = OverlaySim(_pilot(8), MasterConfig(nodes_per_master=2, bulk_size=4),
-                     _items([0.5, 1.0, 1.5, 2.0] * 200), latency_s=0.001)
+    sim = OverlaySim(_pilot(8), MasterConfig(nodes_per_master=2, bulk_size=4,
+                                             latency=0.001),
+                     _items([0.5, 1.0, 1.5, 2.0] * 200))
     sim.run()
     masters = sim.overlay.masters
     assert len(masters) == 4 and len(sim.overlay.workers) == 4
@@ -205,5 +207,17 @@ def test_every_master_dispatches_when_one_fills_the_workers():
 
 
 def test_negative_latency_is_rejected():
-    with pytest.raises(ValueError, match='latency_s'):
-        OverlaySim(_pilot(2), MasterConfig(), _items([1.0]), latency_s=-0.1)
+    with pytest.raises(ValueError, match='latency'):
+        MasterConfig(latency=-0.1)
+
+
+@pytest.mark.parametrize('cores, bulk_size, slot_kind', [
+    (4, 9, 'cores'),       # a worker buffers 2 x 4 items
+    (4, 1, 'gpus'),        # no GPU on the node: a worker buffers none
+])
+def test_bulk_larger_than_worker_buffer_is_rejected(cores, bulk_size,
+                                                    slot_kind):
+    """A bulk no worker can take would never be dispatched."""
+    with pytest.raises(ValueError, match='bulk_size must be <= '):
+        OverlaySim(_pilot(3, cores=cores), MasterConfig(bulk_size=bulk_size),
+                   _items([1.0] * 100), slot_kind=slot_kind)

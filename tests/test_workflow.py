@@ -4,8 +4,8 @@ from pilotsim.executors import ExecutionService
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TaskDescription
-from pilotsim.workflow import (AdaptiveLoopConfig, Pipeline, Stage,
-                               WorkflowEngine, deepdrive_pipeline,
+from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams, Pipeline,
+                               Stage, WorkflowEngine, deepdrive_pipeline,
                                esmacs_pipeline, iterate_adaptive,
                                run_hybrid, run_pipeline, ties_pipeline)
 
@@ -75,7 +75,7 @@ def test_failure_policy_abort_stops_pipeline():
 def test_adaptive_repeat_continue_reuses_task_ids():
     pilot = _pilot()
     svc = _service(pilot)
-    loop = AdaptiveLoopConfig(max_iterations=3, outlier_probability=0.0,
+    loop = AdaptiveLoopConfig(iterations=3, outlier_probability=0.0,
                               seed=1)
     runs, summaries, _ = iterate_adaptive(
         loop, svc, lambda gen: deepdrive_pipeline(pilot, iteration=gen))
@@ -91,7 +91,7 @@ def test_adaptive_repeat_continue_reuses_task_ids():
 def test_adaptive_outliers_advance_generation():
     pilot = _pilot()
     svc = _service(pilot)
-    loop = AdaptiveLoopConfig(max_iterations=4, outlier_probability=1.0,
+    loop = AdaptiveLoopConfig(iterations=4, outlier_probability=1.0,
                               seed=1)
     _, summaries, _ = iterate_adaptive(
         loop, svc, lambda gen: deepdrive_pipeline(pilot, iteration=gen))
@@ -103,7 +103,7 @@ def test_adaptive_outliers_advance_generation():
 def test_adaptive_requires_four_stages():
     pilot = _pilot()
     svc = _service(pilot)
-    loop = AdaptiveLoopConfig(max_iterations=2)
+    loop = AdaptiveLoopConfig(iterations=2)
     with pytest.raises(Exception, match='4 stages'):
         iterate_adaptive(loop, svc,
                          lambda gen: Pipeline('p', [_stage('s1', 1, 1.0, 'p')]))
@@ -132,7 +132,9 @@ def test_ensemble_templates_shape():
 def test_run_hybrid_places_both_kinds_concurrently():
     pilot = _pilot(nodes=2)
     svc = _service(pilot)
-    runs, eng = run_hybrid(2, 1, svc, wf3_duration=5.0, wf4_duration=5.0)
+    runs, eng = run_hybrid(svc, HybridParams(wf3_count=2, wf4_count=1,
+                                             wf3_duration=5.0,
+                                             wf4_duration=5.0))
     recs = [r for run in runs for _, r in run.records]
     assert all(r.state == 'done' for r in recs)
     # GPU and CPU pipelines overlap in time
