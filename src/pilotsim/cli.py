@@ -29,7 +29,7 @@ from .executors import ExecutionService, make_records
 from .metrics import MetricsError, overhead, rate, utilization, window_us
 from .overlay import OverlaySim, WorkItem
 from .resources import acquire
-from .tasks import TERMINAL, TaskDescription
+from .tasks import TaskDescription
 from .scheduler import UnschedulableError
 from .workflow import (WorkflowEngine, deepdrive_pipeline, esmacs_pipeline,
                        iterate_adaptive, run_hybrid, ties_pipeline)
@@ -126,13 +126,9 @@ def run_campaign(cfg):
     event_log.write(os.path.join(cfg.output_dir, 'events.jsonl'))
     reports = write_reports(event_log, cfg.output_dir, cfg.rate_window)
 
-    states = {}
-    done = 0     # work items: a done row carries its bundle's credit
-    for row in event_log.task_rows():
-        if row['event'] in TERMINAL:
-            states[row['event']] = states.get(row['event'], 0) + 1
-        if row['event'] == 'done':
-            done += row['credit']
+    states = event_log.terminal_counts()
+    # work items: a done row carries its bundle's credit
+    done = sum(credit for _, credit in event_log.completions())
     fraction = done / total if total else 0.0
     summary = {
         'template': cfg.template, 'backend': cfg.backend,

@@ -34,7 +34,9 @@ class SimEngine:
         self._pollers.append(poll_fn)
 
     def run(self, until_us=None):
-        """Process events in timestamp order until the heap drains."""
+        """Process events in timestamp order until the heap drains, or
+        until the next event lies past `until_us`; returns whether events
+        remain."""
         while self._heap:
             t, _, fn = self._heap[0]
             if until_us is not None and t > until_us:
@@ -44,6 +46,7 @@ class SimEngine:
             fn()
         if until_us is not None and until_us > self.now:
             self.now = until_us
+        return bool(self._heap)
 
 
 class RealtimeEngine(SimEngine):
@@ -86,6 +89,7 @@ class RealtimeEngine(SimEngine):
             fn()
         if until_us is not None and until_us > self.now:
             self.now = until_us
+        return bool(self._heap)
 
 
 class LaunchLane:

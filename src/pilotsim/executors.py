@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import LaunchLane, RealtimeEngine, SimEngine
-from .eventlog import EventLog
+from .eventlog import EventLog, row_kind
 from .resources import check_range, us
 from .scheduler import SchedulerConfig, schedule, schedule_noop
 from .tasks import TaskRecord
@@ -28,6 +28,16 @@ from .tasks import TaskRecord
 
 class ExecutorError(Exception):
     pass
+
+
+# a task's rows, declared once for the positional EventLog.add
+_QUEUED = row_kind('queued')
+_ADMITTED = row_kind('admitted')
+_SCHEDULED = row_kind('scheduled', 'cores', 'gpus', 'placement')
+_LAUNCHING = row_kind('launching')
+_RUNNING = row_kind('running')
+_DONE = row_kind('done', 'exec_end', 'credit')
+_ENDED = {state: row_kind(state) for state in ('failed', 'lost')}
 
 
 @dataclass(frozen=True)
@@ -205,12 +215,13 @@ class ExecutionService:
 
     def _enqueue(self, records):
         now = self.engine.now
+        add = self.log.add
         for rec in records:
             if rec.task_id in self.records:
                 raise ValueError('duplicate task id: %s' % rec.task_id)
             self.records[rec.task_id] = rec
             rec.stamp('queued', now)
-            self.log.append(now, 'queued', task=rec.task_id)
+            add(_QUEUED, now, rec.task_id)
         if self.backend == 'bulk' and self.bulk_cfg.scheduling_rate is not None:
             interval = us(1.0 / self.bulk_cfg.scheduling_rate)
             for rec in records:
@@ -225,7 +236,7 @@ class ExecutionService:
         if rec.is_terminal:
             return
         if self.backend == 'bulk':
-            self.log.append(self.engine.now, 'admitted', task=rec.task_id)
+            self.log.add(_ADMITTED, self.engine.now, rec.task_id)
         self._assign(rec)
 
     def _assign(self, rec):
@@ -308,9 +319,8 @@ class ExecutionService:
             self.pilot.occupy(placement)
             rec.placement = placement
             rec.stamp('scheduled', now)
-            self.log.append(now, 'scheduled', task=task_id,
-                            cores=placement.n_cores, gpus=placement.n_gpus,
-                            placement=placement.to_json())
+            self.log.add(_SCHEDULED, now, task_id, placement.n_cores,
+                         placement.n_gpus, placement.to_json())
             self._to_lane(rec, group)
 
     def _to_lane(self, rec, group, placement='keep'):
@@ -352,7 +362,7 @@ class ExecutionService:
             self._finish(rec, 'lost', error='walltime expired before launch')
             return
         rec.stamp('launching', t)
-        self.log.append(t, 'launching', task=rec.task_id)
+        self.log.add(_LAUNCHING, t, rec.task_id)
 
     def _on_exec_start(self, rec, group, injected):
         if rec.is_terminal:
@@ -368,18 +378,22 @@ class ExecutionService:
             self._finish(rec, 'lost', error='lost connection')
             return
         rec.stamp('running', t)
-        self.log.append(t, 'running', task=rec.task_id)
-        if self.flavor == 'sim':
-            end = t + (rec.duration_us or 0)
-            if end >= self.deadline_us:
-                self.engine.at(self.deadline_us,
-                               lambda: self._expire(rec))
-            else:
-                self.engine.at(end, lambda: self._complete(rec, group))
-        else:
+        self.log.add(_RUNNING, t, rec.task_id)
+        end = t + (rec.duration_us or 0)
+        if end >= self.deadline_us:
+            self.engine.at(self.deadline_us, lambda: self._expire(rec))
+        if self.flavor == 'real':
             self._spawn_payload(rec, group)
+        elif end < self.deadline_us:
+            self.engine.at(end, lambda: self._complete(rec, group))
 
     def _expire(self, rec):
+        """Walltime reached while running: a real payload is terminated
+        and reaped first, so it can no longer report back."""
+        entry = self._procs.pop(rec.task_id, None)
+        if entry is not None:
+            entry[0].terminate()
+            entry[0].wait()
         if not rec.is_terminal:
             self._finish(rec, 'lost', error='walltime expired while running')
 
@@ -397,10 +411,10 @@ class ExecutionService:
         t = max(t, max(rec.timestamps.values(), default=t))
         rec.error = error
         rec.stamp(state, t)
-        extra = {}
         if state == 'done':
-            extra = {'exec_end': t, 'credit': rec.credit}
-        self.log.append(t, state, task=rec.task_id, **extra)
+            self.log.add(_DONE, t, rec.task_id, t, rec.credit)
+        else:
+            self.log.add(_ENDED[state], t, rec.task_id)
         if rec.placement is not None:
             self.pilot.release(rec.placement)
         group = self._group_of(rec)

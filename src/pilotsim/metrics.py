@@ -2,9 +2,10 @@
 
 All computations are pure functions over an immutable log; results are
 order-independent with respect to row permutation within one timestamp.
-The per-task table (`EventLog.task_intervals`) is computed once per log and
-shared by `utilization` and `overhead`; the utilization timeline and the
-rate series are each built in one pass over the tasks or completions.
+The per-task table (`EventLog.task_intervals`) and its running intervals
+are computed once per log and shared by `utilization` and `overhead`; the
+utilization timeline and the rate series are each built in one pass over
+the tasks or completions.  The log is read through `EventLog` methods only.
 """
 
 from dataclasses import dataclass, field
@@ -121,16 +122,15 @@ def utilization(log, span_us=None, bucket_s=1.0):
     cores = n_nodes * info['cores_per_node']
     gpus = n_nodes * info['gpus_per_node']
 
-    tasks = log.task_intervals()
+    per_task = log.from_table(_running_intervals)
     if span_us is None:
         t0 = info['t']
-        t1 = max((r['t'] for r in log.rows), default=t0)
+        t1 = log.last_t(default=t0)
     else:
         t0, t1 = span_us
     span = max(t1 - t0, 0)
 
     busy_c = busy_g = 0
-    per_task = _running_intervals(tasks)
     for tid, start, end, rec in per_task:
         lo, hi = max(start, t0), min(end, t1)
         if hi <= lo:
@@ -224,8 +224,7 @@ def window_us(window_s):
 def rate(log, window_s, credit=None):
     """Completion rate per hour in tiled windows, credited per bundle."""
     window = window_us(window_s)
-    completions = [(r['t'], r.get('credit', 1)) for r in log.rows
-                   if r['event'] == 'done']
+    completions = log.completions()
     info = log.pilot_info()
     t0 = info['t'] if info else (completions[0][0] if completions else 0)
     points = []
@@ -278,7 +277,7 @@ def overhead(log):
     last_terminal = max(terminals)
     ttx_us = last_terminal - first_queued
 
-    running = _running_intervals(tasks)
+    running = log.from_table(_running_intervals)
     busy = merge_intervals([(s, e) for _, s, e, _ in running])
     busy = intersect(busy, [(first_queued, last_terminal)])
     busy_us = total_length(busy)

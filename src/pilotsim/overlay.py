@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import SimEngine
-from .eventlog import EventLog
+from .eventlog import EventLog, row_kind
 from .resources import FieldError, check_range, us
 
 
@@ -44,6 +44,13 @@ class OverlayDrainedError(OverlayError):
 
 # a worker's dispatch buffer, in multiples of its slot count
 BUFFER_FACTOR = 2
+
+# an item's rows, declared once for the positional EventLog.add
+_QUEUED = row_kind('queued')
+_SCHEDULED = row_kind('scheduled', 'cores', 'gpus')
+_RUNNING = row_kind('running')
+_DONE = row_kind('done', 'exec_end', 'credit')
+_LOST = row_kind('lost')
 
 
 def worker_slots(spec, slot_kind):
@@ -280,20 +287,22 @@ class OverlaySim:
         if not worker.alive:
             return
         t = self.engine.now
+        add = self.log.add
         for item in bulk:
-            self.log.append(t, 'queued', task=item.item_id)
+            add(_QUEUED, t, item.item_id)
             worker.buffer.append((master, item))
         self._worker_start(worker)
 
     def _worker_start(self, worker):
         t = self.engine.now
         gpus = int(self.slot_kind == 'gpus')
+        cores = 1 - gpus
+        add = self.log.add
         while worker.buffer and worker.running < worker.capacity:
             master, item = worker.buffer.popleft()
             worker.running += 1
-            self.log.append(t, 'scheduled', task=item.item_id,
-                            cores=1 - gpus, gpus=gpus)
-            self.log.append(t, 'running', task=item.item_id)
+            add(_SCHEDULED, t, item.item_id, cores, gpus)
+            add(_RUNNING, t, item.item_id)
             end = t + us(item.duration_s)
             self.engine.at(end, lambda m=master, w=worker, i=item:
                            self._item_done(m, w, i))
@@ -303,8 +312,7 @@ class OverlaySim:
             return
         t = self.engine.now
         worker.running -= 1
-        self.log.append(t, 'done', task=item.item_id, exec_end=t,
-                        credit=item.credit)
+        self.log.add(_DONE, t, item.item_id, t, item.credit)
         self._worker_start(worker)
         self.message_count += 1
         self.engine.at(t + self.latency_us,
@@ -361,18 +369,26 @@ class OverlaySim:
         self.engine.at(us(at_s), die)
 
     def run(self):
+        """Dispatch until every item is through or the pilot walltime
+        runs out.  Nothing happens at or after the deadline: each item
+        with a queued row and no terminal row gets a `lost` row at the
+        deadline, as the executors mark their running tasks.  The masters'
+        books are left as they stand, so conservation still holds."""
         def start():
             for master in self.overlay.masters:
                 if master.has_items():
                     self.dispatch_bulk(master)
         self.engine.at(self.pilot.ready_us, start)
-        self.engine.run()
+        deadline = self.pilot.deadline_us
+        if self.engine.run(until_us=deadline - 1):
+            for item_id in self.log.open_tasks():
+                self.log.add(_LOST, deadline, item_id)
         self._check()
         return self.log
 
     @property
     def makespan_s(self):
-        dones = [r['t'] for r in self.log.rows if r['event'] == 'done']
+        dones = [t for t, _ in self.log.completions()]
         return (max(dones) - self.pilot.clock_us) / 1e6 if dones else 0.0
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim.eventlog import TASK_EVENTS, EventLog, LogError, state_sequence
+from pilotsim import eventlog
+from pilotsim.eventlog import (TASK_EVENTS, EventLog, LogError, row_kind,
+                               state_sequence)
 
 from helpers import reference_task_intervals
 
@@ -55,6 +57,67 @@ def test_dumps_equals_one_json_dumps_per_row(extras):
         for r in log.rows)
 
 
+# strings that a %-template or a JSON encoder could get wrong
+_tricky = st.sampled_from(['%', '%s', '%%d', '"', 'a"b', '\\', '\n', 'x\ny',
+                           '\u00e9', '\u6f22', '\U0001f600', '%(t)s'])
+_keys = st.one_of(_tricky, st.text(max_size=4)).filter(
+    lambda k: k not in ('t', 'event', 'task'))
+_values = st.one_of(_tricky, st.text(), st.integers(),
+                    st.floats(allow_nan=False), st.booleans(), st.none(),
+                    st.lists(st.one_of(st.integers(), _tricky), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(-10**15, 10**15), st.one_of(_tricky, st.text(max_size=6)),
+    st.one_of(st.none(), _tricky, st.text(max_size=3)),
+    st.dictionaries(_keys, _values, max_size=4), st.booleans()),
+    max_size=8))
+def test_appended_rows_dump_as_one_json_dumps_per_row(steps):
+    """Rows added through append(**extra) and through declared kinds dump
+    exactly as a per-row json.dumps of their dicts, and the rows view
+    returns those dicts."""
+    log = EventLog()
+    expected = []
+    for t, event, task, extra, positional in steps:
+        if positional:
+            kind = row_kind(event, *extra, task=task is not None)
+            log.add(kind, t, task, *extra.values())
+        else:
+            log.append(t, event, task=task, **extra)
+        row = {'t': t, 'event': event}
+        if task is not None:
+            row['task'] = task
+        row.update(extra)
+        expected.append(row)
+    assert log.dumps() == ''.join(
+        json.dumps(r, sort_keys=True, separators=(',', ':')) + '\n'
+        for r in expected)
+    assert log.rows == expected
+    assert [log.rows[i] for i in range(len(log.rows))] == expected
+    assert log.rows[1:] == expected[1:]
+
+
+def test_write_encodes_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(eventlog, '_WRITE_CHUNK', 4)
+    log = _sample_log()
+    for i in range(5):
+        log.append(40 + i, 'queued', task='b%d' % i)
+    path = tmp_path / 'events.jsonl'
+    log.write(path)
+    assert path.read_text() == log.dumps()
+    assert EventLog.read(path).rows == log.rows
+
+
+def test_rows_view_builds_copies():
+    log = _sample_log()
+    log.rows[0]['nodes'] = 99
+    assert log.pilot_info()['nodes'] == 1
+    log.rows.append({'t': 40, 'event': 'queued', 'task': 'b'})
+    assert log.rows[-1] == {'t': 40, 'event': 'queued', 'task': 'b'}
+    assert len(log.rows) == 7
+
+
 def test_read_rejects_malformed_rows(tmp_path):
     path = tmp_path / 'bad.jsonl'
     path.write_text('{"t": 1, "event": "queued", "task": "a"}\nnot json\n')
@@ -81,8 +144,9 @@ def test_read_rejects_wrong_field_types(tmp_path, line, message):
 
 
 def test_pilot_info_checks_slot_counts():
-    log = _sample_log()
-    log.rows[0]['cores_per_node'] = -4
+    log = EventLog()
+    log.append(0, 'pilot', nodes=1, cores_per_node=-4, gpus_per_node=0,
+               walltime_us=10_000_000, backend='direct', flavor='sim')
     with pytest.raises(LogError, match='row 1: pilot row cores_per_node'):
         log.pilot_info()
 

@@ -1,3 +1,4 @@
+import signal
 import subprocess
 
 import numpy as np
@@ -228,6 +229,29 @@ def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
         svc.run()
     assert len(spawned) == 4
     assert all(proc.returncode is not None for proc in spawned)
+
+
+def test_real_payload_is_lost_at_the_walltime(monkeypatch):
+    """A 3 s payload on a 1 s pilot is terminated and reaped at the
+    deadline, and its task is lost there, as in the sim flavor."""
+    spawned = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, 'Popen', recording_popen)
+    svc = ExecutionService(_pilot(nodes=1, walltime=1.0),
+                           SchedulerConfig(), flavor='real')
+    records = _tasks(1, duration=3.0)
+    svc.submit(records)
+    svc.run()
+    assert records[0].state == 'lost'
+    assert records[0].timestamps['lost'] == svc.deadline_us
+    assert [p.returncode for p in spawned] == [-signal.SIGTERM]
+    assert svc.log.rows[-1] == {'t': svc.deadline_us, 'event': 'lost',
+                                'task': 't0000'}
 
 
 def test_task_wider_than_a_node_raises_naming_it():

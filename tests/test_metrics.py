@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotsim import metrics
 from pilotsim.eventlog import EventLog
 from pilotsim.metrics import (MetricsError, intersect, merge_intervals,
                               overhead, rate, subtract, total_length,
@@ -154,6 +155,40 @@ def test_overhead_decomposition_sums_exactly():
 def test_overhead_empty_log():
     rep = overhead(EventLog())
     assert rep.ttx == 0.0 and rep.overhead == 0.0
+
+
+def test_running_intervals_are_built_once_per_table(monkeypatch):
+    """utilization and overhead share one list of running intervals, as
+    they share the task table; a row appended after them builds anew."""
+    built = []
+
+    def counted(tasks):
+        built.append(tasks)
+        return running(tasks)
+    running = metrics._running_intervals
+    monkeypatch.setattr(metrics, '_running_intervals', counted)
+    log = _make_log([('a', 0, 0, 1_000_000, 2, 1)])
+    utilization(log)
+    overhead(log)
+    assert len(built) == 1
+    log.append(2_000_000, 'queued', task='b')
+    overhead(log)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize('report', [utilization, overhead])
+@pytest.mark.parametrize('end_row, message', [
+    (None, 'task a has exec_start but no end'),
+    ((5, 'done'), 'task a: exec_end before exec_start'),
+])
+def test_running_interval_errors_name_the_task(report, end_row, message):
+    log = _make_log([('b', 0, 0, 30, 1, 0)])
+    log.append(0, 'queued', task='a')
+    log.append(10, 'running', task='a')
+    if end_row is not None:
+        log.append(20, end_row[1], task='a', exec_end=end_row[0])
+    with pytest.raises(MetricsError, match=message):
+        report(log)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pilotsim.overlay import (Master, MasterConfig, OverlayDrainedError,
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
 from pilotsim import metrics
 
-from helpers import ReferenceMaster
+from helpers import ReferenceMaster, replay_slot_counts
 
 
 def _pilot(nodes, cores=8, walltime=1e6):
@@ -204,6 +204,28 @@ def test_every_master_dispatches_when_one_fills_the_workers():
     assert [m.completed for m in masters] == [200] * 4
     assert all(m.conservation_ok() and not m.queue for m in masters)
     assert sum(r['event'] == 'done' for r in sim.log.rows) == 800
+
+
+def test_walltime_ends_the_run_and_loses_open_items():
+    """Two workers of 4 cores get 40 items of 1.5 s on a 5 s pilot: nothing
+    happens at or after the deadline, every item with a queued row and no
+    terminal row is lost there, and the masters' books still balance."""
+    sim = OverlaySim(_pilot(3, cores=4, walltime=5.0),
+                     MasterConfig(bulk_size=2, latency=0.01),
+                     _items([1.5] * 40))
+    log = sim.run()
+    deadline = sim.pilot.deadline_us
+    rows = list(log.rows)
+    assert max(r['t'] for r in rows) == deadline
+    lost = [r for r in rows if r['event'] == 'lost']
+    done = [r for r in rows if r['event'] == 'done']
+    assert lost and all(r['t'] == deadline for r in lost)
+    assert all(r['t'] < deadline for r in done) and len(done) == 24
+    queued = {r['task'] for r in rows if r['event'] == 'queued'}
+    ended = [r['task'] for r in lost + done]
+    assert sorted(ended) == sorted(queued)
+    assert all(m.conservation_ok() for m in sim.overlay.masters)
+    replay_slot_counts(log)
 
 
 def test_negative_latency_is_rejected():
