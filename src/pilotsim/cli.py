@@ -18,6 +18,7 @@ Log verbosity is controlled by the PILOTSIM_LOG_LEVEL environment variable
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import os
@@ -117,34 +118,44 @@ def write_reports(event_log, out_dir, rate_window):
 
 
 def run_campaign(cfg):
-    """Execute one campaign; returns (summary dict, exit status)."""
-    pilot = acquire(cfg.pilot)
-    runner = _run_overlay if cfg.backend == 'overlay' else _run_service
-    event_log, total = runner(cfg, pilot)
+    """Execute one campaign; returns (summary dict, exit status).
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    event_log.write(os.path.join(cfg.output_dir, 'events.jsonl'))
-    reports = write_reports(event_log, cfg.output_dir, cfg.rate_window)
+    What is alive when the campaign starts (modules, the config) is frozen
+    out of the cyclic collector until it ends, so a full collection scans
+    only what the campaign made, in whichever phase it falls.  The
+    collector stays on: a campaign leaves cyclic garbage behind.
+    """
+    gc.freeze()
+    try:
+        pilot = acquire(cfg.pilot)
+        runner = _run_overlay if cfg.backend == 'overlay' else _run_service
+        event_log, total = runner(cfg, pilot)
 
-    states = event_log.terminal_counts()
-    # work items: a done row carries its bundle's credit
-    done = sum(credit for _, credit in event_log.completions())
-    fraction = done / total if total else 0.0
-    summary = {
-        'template': cfg.template, 'backend': cfg.backend,
-        'flavor': cfg.flavor, 'seed': cfg.seed,
-        'work_done': done, 'work_total': total,
-        'completion_fraction': fraction,
-        'terminal_counts': states,
-        'completion_threshold': cfg.completion_threshold,
-    }
-    summary.update(reports)
-    with open(os.path.join(cfg.output_dir, 'summary.json'), 'w') as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    status = 0 if fraction >= cfg.completion_threshold else 1
-    if states.get('failed') or states.get('lost'):
-        log.warning('run finished with failures: %s', states)
-    return summary, status
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        event_log.write(os.path.join(cfg.output_dir, 'events.jsonl'))
+        reports = write_reports(event_log, cfg.output_dir, cfg.rate_window)
+
+        states = event_log.terminal_counts()
+        # work items: a done row carries its bundle's credit
+        done = sum(credit for _, credit in event_log.completions())
+        fraction = done / total if total else 0.0
+        summary = {
+            'template': cfg.template, 'backend': cfg.backend,
+            'flavor': cfg.flavor, 'seed': cfg.seed,
+            'work_done': done, 'work_total': total,
+            'completion_fraction': fraction,
+            'terminal_counts': states,
+            'completion_threshold': cfg.completion_threshold,
+        }
+        summary.update(reports)
+        with open(os.path.join(cfg.output_dir, 'summary.json'), 'w') as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+        status = 0 if fraction >= cfg.completion_threshold else 1
+        if states.get('failed') or states.get('lost'):
+            log.warning('run finished with failures: %s', states)
+        return summary, status
+    finally:
+        gc.unfreeze()
 
 
 def _cmd_run(args):

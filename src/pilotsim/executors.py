@@ -22,7 +22,7 @@ import numpy as np
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
 from .resources import check_range, us
-from .scheduler import SchedulerConfig, schedule, schedule_noop
+from .scheduler import SchedulerConfig, TaskQueue, schedule, schedule_noop
 from .tasks import TaskRecord
 
 
@@ -85,12 +85,12 @@ class BulkBackendConfig:
 class _NodeGroup:
     """A scheduling domain: the whole pilot, or one partition."""
 
-    def __init__(self, gid, nodes):
+    def __init__(self, gid, nodes, sched_cfg):
         self.gid = gid
         self.nodes = nodes
         self.alive = True
         self.started = True
-        self.pending = []    # scheduling descriptions, in arrival order
+        self.queue = TaskQueue(sched_cfg)   # scheduling descriptions
         self.waiting = {}    # task id -> record, for each pending one
         self.tag_bindings = {}
         self.assigned = 0    # admission count (partition capacity cap)
@@ -141,6 +141,8 @@ class ExecutionService:
         self.ready_us = pilot.ready_us
         self._ready_kick_scheduled = False
         self.groups = self._init_groups()
+        # partitions start one by one; none runs work until all have
+        self._all_started = backend != 'partitioned'
         delay = plan.per_launch_delay if (backend == 'partitioned' and plan) else 0.0
         self.lane = LaunchLane(delay_us=us(delay))
         if backend == 'partitioned':
@@ -153,7 +155,7 @@ class ExecutionService:
 
     def _init_groups(self):
         if self.backend != 'partitioned':
-            return [_NodeGroup(0, self.pilot.nodes)]
+            return [_NodeGroup(0, self.pilot.nodes, self.sched_cfg)]
         plan = self.plan
         if plan is None:
             raise ValueError('partitioned backend needs a PartitionPlan')
@@ -165,7 +167,7 @@ class ExecutionService:
         for pid in range(plan.count):
             lo = pid * plan.nodes_per_partition
             nodes = self.pilot.nodes[lo:lo + plan.nodes_per_partition]
-            g = _NodeGroup(pid, nodes)
+            g = _NodeGroup(pid, nodes, self.sched_cfg)
             g.started = False
             groups.append(g)
         return groups
@@ -181,26 +183,26 @@ class ExecutionService:
             self.engine.at(t, lambda g=g: self._partition_up(g))
 
     def _partition_up(self, group):
+        group.started = True
+        self._all_started = all(g.started for g in self.groups)
         unstable = self.plan.nodes_per_partition > self.limits.stable_max_nodes
         if unstable and self._rng.random() < self.limits.startup_failure_p:
             group.alive = False
-            group.started = True
             self.log.append(self.engine.now, 'partition_dead', pid=group.gid,
                             reason='startup_failure')
             self._reassign(group)
             return
-        group.started = True
         self.log.append(self.engine.now, 'partition_start', pid=group.gid,
                         nodes=[n.spec.node_id for n in group.nodes])
         # startup is one sequential blocking phase: execution begins only
         # once every partition has been brought up
-        if all(g.started for g in self.groups):
+        if self._all_started:
             for g in self.groups:
                 self._kick(g)
 
     def _reassign(self, dead_group):
         waiting, dead_group.waiting = dead_group.waiting, {}
-        dead_group.pending = []
+        dead_group.queue.drain()
         for rec in waiting.values():
             self._assign(rec)
 
@@ -250,7 +252,7 @@ class ExecutionService:
         desc = rec.description
         if desc.task_id != rec.task_id:
             desc = replace(desc, task_id=rec.task_id)
-        group.pending.append(desc)
+        group.queue.push(desc)
         group.waiting[rec.task_id] = rec
         group.assigned += 1
         if group.started and group.alive:
@@ -290,10 +292,7 @@ class ExecutionService:
     def _kick(self, group):
         if self._closed:
             return
-        if not group.pending or not group.alive or not group.started:
-            return
-        if self.backend == 'partitioned' and \
-                not all(g.started for g in self.groups):
+        if not group.queue or not group.alive or not self._all_started:
             return
         now = self.engine.now
         if now >= self.deadline_us:
@@ -305,15 +304,13 @@ class ExecutionService:
                 self.engine.at(self.ready_us, self._kick_all)
             return
         if self.sched_cfg.algorithm == 'noop':
-            batch = schedule_noop(group.pending, self.sched_cfg)
-            group.pending = []
-            for desc in batch:
+            for desc in schedule_noop(group.queue, self.sched_cfg):
                 self._to_lane(group.waiting.pop(desc.task_id), group,
                               placement=None)
             return
-        placements, group.pending = schedule(group.pending, group.nodes,
-                                             self.sched_cfg,
-                                             tag_bindings=group.tag_bindings)
+        placements, _ = schedule(group.queue, group.nodes, self.sched_cfg,
+                                 tag_bindings=group.tag_bindings)
+        group.queue.pop_placed()
         for task_id, placement in placements:
             rec = group.waiting.pop(task_id)
             self.pilot.occupy(placement)

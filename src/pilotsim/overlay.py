@@ -163,7 +163,9 @@ class Master:
     def report_lost(self, item_ids):
         """Worker death: re-queue each lost item once, then mark it failed.
         A re-queued item's dispatch is uncounted so re-dispatching it keeps
-        the dispatched = completed + in_flight + lost balance."""
+        the dispatched = completed + in_flight + lost balance.  Returns the
+        items marked failed."""
+        failed = []
         for item_id in item_ids:
             entry = self.in_flight.pop(item_id, None)
             if entry is None:
@@ -172,9 +174,11 @@ class Master:
             if item.attempts > 1:
                 self.lost += 1
                 self.failed_items.append(item)
+                failed.append(item)
             else:
                 self.dispatched -= 1
                 self.queue.appendleft(item)
+        return failed
 
     def conservation_ok(self):
         return self.dispatched == (self.completed + len(self.in_flight)
@@ -349,7 +353,8 @@ class OverlaySim:
 
     def kill_worker(self, worker_id, at_s):
         """Fault injection: the worker dies, its in-flight items are
-        reported lost to their masters."""
+        reported lost to their masters.  An item lost for the second time
+        is not re-queued, and gets its `lost` row here."""
         def die():
             worker = self.overlay.workers[worker_id]
             if worker.alive:
@@ -359,7 +364,8 @@ class OverlaySim:
             for master in self.overlay.masters:
                 lost = [iid for iid, (_, wid) in master.in_flight.items()
                         if wid == worker_id]
-                master.report_lost(lost)
+                for item in master.report_lost(lost):
+                    self.log.add(_LOST, self.engine.now, item.item_id)
             worker.in_flight = 0
             worker.running = 0
             for master in self.overlay.masters:

@@ -239,6 +239,7 @@ class Pilot:
         self.description = description
         self.resource = description.resource
         self.nodes = [NodeState(spec) for spec in self.resource.nodes]
+        self._by_id = {n.spec.node_id: n for n in self.nodes}
         # the clock origin is pilot submission; the pilot is ready to place
         # work once the startup latency has elapsed
         self.clock_us = 0
@@ -250,7 +251,7 @@ class Pilot:
         return self.ready_us + self.walltime_us
 
     def occupy(self, placement):
-        by_id = {n.spec.node_id: n for n in self.nodes}
+        by_id = self._by_id
         for node_id in placement.node_ids:
             if node_id not in by_id:
                 raise SlotError('placement references unknown node %d' % node_id)
@@ -258,9 +259,8 @@ class Pilot:
             by_id[node_id].occupy(placement)
 
     def release(self, placement):
-        by_id = {n.spec.node_id: n for n in self.nodes}
         for node_id in placement.node_ids:
-            by_id[node_id].release(placement)
+            self._by_id[node_id].release(placement)
 
     @property
     def free_cores(self):

@@ -5,23 +5,33 @@ large tasks first (optionally), first-fit by ascending node id, lowest slot
 ids, with colocation tags and one reserved CPU core per requested GPU.  The
 noop algorithm forwards tasks untouched, tracking lifecycle only.
 
-Both are pure functions over explicit state: they never mutate the node
-states they are given and are safe to call from tests without any runtime.
+Neither ever mutates the node states it is given, so both are safe to call
+from tests without any runtime.
 
-A continuous pass reads each queued task once, to check its shape's
-feasibility and bucket it by priority, but tries to place only about as
-many tasks as fit.  The skipped tries cannot change a placement.  Within a
-pass the free slots only shrink, and colocation state only narrows: a
-same-node tag gets bound, a different-node tag uses up nodes.  Whether a
-task fits depends only on its shape (cores per rank, ranks, GPUs) and,
-under a colocation policy, on its tag.  So once one task fails, every
-later task of the same shape and tag would fail too, and is skipped.
-Every task needs at least one free core or GPU, so once none is left the
-pass stops.
+Queued tasks wait in a `TaskQueue`, which a node group keeps across passes.
+It files each task under its priority key, and within a key in one FIFO per
+memo: the shape (cores per rank, ranks, GPUs) and, under a colocation
+policy, the tag.  Every task carries its arrival number.  A pass walks the
+keys in order and, within a key, merges the heads of its FIFOs by arrival,
+which is the order a pass over the whole queue would try them in.  It drops
+a FIFO at its first failure, and this is exact: within a pass the free
+slots only shrink, and colocation state only narrows (a same-node tag gets
+bound, a different-node tag uses up nodes).  Whether a task fits depends
+only on its memo, so once a memo's head fails, every later task of that
+memo fails too.  Every task needs at least one free core or GPU, so once
+none is left the pass stops.  A pass therefore costs O(placed + memos), not
+O(queued).
+
+Feasibility depends only on the shape and the group's nodes, so it is
+checked once per shape, at the first pass that sees it, in the order the
+shapes first arrived: the first infeasible task in arrival order is the
+one named.  `schedule` on a plain list builds a transient `TaskQueue`, so
+there is one scheduling code path.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from heapq import heapify, heappop, heapreplace, merge
 
 from .resources import FieldError, Placement
 from .tasks import TaskDescription
@@ -167,59 +177,176 @@ def _try_place(task, policy, view, tag_bindings):
     return _fit_single_node(task, view)
 
 
+class _Fifo:
+    """The queued tasks of one memo, oldest first, as (arrival, task)."""
+
+    __slots__ = ('memo', 'policy', 'key', 'items', 'placed')
+
+    def __init__(self, memo, policy):
+        self.memo = memo
+        self.policy = policy
+        self.key = None     # priority key, once the shape is checked
+        self.items = deque()
+        self.placed = 0     # head tasks the last pass placed
+
+
+class TaskQueue:
+    """The tasks waiting for one node group, kept across passes.
+
+    Tasks are filed by the `SchedulerConfig` the queue was made with, and
+    feasibility is checked against the nodes of its first pass that sees
+    each shape, so a queue serves one node group.  A pass leaves the tasks
+    it placed queued until `pop_placed`: until then `len()` and iteration
+    still show the queue as the pass read it, which is what the traced
+    benchmark counts as the tasks a pass tried.
+    """
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self._arrivals = 0
+        self._len = 0
+        self._fifos = {}        # memo -> its FIFO, never empty
+        self._keys = {}         # shape -> priority key, once checked
+        self._unchecked = {}    # shape -> (first task, FIFOs), first seen first
+        self._by_key = {}       # priority key -> its FIFOs
+        self._placed = []       # FIFOs the last pass placed from
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        """The queued tasks in arrival order."""
+        return (task for _, task in
+                merge(*(f.items for f in self._fifos.values())))
+
+    def push(self, task):
+        tag = task.tag
+        policy = self._cfg.colocation.get(tag, 'none') if tag else 'none'
+        shape = (task.cpu_cores_per_rank, task.ranks, task.gpus)
+        memo = shape + (None if policy == 'none' else tag,)
+        fifo = self._fifos.get(memo)
+        if fifo is None:
+            fifo = self._fifos[memo] = _Fifo(memo, policy)
+            key = self._keys.get(shape)
+            if key is None:
+                self._unchecked.setdefault(shape, (task, []))[1].append(fifo)
+            else:
+                self._file(fifo, key)
+        fifo.items.append((self._arrivals, task))
+        self._arrivals += 1
+        self._len += 1
+
+    def drain(self):
+        """Empty the queue; returns its tasks in arrival order."""
+        tasks = list(self)
+        self._len = 0
+        self._fifos.clear()
+        self._unchecked.clear()
+        self._by_key.clear()
+        self._placed.clear()
+        return tasks
+
+    def _file(self, fifo, key):
+        fifo.key = key
+        self._by_key.setdefault(key, []).append(fifo)
+
+    def _check_shapes(self, nodes):
+        """Check each new shape on its first task, in arrival order, and
+        file its FIFOs under its priority key."""
+        capacity = _capacity(nodes)
+        weight = gpu_weight_for(nodes[0].spec)
+        for shape, (task, fifos) in list(self._unchecked.items()):
+            check_feasible(task, nodes, capacity)
+            key = self._keys[shape] = -task.priority_hint(weight) \
+                if self._cfg.prioritize_large else 0
+            del self._unchecked[shape]
+            for fifo in fifos:
+                self._file(fifo, key)
+
+    def place(self, nodes, tag_bindings):
+        """One pass: place as many queued tasks as fit in the free slots of
+        `nodes`, largest key first and by arrival within a key.  Returns
+        the placements as (task_id, Placement), in the order tried."""
+        if self._placed:
+            raise RuntimeError('pop_placed() the previous pass first')
+        if self._unchecked:
+            self._check_shapes(nodes)
+        view = _FreeView(nodes)
+        placements = []
+        for key in sorted(self._by_key):
+            heads = []      # (arrival, task, FIFO, rest of the FIFO)
+            for fifo in self._by_key[key]:
+                rest = iter(fifo.items)
+                heads.append((*next(rest), fifo, rest))
+            heapify(heads)
+            while heads:
+                if not view.free_slots:
+                    return placements
+                _, task, fifo, rest = heads[0]
+                slots = _try_place(task, fifo.policy, view, tag_bindings)
+                if slots is None:
+                    heappop(heads)      # the memo's later tasks fail too
+                    continue
+                placements.append((task.task_id, Placement(
+                    task_id=task.task_id, node_slots=slots)))
+                if not fifo.placed:
+                    self._placed.append(fifo)
+                fifo.placed += 1
+                head = next(rest, None)
+                if head is None:
+                    heappop(heads)
+                else:
+                    heapreplace(heads, (*head, fifo, rest))
+        return placements
+
+    def pop_placed(self):
+        """Remove the tasks the last pass placed: a prefix of each FIFO."""
+        for fifo in self._placed:
+            popleft = fifo.items.popleft
+            for _ in range(fifo.placed):
+                popleft()
+            self._len -= fifo.placed
+            fifo.placed = 0
+            if not fifo.items:
+                del self._fifos[fifo.memo]
+                fifos = self._by_key[fifo.key]
+                fifos.remove(fifo)
+                if not fifos:
+                    del self._by_key[fifo.key]
+        self._placed.clear()
+
+
 def schedule(queue, nodes, cfg, tag_bindings=None):
     """Place as many queued tasks as currently fit.
 
-    Returns (placements, remaining) where placements is a list of
-    (task_id, Placement) and remaining the tasks left queued.  With
-    prioritize_large on, tasks are tried largest-first by priority hint
-    (GPUs weighted at their fair core share); a task that does not fit is
-    skipped, never blocking smaller placeable ones.
+    `queue` is a TaskQueue or a list of tasks in arrival order.  Returns
+    (placements, remaining) where placements is a list of (task_id,
+    Placement).  For a list, remaining is the tasks left queued, in
+    arrival order; a TaskQueue is its own remaining, its placed tasks
+    still in it until `pop_placed`.  With prioritize_large on, tasks are
+    tried largest-first by priority hint (GPUs weighted at their fair core
+    share); a task that does not fit is skipped, never blocking smaller
+    placeable ones.
     """
     if cfg.algorithm == 'noop':
         raise ValueError('noop scheduling goes through schedule_noop')
     if tag_bindings is None:
         tag_bindings = {}
-    capacity = _capacity(nodes)
-    weight = gpu_weight_for(nodes[0].spec)
-    hints = {}      # shape -> sort key, for each shape checked
-    buckets = {}    # sort key -> its tasks, in queue order
+    if isinstance(queue, TaskQueue):
+        return queue.place(nodes, tag_bindings), queue
+    transient = TaskQueue(cfg)
     for task in queue:
-        shape = (task.cpu_cores_per_rank, task.ranks, task.gpus)
-        key = hints.get(shape)
-        if key is None:
-            check_feasible(task, nodes, capacity)
-            key = hints[shape] = -task.priority_hint(weight) \
-                if cfg.prioritize_large else 0
-            buckets.setdefault(key, [])
-        buckets[key].append(task)
-
-    view = _FreeView(nodes)
-    placements = []
-    unplaceable = set()     # (shape, colocation tag) that failed this pass
-    # largest first; FIFO among equal priority hints
-    for task in chain.from_iterable(buckets[k] for k in sorted(buckets)):
-        if not view.free_slots:
-            break
-        policy = cfg.colocation.get(task.tag, 'none') if task.tag else 'none'
-        memo = (task.cpu_cores_per_rank, task.ranks, task.gpus,
-                None if policy == 'none' else task.tag)
-        if memo in unplaceable:
-            continue
-        slots = _try_place(task, policy, view, tag_bindings)
-        if slots is None:
-            unplaceable.add(memo)
-        else:
-            placements.append((task.task_id, Placement(task_id=task.task_id,
-                                                       node_slots=slots)))
-
-    placed = {task_id for task_id, _ in placements}
-    remaining = [t for t in queue if t.task_id not in placed]
-    return placements, remaining
+        transient.push(task)
+    placements = transient.place(nodes, tag_bindings)
+    transient.pop_placed()
+    return placements, list(transient)
 
 
 def schedule_noop(queue, cfg):
-    """Forward tasks in arrival order with no slot accounting."""
+    """Forward tasks in arrival order with no slot accounting; a TaskQueue
+    is drained."""
+    if isinstance(queue, TaskQueue):
+        return queue.drain()
     return list(queue)
 
 

@@ -300,6 +300,10 @@ _PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
     ([_PILOT_ROW, {'t': 5, 'event': 7, 'task': 'a'}],
      'row 2: event must be a string, got 7'),
     ([_PILOT_ROW, 5], 'row 2: missing t/event field'),
+    ([_PILOT_ROW, {'t': 1, 'event': 'queued', 'task': 'a'}],
+     'log has no terminal row'),
+    ([_PILOT_ROW, {'t': 1, 'event': 'done', 'task': 'a'}],
+     'log has no queued row'),
 ])
 def test_report_on_inconsistent_log_exits_2(tmp_path, capsys, rows, message):
     """Rows that parse but cannot be reported on are named, not raised."""

@@ -1,9 +1,13 @@
 import signal
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from pilotsim import cli, executors, scheduler
+from pilotsim.config import parse_config
 from pilotsim.executors import (BulkBackendConfig, ExecutionService,
                                 ExecutorError, PartitionPlan,
                                 StabilityLimits, make_records)
@@ -261,3 +265,48 @@ def test_task_wider_than_a_node_raises_naming_it():
     svc.submit(_tasks(3) + wide)
     with pytest.raises(UnschedulableError, match='task wide exceeds'):
         svc.run()
+
+
+def test_a_pass_reads_only_what_it_places(tmp_path, monkeypatch):
+    """The fig14 partitioned recipe at 2,000 tasks: all passes together
+    try, and read, at most placements + passes x shapes tasks.  A pass
+    reads the tasks it places and at most one head per shape that fails,
+    however long the queue is."""
+    reading = []        # the set of tasks read by the pass under way
+    passes = []         # (tasks read, tasks placed) of each pass
+    tries = []
+
+    class Watched(TaskDescription):
+        def __getattribute__(self, name):
+            if reading:
+                reading[0].add(id(self))
+            return object.__getattribute__(self, name)
+
+    def watched_schedule(*args, **kwargs):
+        reading.append(set())
+        try:
+            placements, remaining = schedule(*args, **kwargs)
+        finally:
+            read = reading.pop()
+        passes.append((len(read), len(placements)))
+        return placements, remaining
+
+    def counted_try(*args):
+        tries.append(None)
+        return try_place(*args)
+
+    schedule, try_place = executors.schedule, scheduler._try_place
+    monkeypatch.setattr(cli, 'TaskDescription', Watched)
+    monkeypatch.setattr(executors, 'schedule', watched_schedule)
+    monkeypatch.setattr(scheduler, '_try_place', counted_try)
+    recipe = Path(__file__).resolve().parent.parent / 'recipes' / \
+        'fig14-partitioned.yaml'
+    raw = yaml.safe_load(recipe.read_text())
+    raw['workload']['items'] = 2000
+    raw['output']['dir'] = str(tmp_path)
+    cli.run_campaign(parse_config(raw))
+    placed = sum(n for _, n in passes)
+    assert placed == 2000
+    bound = placed + len(passes) * 1    # every task has one shape
+    assert len(tries) <= bound
+    assert sum(n for n, _ in passes) <= bound

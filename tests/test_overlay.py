@@ -175,8 +175,9 @@ def test_deque_queue_matches_list_reference(ops):
 
 def test_log_with_requeued_items_is_unchanged():
     """Two workers die mid-run: ten items are re-queued at the head of the
-    queue and three die a second time.  The sha256 was recorded with the
-    list-based queue and buffers."""
+    queue and three die a second time, each with a `lost` row at its
+    second death.  The sha256 was recorded with the list-based queue and
+    buffers, and re-recorded when the three `lost` rows were added."""
     durations = np.random.default_rng(3).choice([1.0, 2.0, 3.5], size=120)
     sim = OverlaySim(_pilot(4, cores=4),
                      MasterConfig(bulk_size=3, latency=0.01),
@@ -188,8 +189,12 @@ def test_log_with_requeued_items_is_unchanged():
     master = sim.overlay.masters[0]
     assert len(queued) - len(set(queued)) == 10
     assert (master.completed, master.lost) == (117, 3)
+    assert replay_slot_counts(log) == 125
+    assert sorted(r['task'] for r in log.rows if r['event'] == 'lost') == \
+        sorted(i.item_id for i in master.failed_items)
+    assert sum(r['event'] == 'lost' for r in log.rows) == 3
     assert hashlib.sha256(log.dumps().encode()).hexdigest() == \
-        'bdf65b8a928499d766a3d2dbef1facecb7a589b71c265c3e480a434631235106'
+        'd1c0bb84db5a7b69c23237f6f905087b6ff428cf0962cb71c8b5c2dbadf83710'
 
 
 def test_every_master_dispatches_when_one_fills_the_workers():

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim.resources import NodeSpec, NodeState, Placement, ResourceSpec
-from pilotsim.scheduler import (SchedulerConfig, UnschedulableError,
-                                check_feasible, gpu_weight_for,
-                                place_colocated, schedule, schedule_noop)
+from pilotsim.scheduler import (SchedulerConfig, TaskQueue,
+                                UnschedulableError, check_feasible,
+                                gpu_weight_for, place_colocated, schedule,
+                                schedule_noop)
 from pilotsim.tasks import TaskDescription
 
 from helpers import oracle_schedule, reference_schedule
@@ -245,3 +246,79 @@ def test_memo_and_early_stop_keep_every_placement(instance):
     # the reference records an empty node set for a different-node tag it
     # tried and failed; a skipped try records nothing
     assert _nonempty_bindings(bindings) == _nonempty_bindings(ref_bindings)
+
+
+# (cores per rank, ranks, GPUs) on 4-core, 2-GPU nodes, where a GPU weighs
+# 2 cores: 2x1, 1x2 and the GPU-only 0x2+1 share one priority key
+_QUEUE_SHAPES = [(1, 1, 0), (2, 1, 0), (1, 2, 0), (0, 2, 1), (1, 1, 1),
+                 (3, 1, 0)]
+# a non-MPI task wider than a node, one with more GPUs than a node has
+_INFEASIBLE_SHAPES = [(5, 1, 0), (1, 1, 3)]
+_TAGS = [None, 'same', 'spread', 'free']
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_task_queue_matches_the_reference_pass_by_pass(data):
+    """One TaskQueue kept across pushes, passes and releases places, at
+    every pass, what the reference scheduler places on the same tasks as a
+    list, and keeps what remains in arrival order.  An infeasible shape
+    pushed late raises at the next pass, naming its first task."""
+    nodes = _nodes(data.draw(st.integers(1, 3)), 4, gpus=2)
+    cfg = SchedulerConfig(prioritize_large=data.draw(st.booleans()),
+                          colocation=_POLICIES)
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just('push'), st.sampled_from(_QUEUE_SHAPES),
+                  st.sampled_from(_TAGS)),
+        st.just(('pass',)),
+        st.tuples(st.just('release'), st.integers(0, 30))), max_size=40))
+    bad_at = data.draw(st.none() | st.integers(0, len(ops)))
+    if bad_at is not None:
+        ops[bad_at:bad_at] = [('push', shape, None) for shape in data.draw(
+            st.lists(st.sampled_from(_INFEASIBLE_SHAPES), min_size=1,
+                     max_size=2))]
+    ops.append(('pass',))
+
+    queue = TaskQueue(cfg)
+    waiting = []        # the queued tasks as a list, in arrival order
+    running = []        # placements holding slots on the nodes
+    bindings, ref_bindings = {}, {}
+    first_bad = None
+    for i, op in enumerate(ops):
+        if op[0] == 'push':
+            (cpr, ranks, gpus), tag = op[1], op[2]
+            task = TaskDescription(task_id='t%02d' % i, cpu_cores_per_rank=cpr,
+                                   ranks=ranks, gpus=gpus, tag=tag)
+            if first_bad is None and op[1] in _INFEASIBLE_SHAPES:
+                first_bad = task
+            queue.push(task)
+            waiting.append(task)
+        elif op[0] == 'release':
+            if running:
+                pl = running.pop(op[1] % len(running))
+                for nid in pl.node_ids:
+                    nodes[nid].release(pl)
+        elif first_bad is not None:
+            with pytest.raises(UnschedulableError) as ref_error:
+                reference_schedule(waiting, nodes, cfg,
+                                   tag_bindings=ref_bindings)
+            with pytest.raises(UnschedulableError,
+                               match='task %s ' % first_bad.task_id) as error:
+                schedule(queue, nodes, cfg, tag_bindings=bindings)
+            assert str(error.value) == str(ref_error.value)
+            return
+        else:
+            ref_placements, waiting = reference_schedule(
+                waiting, nodes, cfg, tag_bindings=ref_bindings)
+            placements, _ = schedule(queue, nodes, cfg, tag_bindings=bindings)
+            assert [(tid, pl.node_slots) for tid, pl in placements] == \
+                [(tid, pl.node_slots) for tid, pl in ref_placements]
+            assert _nonempty_bindings(bindings) == \
+                _nonempty_bindings(ref_bindings)
+            queue.pop_placed()
+            assert len(queue) == len(waiting)
+            assert list(queue) == waiting
+            for _, pl in placements:
+                for nid in pl.node_ids:
+                    nodes[nid].occupy(pl)
+                running.append(pl)
