@@ -270,13 +270,13 @@ def overhead(log):
                                              ('startup', 'scheduling',
                                               'launch-delay', 'teardown',
                                               'idle-gaps')})
-    queued = [rec['queued'] for rec in tasks.values() if 'queued' in rec]
+    first_queued = min((rec['queued'] for rec in tasks.values()
+                        if 'queued' in rec), default=None)
     terminals = [rec[s] for rec in tasks.values()
                  for s in ('done', 'failed', 'lost') if s in rec]
-    if not queued or not terminals:
+    if first_queued is None or not terminals:
         raise MetricsError('log has no %s row: no time to execution'
-                           % ('queued' if not queued else 'terminal'))
-    first_queued = min(queued)
+                           % ('queued' if first_queued is None else 'terminal'))
     last_terminal = max(terminals)
     ttx_us = last_terminal - first_queued
 
