@@ -80,12 +80,14 @@ def _check_known(d, known, path):
 
 
 @contextmanager
-def _named(path):
-    """A FieldError raised inside becomes a ConfigError naming its key."""
+def _named(path, **sections):
+    """A FieldError raised inside becomes a ConfigError naming its key: the
+    field under `path`, or under `sections[field]` if given."""
     try:
         yield
     except FieldError as exc:
-        raise ConfigError('%s.%s' % (path, exc.field), exc.message) from None
+        raise ConfigError('%s.%s' % (sections.get(exc.field, path), exc.field),
+                          exc.message) from None
 
 
 def _section(raw, path, cls, skip=(), **given):
@@ -196,9 +198,12 @@ def parse_config(raw):
     if backend == 'overlay' and flavor != 'sim':
         raise ConfigError('flavor', 'the overlay backend runs only the sim '
                           'flavor, not %r' % flavor)
-    if backend == 'partitioned' and plan is None:
-        raise ConfigError('pilot.partitions',
-                          'partitioned backend needs a partition plan')
+    if backend == 'partitioned':
+        if plan is None:
+            raise ConfigError('pilot.partitions',
+                              'partitioned backend needs a partition plan')
+        with _named('pilot.partitions'):
+            plan.check_fits(len(resource.nodes))
 
     raw_wf = _get(raw, 'workflow', '', dict, default={})
     _check_known(raw_wf, {'template', 'params'}, 'workflow')
@@ -235,8 +240,9 @@ def parse_config(raw):
     overlay = _section(_get(raw, 'overlay', '', dict, default={}), 'overlay',
                        MasterConfig)
     if backend == 'overlay':
-        with _named('overlay'):
+        with _named('overlay', nodes='resource'):
             overlay.check_buffer(resource.node_type, workload.slot_kind)
+            overlay.pool_bounds(len(resource.nodes))
     limits = _section(_get(raw, 'stability', '', dict, default={}),
                       'stability', StabilityLimits)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
-from .resources import check_range, us
+from .resources import FieldError, check_range, us
 from .scheduler import SchedulerConfig, TaskQueue, schedule, schedule_noop
 from .tasks import TaskRecord
 
@@ -54,6 +54,13 @@ class PartitionPlan:
                     'max_tasks_per_partition')
         check_range(self, 0.0, None, 'per_partition_start_cost',
                     'post_start_sleep', 'per_launch_delay')
+
+    def check_fits(self, n_nodes):
+        """FieldError unless the partitions fit on a pilot of `n_nodes`."""
+        needed = self.count * self.nodes_per_partition
+        if needed > n_nodes:
+            raise FieldError('count', 'partition plan wants %d nodes, pilot '
+                             'has %d' % (needed, n_nodes))
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,10 @@ class ExecutionService:
         plan = self.plan
         if plan is None:
             raise ValueError('partitioned backend needs a PartitionPlan')
-        needed = plan.count * plan.nodes_per_partition
-        if needed > len(self.pilot.nodes):
-            raise ExecutorError('partition plan wants %d nodes, pilot has %d'
-                                % (needed, len(self.pilot.nodes)))
+        try:
+            plan.check_fits(len(self.pilot.nodes))
+        except FieldError as exc:
+            raise ExecutorError(exc.message) from None
         groups = []
         for pid in range(plan.count):
             lo = pid * plan.nodes_per_partition
@@ -191,9 +198,9 @@ class ExecutionService:
             self.log.append(self.engine.now, 'partition_dead', pid=group.gid,
                             reason='startup_failure')
             self._reassign(group)
-            return
-        self.log.append(self.engine.now, 'partition_start', pid=group.gid,
-                        nodes=[n.spec.node_id for n in group.nodes])
+        else:
+            self.log.append(self.engine.now, 'partition_start', pid=group.gid,
+                            nodes=[n.spec.node_id for n in group.nodes])
         # startup is one sequential blocking phase: execution begins only
         # once every partition has been brought up
         if self._all_started:

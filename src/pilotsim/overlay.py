@@ -1,27 +1,22 @@
 """Master/worker task overlay with bulk dispatch and load balancing.
 
+As in RAPTOR, each master has its own pool of workers: the pilot's nodes
+split into contiguous, balanced groups of at most nodes_per_master nodes,
+a group's first node its master's and each other node one worker's.
 Masters own disjoint offset-partitions of the work-item database and feed
-per-node workers in bulk messages; workers execute items across their
-node's slots and report completions back.  Actors communicate only through
-ordered messages carrying a configurable latency; there is no shared
-mutable state between them.
+only their own workers, in bulk messages; workers execute items across
+their node's slots and report completions back.  Actors communicate only
+through ordered messages carrying a configurable latency; there is no
+shared mutable state between them.
 
 Workers prefetch: a worker accepts up to two buffer-loads of its slot
 count so the slots never starve between bulk refills; the master refills a
 worker once its in-flight count falls below half of that buffer, which is
-exactly its slot count.
-
-Taking an item from a queue or a buffer, or putting a lost item back, is
-O(1): a master's item queue and a worker's buffer are deques.  The
-simulator keeps its list of live workers instead of rebuilding it per
-bulk; picking the worker for a bulk still scans that list.
-
-A master that stops dispatching because no worker has room for its next
-bulk is marked stalled.  Its own acks cannot wake it when none of its
-items is in flight, so whenever any worker falls below its watermark,
-every stalled master gets a refill too, in master order, after the acking
-master's own.  With one master the acking master is the only one that can
-stall, so a single-master run dispatches exactly as before.
+exactly its slot count.  A master stops dispatching only when its best
+worker has no room for its next bulk; a bulk fits a buffer, so each worker
+of its pool then holds an item of that master in flight, whose ack
+refills it.  Item queues and buffers are deques, so taking an item or
+putting a lost one back is O(1).
 """
 
 import heapq
@@ -68,6 +63,18 @@ class MasterConfig:
         check_range(self, 1, None, 'nodes_per_master', 'bulk_size')
         check_range(self, 0.0, None, 'latency')
 
+    def pool_bounds(self, n_nodes):
+        """[lo, hi) node indices of each master's pool on `n_nodes` nodes:
+        pool i of k is nodes[i*n//k : (i+1)*n//k].  FieldError unless each
+        pool has a master node and a worker node."""
+        k = math.ceil(n_nodes / self.nodes_per_master)
+        if n_nodes < max(2, 2 * k):
+            raise FieldError('nodes' if n_nodes < 2 else 'nodes_per_master',
+                             'must give every master pool >= 2 nodes, a '
+                             'master and a worker (nodes: %d, pools: %d)'
+                             % (n_nodes, k))
+        return [(i * n_nodes // k, (i + 1) * n_nodes // k) for i in range(k)]
+
     def check_buffer(self, spec, slot_kind):
         """FieldError unless a full bulk fits the dispatch buffer of a
         worker on a `spec` node; a larger bulk would never be sent."""
@@ -91,28 +98,29 @@ class WorkerState:
     worker_id: int
     node_id: int
     capacity: int                  # concurrently executing slots
-    max_in_flight: int = None      # dispatch buffer; capacity * BUFFER_FACTOR
+    master_id: int = 0             # the master whose pool it is in
     in_flight: int = 0             # dispatched, not yet completed
     running: int = 0
     completed: int = 0
     alive: bool = True
     buffer: deque = field(default_factory=deque)
 
-    def __post_init__(self):
-        if self.max_in_flight is None:
-            self.max_in_flight = self.capacity
+    @property
+    def max_in_flight(self):       # the dispatch buffer
+        return self.capacity * BUFFER_FACTOR
 
     def free(self):
-        return self.max_in_flight - self.in_flight
+        return self.capacity * BUFFER_FACTOR - self.in_flight
 
 
 class Master:
-    """Bookkeeping side of one master: item queue, in-flight map, and the
-    dispatched/completed/lost conservation counters."""
+    """Bookkeeping side of one master: item queue, in-flight map, its
+    pool's live workers, and the dispatched/completed/lost counters."""
 
     def __init__(self, master_id, node_id):
         self.master_id = master_id
         self.node_id = node_id
+        self.workers = []
         self.queue = deque()
         self.in_flight = {}      # item_id -> (WorkItem, worker_id)
         self.dispatched = 0
@@ -194,22 +202,22 @@ class Overlay:
 
 
 def spawn_overlay(pilot, cfg, slot_kind='cores'):
-    """One master per ~nodes_per_master nodes on dedicated nodes, one
-    worker on every remaining node."""
+    """A master on the first node of each pool (`MasterConfig.pool_bounds`),
+    a worker on each other node; worker ids are global and ascending."""
     cfg.check_buffer(pilot.resource.node_type, slot_kind)
-    n = len(pilot.nodes)
-    n_masters = math.ceil(n / cfg.nodes_per_master)
-    n_workers = n - n_masters
-    if n_masters < 1 or n_workers < 1:
-        raise OverlayError('pilot too small for >= 1 master and >= 1 worker')
-    masters = [Master(i, pilot.nodes[i].spec.node_id)
-               for i in range(n_masters)]
-    workers = []
-    for w, node in enumerate(pilot.nodes[n_masters:]):
-        cap = worker_slots(node.spec, slot_kind)
-        workers.append(WorkerState(worker_id=w, node_id=node.spec.node_id,
-                                   capacity=cap,
-                                   max_in_flight=cap * BUFFER_FACTOR))
+    try:
+        bounds = cfg.pool_bounds(len(pilot.nodes))
+    except FieldError as exc:
+        raise OverlayError('pilot too small: %s' % exc) from None
+    masters, workers = [], []
+    for mid, (lo, hi) in enumerate(bounds):
+        master = Master(mid, pilot.nodes[lo].spec.node_id)
+        master.workers = [
+            WorkerState(len(workers) + w, node.spec.node_id,
+                        worker_slots(node.spec, slot_kind), master_id=mid)
+            for w, node in enumerate(pilot.nodes[lo + 1:hi])]
+        workers += master.workers
+        masters.append(master)
     return Overlay(masters=masters, workers=workers,
                    master_nodes=[m.node_id for m in masters],
                    worker_nodes=[w.node_id for w in workers])
@@ -236,9 +244,7 @@ class OverlaySim:
         self.invariant_hook = invariant_hook
         self.message_count = 0
         self.dispatch_message_count = 0
-        self._refill_flagged = set()
-        self._live = list(self.overlay.workers)
-        self._stalled = set()    # master ids waiting for worker room
+        self._refill_flagged = set()     # worker ids with a refill due
 
         parts = partition_items(list(items), len(self.overlay.masters))
         for master, part in zip(self.overlay.masters, parts):
@@ -265,17 +271,17 @@ class OverlaySim:
                 self.invariant_hook(master, self.overlay.workers)
 
     def dispatch_bulk(self, master):
-        """Greedy bulk dispatch: full bulks to the worker with the most
-        free buffer (ties: lowest id); a partial bulk only for the tail of
-        the item queue.  Stopping for lack of room stalls the master."""
+        """Greedy bulk dispatch: full bulks to the worker of the master's
+        pool with the most free buffer (ties: lowest id); a partial bulk only
+        for the tail of the item queue."""
         while master.has_items():
-            if not self._live:
+            if not master.workers:
                 raise OverlayDrainedError('no live workers for master %d'
                                           % master.master_id)
-            worker = max(self._live, key=lambda w: (w.free(), -w.worker_id))
+            worker = max(master.workers,
+                         key=lambda w: (w.free(), -w.worker_id))
             want = min(self.cfg.bulk_size, len(master.queue))  # tail partial
             if worker.free() < want:
-                self._stalled.add(master.master_id)
                 return                     # wait for a watermark refill
             bulk = master.next_bulk(want)
             master.note_dispatched(bulk, worker.worker_id)
@@ -329,49 +335,41 @@ class OverlaySim:
             return
         worker.in_flight -= 1
         self._check()
-        # watermark refill, batched per (master, worker) and timestamp so a
-        # wave of simultaneous completions triggers one refill at full size
+        # watermark refill, batched per worker and timestamp so a wave of
+        # simultaneous completions triggers one refill at full size
         if worker.in_flight >= worker.max_in_flight / 2:
             return
-        key = (master.master_id, worker.worker_id)
-        if master.has_items() and key not in self._refill_flagged:
-            self._refill_flagged.add(key)
+        wid = worker.worker_id
+        if master.has_items() and wid not in self._refill_flagged:
+            self._refill_flagged.add(wid)
             self.engine.at(self.engine.now,
-                           lambda m=master, k=key: self._refill(m, k))
-        # wake the other stalled masters: no ack of their own may be due
-        self._stalled.discard(master.master_id)
-        for mid in sorted(self._stalled):
-            self.engine.at(self.engine.now,
-                           lambda m=self.overlay.masters[mid]:
-                           self._refill(m))
-        self._stalled.clear()
+                           lambda m=master, w=wid: self._refill(m, w))
 
-    def _refill(self, master, key=None):
-        self._refill_flagged.discard(key)
-        if master.has_items() and self._live:
+    def _refill(self, master, worker_id):
+        self._refill_flagged.discard(worker_id)
+        if master.has_items():
             self.dispatch_bulk(master)
 
     def kill_worker(self, worker_id, at_s):
         """Fault injection: the worker dies, its in-flight items are
-        reported lost to their masters.  An item lost for the second time
+        reported lost to its master only.  An item lost for the second time
         is not re-queued, and gets its `lost` row here."""
         def die():
             worker = self.overlay.workers[worker_id]
+            master = self.overlay.masters[worker.master_id]
             if worker.alive:
-                self._live.remove(worker)
+                master.workers.remove(worker)
             worker.alive = False
             worker.buffer = deque()
-            for master in self.overlay.masters:
-                lost = [iid for iid, (_, wid) in master.in_flight.items()
-                        if wid == worker_id]
-                for item in master.report_lost(lost):
-                    self.log.add(_LOST, self.engine.now, item.item_id)
+            lost = [iid for iid, (_, wid) in master.in_flight.items()
+                    if wid == worker_id]
+            for item in master.report_lost(lost):
+                self.log.add(_LOST, self.engine.now, item.item_id)
             worker.in_flight = 0
             worker.running = 0
-            for master in self.overlay.masters:
-                if master.has_items():
-                    # raises OverlayDrainedError when no worker survives
-                    self.dispatch_bulk(master)
+            if master.has_items():
+                # raises OverlayDrainedError when none of its pool survives
+                self.dispatch_bulk(master)
         self.engine.at(us(at_s), die)
 
     def run(self):

@@ -189,10 +189,13 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig5-7-wf1-rates', 'overlay.latency', -0.001),
     ('fig5-7-wf1-rates', 'overlay.bulk_size', 0),
     ('fig5-7-wf1-rates', 'overlay.bulk_size', 100),   # > 2 x 34 cores
+    ('fig5-7-wf1-rates', 'resource.nodes', 1),        # no worker node
+    ('fig5-7-wf1-rates', 'overlay.nodes_per_master', 1),  # pools of 1 node
     ('fig14-partitioned', 'stability.startup_failure_p', 2.0),
     ('fig14-partitioned', 'stability.stable_max_nodes', -3),
     ('fig14-partitioned', 'stability.stable_max_nodes', True),
     ('fig14-partitioned', 'pilot.partitions.count', 0),
+    ('fig14-partitioned', 'pilot.partitions.count', 64),  # 32 nodes
     ('fig14-partitioned', 'pilot.partitions.per_launch_delay', -1.0),
     ('fig14-partitioned', 'pilot.partitions.max_tasks_per_partition', 0),
     ('fig14-partitioned', 'pilot.walltime', 0),

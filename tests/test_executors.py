@@ -92,6 +92,26 @@ def test_partition_startup_is_sequential_and_blocking():
     assert min(r.timestamps['exec_start'] for r in records) == us(42.0)
 
 
+def test_partitions_start_work_when_the_last_one_dies_at_startup():
+    """With seed 4 partitions 0-2 start and partition 3 fails to: its
+    tasks move to the others, and every partition still queues tasks of
+    its own, which must run once startup ends, not wait for teardown."""
+    plan = PartitionPlan(count=4, nodes_per_partition=1)
+    limits = StabilityLimits(stable_max_nodes=0, startup_failure_p=0.5,
+                             internal_failure_p=0.0, lost_connection_p=0.0)
+    svc = ExecutionService(_pilot(nodes=4), SchedulerConfig(),
+                           backend='partitioned', plan=plan, limits=limits,
+                           seed=4)
+    records = _tasks(8, duration=1.0)
+    svc.submit(records)
+    svc.run()
+    ups = [(r['event'], r['pid']) for r in svc.log.rows
+           if r['event'].startswith('partition_')]
+    assert ups == [('partition_start', 0), ('partition_start', 1),
+                   ('partition_start', 2), ('partition_dead', 3)]
+    assert [r.state for r in records] == ['done'] * 8
+
+
 def test_partition_round_robin_and_capacity_exhaustion():
     plan = PartitionPlan(count=2, nodes_per_partition=1,
                          max_tasks_per_partition=2, per_launch_delay=0.0,

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim.overlay import (Master, MasterConfig, OverlayDrainedError,
-                              OverlaySim, WorkItem, WorkerState,
+                              OverlayError, OverlaySim, WorkItem, WorkerState,
                               lpt_makespan, partition_items, spawn_overlay)
-from pilotsim.resources import PilotDescription, ResourceSpec, acquire
+from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim import metrics
 
 from helpers import ReferenceMaster, replay_slot_counts
@@ -34,9 +34,34 @@ def test_spawn_overlay_master_worker_counts(nodes, masters, workers):
     assert not set(overlay.master_nodes) & set(overlay.worker_nodes)
 
 
-def test_spawn_overlay_rejects_tiny_pilot():
-    with pytest.raises(Exception, match='master'):
-        spawn_overlay(_pilot(1), MasterConfig())
+@pytest.mark.parametrize('nodes,nodes_per_master', [(1, 100), (3, 2),
+                                                     (5, 1)])
+def test_spawn_overlay_rejects_tiny_pilot(nodes, nodes_per_master):
+    """Every master's pool needs its master node and a worker node."""
+    with pytest.raises(OverlayError, match='master'):
+        spawn_overlay(_pilot(nodes),
+                      MasterConfig(nodes_per_master=nodes_per_master))
+
+
+@pytest.mark.parametrize('nodes,nodes_per_master', [
+    (16, 4), (10, 4), (7, 3), (128, 100), (2, 2)])
+def test_pools_are_disjoint_and_cover_every_node(nodes, nodes_per_master):
+    pilot = _pilot(nodes)
+    overlay = spawn_overlay(pilot,
+                            MasterConfig(nodes_per_master=nodes_per_master))
+    pools = [[m.node_id] + [w.node_id for w in m.workers]
+             for m in overlay.masters]
+    # contiguous, in master order, covering each node once
+    assert [n for pool in pools for n in pool] == \
+        [node.spec.node_id for node in pilot.nodes]
+    assert all(len(pool) >= 2 for pool in pools)
+    assert max(map(len, pools)) - min(map(len, pools)) <= 1
+    assert len(pools) == -(-nodes // nodes_per_master)
+    assert [w.worker_id for w in overlay.workers] == \
+        list(range(len(overlay.workers)))
+    assert overlay.workers == [w for m in overlay.masters for w in m.workers]
+    assert all(w.master_id == m.master_id
+               for m in overlay.masters for w in m.workers)
 
 
 def test_partition_items_is_a_partition():
@@ -103,11 +128,17 @@ def test_worker_death_requeues_then_fails():
     assert master.conservation_ok()
 
 
-def test_all_workers_dead_drains():
-    sim = OverlaySim(_pilot(2), MasterConfig(bulk_size=2, latency=0.001),
+@pytest.mark.parametrize('nodes,nodes_per_master,worker,master', [
+    (2, 100, 0, 0),
+    (4, 2, 1, 1),      # master 0's pool lives, master 1's is gone
+])
+def test_all_workers_dead_drains(nodes, nodes_per_master, worker, master):
+    sim = OverlaySim(_pilot(nodes),
+                     MasterConfig(nodes_per_master=nodes_per_master,
+                                  bulk_size=2, latency=0.001),
                      _items([5.0] * 32))
-    sim.kill_worker(0, at_s=1.0)
-    with pytest.raises(OverlayDrainedError):
+    sim.kill_worker(worker, at_s=1.0)
+    with pytest.raises(OverlayDrainedError, match='master %d$' % master):
         sim.run()
 
 
@@ -198,8 +229,8 @@ def test_log_with_requeued_items_is_unchanged():
 
 
 def test_every_master_dispatches_when_one_fills_the_workers():
-    """Master 0 fills every worker's buffer at the start; masters 1-3 must
-    still be woken once workers have room, and all work completes."""
+    """Four masters, each with a pool of one worker (pools of 2 nodes):
+    every master feeds its own worker, and all work completes."""
     sim = OverlaySim(_pilot(8), MasterConfig(nodes_per_master=2, bulk_size=4,
                                              latency=0.001),
                      _items([0.5, 1.0, 1.5, 2.0] * 200))
@@ -209,6 +240,101 @@ def test_every_master_dispatches_when_one_fills_the_workers():
     assert [m.completed for m in masters] == [200] * 4
     assert all(m.conservation_ok() and not m.queue for m in masters)
     assert sum(r['event'] == 'done' for r in sim.log.rows) == 800
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_each_master_runs_as_a_one_master_overlay_on_its_pool(data):
+    """Pools share nothing, so a k-master run is k one-master runs: the
+    rows of master i's items (`partition_items(items, k)[i]`) equal, row for
+    row, those of a one-master overlay on pool i's node count and that item
+    slice, through an optional worker death and a walltime cut-off."""
+    k = data.draw(st.integers(2, 4), 'masters')
+    per = data.draw(st.integers(2, 4), 'nodes_per_master')
+    n = data.draw(st.integers(max(2 * k, (k - 1) * per + 1), k * per),
+                  'nodes')
+    cores = data.draw(st.integers(1, 4), 'cores')
+    bulk = data.draw(st.integers(1, 2 * cores), 'bulk_size')
+    latency = data.draw(st.sampled_from([0.0, 0.001, 0.05]), 'latency')
+    durations = data.draw(st.lists(st.floats(0.05, 4.0), min_size=1,
+                                   max_size=80), 'durations')
+    walltime = data.draw(st.sampled_from([1e6, 2.0, 7.5]), 'walltime')
+    bounds = MasterConfig(nodes_per_master=per).pool_bounds(n)
+    # a death only where a worker of the pool survives it
+    deadly = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > 2]
+    death = None
+    if deadly and data.draw(st.booleans(), 'death'):
+        pool = data.draw(st.sampled_from(deadly), 'pool')
+        lo, hi = bounds[pool]
+        death = (pool, data.draw(st.integers(0, hi - lo - 2), 'worker'),
+                 data.draw(st.floats(0.0, 6.0), 'at_s'))
+
+    sim = OverlaySim(_pilot(n, cores, walltime),
+                     MasterConfig(nodes_per_master=per, bulk_size=bulk,
+                                  latency=latency), _items(durations))
+    if death:
+        pool, worker, at_s = death
+        # worker ids are global: each earlier pool has one master node
+        sim.kill_worker(bounds[pool][0] - pool + worker, at_s)
+    sim.run()
+    assert len(sim.overlay.masters) == k
+    for i, part in enumerate(partition_items(_items(durations), k)):
+        lo, hi = bounds[i]
+        one = OverlaySim(_pilot(hi - lo, cores, walltime),
+                         MasterConfig(bulk_size=bulk, latency=latency), part)
+        if death and death[0] == i:
+            one.kill_worker(death[1], death[2])
+        one.run()
+        mine = {item.item_id for item in part}
+        assert [r for r in sim.log.rows if r.get('task') in mine] == \
+            [r for r in one.log.rows if r['event'] != 'pilot']
+
+
+def test_dead_worker_requeues_into_its_own_master_only():
+    """Worker 3 is the first worker of master 1's pool (nodes 4-7): its
+    items go back to master 1, which alone re-dispatches them, within its
+    pool, and the other masters' queues, counters and rows are those of a
+    run without the death."""
+    items = [1.0, 2.0, 3.0] * 40
+
+    def in_own_pool(master, workers):
+        pool = {w.worker_id for w in master.workers}
+        assert all(wid in pool for _, wid in master.in_flight.values())
+
+    def run(kill):
+        sim = OverlaySim(_pilot(12, cores=4),
+                         MasterConfig(nodes_per_master=4, bulk_size=2,
+                                      latency=0.01),
+                         _items(items), invariant_hook=in_own_pool)
+        books = []
+
+        def snapshot():
+            books.append([([i.item_id for i in m.queue], m.dispatched,
+                           m.completed, m.lost, dict(m.in_flight))
+                          for m in sim.overlay.masters])
+        sim.engine.at(us(2.5) - 1, snapshot)
+        if kill:
+            sim.kill_worker(3, at_s=2.5)
+        sim.engine.at(us(2.5) + 1, snapshot)
+        sim.run()
+        return sim, books
+
+    (base, base_books), (sim, books) = run(False), run(True)
+    assert sim.overlay.workers[3].master_id == 1
+    assert [w.worker_id for w in sim.overlay.masters[1].workers] == [4, 5]
+    lost = [iid for iid, (_, wid) in books[0][1][4].items() if wid == 3]
+    assert lost
+    queued = [r['task'] for r in sim.log.rows if r['event'] == 'queued']
+    assert sorted(t for t in set(queued) if queued.count(t) == 2) == \
+        sorted(lost)
+    for mid in (0, 2):
+        assert books[1][mid] == base_books[1][mid]
+        part = {i.item_id for i in partition_items(_items(items), 3)[mid]}
+        assert [r for r in sim.log.rows if r.get('task') in part] == \
+            [r for r in base.log.rows if r.get('task') in part]
+    assert [(m.completed, m.lost) for m in sim.overlay.masters] == \
+        [(40, 0)] * 3
+    assert all(m.conservation_ok() for m in sim.overlay.masters)
 
 
 def test_walltime_ends_the_run_and_loses_open_items():
