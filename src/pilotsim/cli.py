@@ -8,9 +8,11 @@
 executes, and writes the event log plus utilization/overhead/rate reports.
 `report` recomputes the same reports from an event log alone.  Exit status
 is 0 when at least the configured fraction of work completed, and 2 when
-the config is invalid or asks for a task its resource can never fit.  The
-`run` overrides are applied to the config mapping before validation, so a
-bad override is named like a bad key.
+the config is invalid, names an output directory that cannot be made, or
+asks for a task its resource can never fit; `report` exits 2 on a malformed
+log or an output directory it cannot write.  The `run` overrides are
+applied to the config mapping before validation, so a bad override is
+named like a bad key.
 
 Log verbosity is controlled by the PILOTSIM_LOG_LEVEL environment variable
 (DEBUG, INFO, WARNING; default WARNING).
@@ -119,19 +121,31 @@ def write_reports(event_log, out_dir, rate_window):
 
 def run_campaign(cfg):
     """Execute one campaign; returns (summary dict, exit status).
+    ConfigError naming `output.dir` when the output directory cannot be
+    made, before anything runs; an UnschedulableError leaves no output
+    directory it made.
 
     What is alive when the campaign starts (modules, the config) is frozen
     out of the cyclic collector until it ends, so a full collection scans
     only what the campaign made, in whichever phase it falls.  The
     collector stays on: a campaign leaves cyclic garbage behind.
     """
+    made = not os.path.isdir(cfg.output_dir)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError('output.dir', str(exc))
     gc.freeze()
     try:
         pilot = acquire(cfg.pilot)
         runner = _run_overlay if cfg.backend == 'overlay' else _run_service
-        event_log, total = runner(cfg, pilot)
+        try:
+            event_log, total = runner(cfg, pilot)
+        except UnschedulableError:
+            if made:        # raised before any artifact is written
+                os.rmdir(cfg.output_dir)
+            raise
 
-        os.makedirs(cfg.output_dir, exist_ok=True)
         event_log.write(os.path.join(cfg.output_dir, 'events.jsonl'))
         reports = write_reports(event_log, cfg.output_dir, cfg.rate_window)
 
@@ -175,6 +189,9 @@ def _cmd_run(args):
         return 2
     try:
         summary, status = run_campaign(cfg)
+    except ConfigError as exc:
+        print('config error: %s' % exc, file=sys.stderr)
+        return 2
     except UnschedulableError as exc:
         # raised before any artifact is written
         print('config error: resource: %s' % exc, file=sys.stderr)
@@ -196,6 +213,9 @@ def _cmd_report(args):
         reports = write_reports(event_log, out_dir, args.window)
     except (LogError, MetricsError) as exc:
         print('log error: %s' % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print('output error: --out: %s' % exc, file=sys.stderr)
         return 2
     print(json.dumps({'utilization': reports['utilization'],
                       'overhead': reports['overhead']},

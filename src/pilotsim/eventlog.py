@@ -2,7 +2,8 @@
 
 Rows carry integer-microsecond timestamps and are serialized with sorted
 keys, so identical runs produce byte-identical logs.  Rows are only ever
-appended, never edited, so the per-task table is built once per log length.
+appended, never edited, so what the reports read is built once per log
+length: a `Digest`, made by a single pass over the rows.
 
 A row is stored as a tuple `(kind, t, task, *values)`.  `kind` is the id
 of the interned `RowKind` of the row's event name, task presence and extra
@@ -14,6 +15,13 @@ module: callers append through `EventLog.append`, or on hot paths through
 `EventLog.add` with a kind declared once by `row_kind`, and they read
 through the `EventLog` methods or through `rows`, a view that builds one
 dict per row.
+
+The digest holds one fixed-slot list per task (its record; the slots are
+the `QUEUED` ... `STATE` indices below), the `(t, credit)` of every done
+row, the terminal row counts, the last timestamp and the pilot row's
+index.  What the pass does with a row is decided once per `RowKind`, not
+per row.  `task_intervals` is a dict view of the records, built only when
+asked for; the metrics read the records themselves.
 """
 
 import json
@@ -31,11 +39,45 @@ _PILOT_COUNTS = ('nodes', 'cores_per_node', 'gpus_per_node')
 _FIXED = ('t', 'event', 'task')
 # rows encoded per write, so the log's full text never sits in memory
 _WRITE_CHUNK = 8192
-_T = itemgetter(1)      # a row's timestamp
+
+# The slots of a task record, the digest's fixed-slot list per task: the
+# timestamp of the task's last row of each lifecycle event (None until one
+# is seen), exec_end (set with DONE), the slot counts of its last scheduled
+# row that carries them, the credit of its last terminal row that carries
+# one, and its state: the event of its first terminal row, or else of its
+# last row.
+QUEUED, SCHEDULED, LAUNCH_START, EXEC_START, EXEC_END, DONE, FAILED, LOST, \
+    CORES, GPUS, CREDIT, STATE = range(12)
+_NEW_RECORD = [None] * 8 + [0, 0, 1, None]
+_EVENT_SLOT = {'queued': QUEUED, 'scheduled': SCHEDULED,
+               'launching': LAUNCH_START, 'running': EXEC_START,
+               'done': DONE, 'failed': FAILED, 'lost': LOST}
+# task_intervals key of each timestamp slot
+_TIME_KEYS = (('queued', QUEUED), ('scheduled', SCHEDULED),
+              ('launch_start', LAUNCH_START), ('exec_start', EXEC_START),
+              ('done', DONE), ('failed', FAILED), ('lost', LOST))
+_TERMINAL = frozenset(TERMINAL)
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_task_row(row, n):
+    """LogError naming row n unless the task row's task id is a str and
+    the values the reports read have their types."""
+    task = row.get('task')
+    if task is None:
+        raise LogError('task event without task id', row=n)
+    if not isinstance(task, str):
+        raise LogError('task must be a string, got %r' % (task,), row=n)
+    for key in ('cores', 'gpus', 'credit'):
+        if key in row and not (_is_int(row[key]) and row[key] >= 0):
+            raise LogError('%s must be an integer >= 0, got %r'
+                           % (key, row[key]), row=n)
+    if 'exec_end' in row and not _is_int(row['exec_end']):
+        raise LogError('exec_end must be an integer, got %r'
+                       % (row['exec_end'],), row=n)
 
 
 class LogError(Exception):
@@ -148,10 +190,110 @@ class Rows(Sequence):
         self._rows.append(_from_dict(row))
 
 
+def _plan(kind):
+    """What the digest pass does with a row of this kind: (record slot of
+    its timestamp or None, event, a, b).  A task row's a and b are the tuple
+    positions of cores and gpus (scheduled) or exec_end and credit
+    (terminal), 0 when absent; a non-task row's a says it is a pilot row."""
+    slot = _EVENT_SLOT.get(kind.event)
+    if slot is None:
+        return None, kind.event, kind.event == 'pilot', 0
+    pos = kind.pos
+    if slot == SCHEDULED:
+        return slot, kind.event, pos.get('cores', 0), pos.get('gpus', 0)
+    if slot == DONE:
+        return slot, kind.event, pos.get('exec_end', 0), pos.get('credit', 0)
+    if slot > DONE:
+        return slot, kind.event, 0, pos.get('credit', 0)
+    return slot, kind.event, 0, 0
+
+
+class Digest:
+    """What the reports read of a log, built by one pass over its rows.
+
+    `tasks`: {task id: record}, in order of each task's first row (see
+    `QUEUED` ... `STATE`); `completions`: (t, credit) of every done row in
+    log order, credit defaulting to 1; `terminal_counts`: {terminal state:
+    rows}, in order of first appearance; `last_t`: the latest timestamp,
+    None for no rows; `pilot_row`: the index of the first pilot row, or
+    None; `missing_task`: the number of the first task row without a task
+    id, or None; `derived`: {fn: fn(tasks)}, filled by `EventLog.from_records`.
+    """
+
+    __slots__ = ('length', 'tasks', 'completions', 'terminal_counts',
+                 'last_t', 'pilot_row', 'missing_task', 'derived')
+
+    def __init__(self, rows):
+        plans = [_plan(kind) for kind in _KIND_TABLE]
+        tasks = {}
+        get = tasks.get
+        new = _NEW_RECORD
+        terminal = _TERMINAL
+        completions = []
+        done = completions.append
+        counts = {}
+        last_t = rows[0][1] if rows else None
+        pilot_row = missing = None
+        for i, row in enumerate(rows):
+            t = row[1]
+            if t > last_t:
+                last_t = t
+            slot, ev, a, b = plans[row[0]]
+            if slot is None:
+                if a and pilot_row is None:
+                    pilot_row = i
+                continue
+            tid = row[2]
+            rec = get(tid)
+            if rec is None:
+                rec = new[:]
+                if tid is not None:
+                    tasks[tid] = rec
+                elif missing is None:
+                    missing = i + 1
+            rec[slot] = t
+            if slot == SCHEDULED:
+                if a:
+                    rec[CORES] = row[a]
+                if b:
+                    rec[GPUS] = row[b]
+            elif slot >= DONE:
+                counts[ev] = counts.get(ev, 0) + 1
+                if b:
+                    rec[CREDIT] = row[b]
+                if slot == DONE:
+                    rec[EXEC_END] = row[a] if a else t
+                    done((t, row[b] if b else 1))
+            if rec[STATE] not in terminal:
+                rec[STATE] = ev
+        self.length = len(rows)
+        self.tasks = tasks
+        self.completions = completions
+        self.terminal_counts = counts
+        self.last_t = last_t
+        self.pilot_row = pilot_row
+        self.missing_task = missing
+        self.derived = {}
+
+
+def _interval_dicts(tasks):
+    """The task_intervals view of the records: one dict per task."""
+    out = {}
+    for tid, rec in tasks.items():
+        d = out[tid] = {'state': rec[STATE], 'cores': rec[CORES],
+                        'gpus': rec[GPUS], 'credit': rec[CREDIT]}
+        for key, slot in _TIME_KEYS:
+            if rec[slot] is not None:
+                d[key] = rec[slot]
+        if rec[DONE] is not None:
+            d['exec_end'] = rec[EXEC_END]
+    return out
+
+
 class EventLog:
     def __init__(self, rows=None):
         self._rows = [_from_dict(r) for r in rows or ()]
-        self._table = None   # (row count, task_intervals(), {fn: result})
+        self._digest = None
 
     @property
     def rows(self):
@@ -209,49 +351,44 @@ class EventLog:
                 if not isinstance(row['event'], str):
                     raise LogError('event must be a string, got %r'
                                    % row['event'], row=i + 1)
+                if row['event'] in TASK_EVENTS:
+                    _check_task_row(row, i + 1)
                 rows.append(row)
         return cls(rows)
+
+    def _digested(self):
+        digest = self._digest
+        if digest is None or digest.length != len(self._rows):
+            digest = self._digest = Digest(self._rows)
+        return digest
 
     def pilot_info(self):
         """The pilot metadata row as a dict, if the log carries one;
         LogError naming the row when one of its slot counts is not an
         integer >= 0."""
-        for i, row in enumerate(self._rows):
-            if _KIND_TABLE[row[0]].event == 'pilot':
-                info = _as_dict(row)
-                for key in _PILOT_COUNTS:
-                    if not (_is_int(info.get(key)) and info[key] >= 0):
-                        raise LogError('pilot row %s must be an integer '
-                                       '>= 0, got %r' % (key, info.get(key)),
-                                       row=i + 1)
-                return info
-        return None
+        i = self._digested().pilot_row
+        if i is None:
+            return None
+        info = _as_dict(self._rows[i])
+        for key in _PILOT_COUNTS:
+            if not (_is_int(info.get(key)) and info[key] >= 0):
+                raise LogError('pilot row %s must be an integer >= 0, got %r'
+                               % (key, info.get(key)), row=i + 1)
+        return info
 
     def last_t(self, default=None):
         """The latest timestamp of any row."""
-        return max(map(_T, self._rows), default=default)
+        t = self._digested().last_t
+        return default if t is None else t
 
     def completions(self):
         """(t, credit) of every done row, in log order; credit defaults
         to 1."""
-        out = []
-        kinds = _KIND_TABLE
-        for row in self._rows:
-            kind = kinds[row[0]]
-            if kind.event == 'done':
-                i = kind.pos.get('credit')
-                out.append((row[1], 1 if i is None else row[i]))
-        return out
+        return list(self._digested().completions)
 
     def terminal_counts(self):
         """{terminal state: number of rows}, in order of first appearance."""
-        counts = {}
-        kinds = _KIND_TABLE
-        for row in self._rows:
-            ev = kinds[row[0]].event
-            if ev in TERMINAL:
-                counts[ev] = counts.get(ev, 0) + 1
-        return counts
+        return dict(self._digested().terminal_counts)
 
     def open_tasks(self):
         """Ids of the tasks with a queued row and no terminal row after it,
@@ -266,66 +403,36 @@ class EventLog:
                 open_.pop(row[2], None)
         return list(open_)
 
+    def task_records(self):
+        """{task id: record}, the digest's fixed-slot list per task (slots
+        `QUEUED` ... `STATE`), in order of each task's first row.  Shared by
+        every caller until a row is appended, so a caller must not modify
+        it.  LogError naming the first task row without a task id."""
+        digest = self._digested()
+        if digest.missing_task is not None:
+            raise LogError('task event without task id',
+                           row=digest.missing_task)
+        return digest.tasks
+
+    def from_records(self, fn):
+        """fn(task_records()), computed once per digest and shared like
+        the records themselves, so a caller must not modify it."""
+        records = self.task_records()
+        derived = self._digest.derived
+        if fn not in derived:
+            derived[fn] = fn(records)
+        return derived[fn]
+
     def task_intervals(self):
-        """Per-task lifecycle extracted from transition rows.
+        """Per-task lifecycle extracted from transition rows: a dict view
+        of `task_records`.
 
         Returns {task_id: {'queued': t, 'exec_start': t, 'exec_end': t,
         'state': final, 'cores': n, 'gpus': n, 'credit': n, ...}}.
         The table is shared by every caller until a row is appended, so a
         caller must not modify it.
         """
-        rows = self._rows
-        if self._table is not None and self._table[0] == len(rows):
-            return self._table[1]
-        tasks = {}
-        kinds = _KIND_TABLE
-        for i, row in enumerate(rows):
-            kind = kinds[row[0]]
-            ev = kind.event
-            if ev not in TASK_EVENTS:
-                continue
-            tid = row[2]
-            if tid is None:
-                raise LogError('task event without task id', row=i + 1)
-            rec = tasks.get(tid)
-            if rec is None:
-                rec = tasks[tid] = {'state': None, 'cores': 0, 'gpus': 0,
-                                    'credit': 1}
-            t = row[1]
-            if ev == 'queued':
-                rec['queued'] = t
-            elif ev == 'scheduled':
-                rec['scheduled'] = t
-                pos = kind.pos
-                if 'cores' in pos:
-                    rec['cores'] = row[pos['cores']]
-                if 'gpus' in pos:
-                    rec['gpus'] = row[pos['gpus']]
-            elif ev == 'launching':
-                rec['launch_start'] = t
-            elif ev == 'running':
-                rec['exec_start'] = t
-            elif ev in TERMINAL:
-                rec[ev] = t
-                pos = kind.pos
-                if ev == 'done':
-                    rec['exec_end'] = row[pos['exec_end']] \
-                        if 'exec_end' in pos else t
-                if 'credit' in pos:
-                    rec['credit'] = row[pos['credit']]
-            if rec['state'] not in TERMINAL:
-                rec['state'] = ev
-        self._table = (len(rows), tasks, {})
-        return tasks
-
-    def from_table(self, fn):
-        """fn(task_intervals()), computed once per table and shared like
-        the table itself, so a caller must not modify it."""
-        tasks = self.task_intervals()
-        derived = self._table[2]
-        if fn not in derived:
-            derived[fn] = fn(tasks)
-        return derived[fn]
+        return self.from_records(_interval_dicts)
 
 
 def state_sequence(log):

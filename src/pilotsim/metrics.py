@@ -2,16 +2,26 @@
 
 All computations are pure functions over an immutable log; results are
 order-independent with respect to row permutation within one timestamp.
-The per-task table (`EventLog.task_intervals`) and its running intervals
-are computed once per log and shared by `utilization` and `overhead`; the
-utilization timeline and the rate series are each built in one pass over
-the tasks or completions.  The log is read through `EventLog` methods only.
+They read the log's digest, built by one pass over its rows: the per-task
+fixed-slot records (`EventLog.task_records`), the completions, the last
+timestamp and the pilot row.  The running intervals are built once per
+digest and shared by `utilization` and `overhead`; `utilization` sums busy
+time and fills its timeline in one loop over them, and the rate series is
+built in one pass over the completions.  All sums are exact integer
+microseconds.  The log is read through `EventLog` methods only.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from math import isfinite
+from operator import is_not, itemgetter
 
+from .eventlog import (DONE, EXEC_END, EXEC_START, FAILED, LAUNCH_START,
+                       LOST, QUEUED, SCHEDULED, CORES, GPUS)
 from .resources import US_PER_S, secs
+
+_present = partial(is_not, None)
 
 
 class MetricsError(Exception):
@@ -19,14 +29,21 @@ class MetricsError(Exception):
 
 
 def merge_intervals(intervals):
-    """Union of half-open [a, b) intervals; returns disjoint sorted list."""
-    ivs = sorted((a, b) for a, b in intervals if b > a)
+    """Union of half-open [a, b) intervals; returns disjoint sorted list.
+    An interval is a tuple whose first two items are a and b."""
+    ivs = [iv for iv in intervals if iv[1] > iv[0]]
+    if not ivs:
+        return []
+    ivs.sort()
     merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
+    lo, hi = ivs[0][0], ivs[0][1]
+    for iv in ivs:
+        if iv[0] > hi:
+            merged.append((lo, hi))
+            lo, hi = iv[0], iv[1]
+        elif iv[1] > hi:
+            hi = iv[1]
+    merged.append((lo, hi))
     return merged
 
 
@@ -65,22 +82,24 @@ def intersect(intervals, other):
 
 
 def _running_intervals(tasks):
-    """(tid, start, end, rec) of every task that started running; the busy
-    interval ends at exec_end for completed tasks and at the terminal
-    timestamp for tasks that died while running."""
+    """(start, end, cores, gpus) of every task that started running, from
+    the task records; the busy interval ends at exec_end for completed
+    tasks and at the terminal timestamp for tasks that died while
+    running."""
     out = []
+    append = out.append
     for tid, rec in tasks.items():
-        start = rec.get('exec_start')
+        start = rec[EXEC_START]
         if start is None:
             continue
-        end = rec.get('exec_end')
+        end = rec[EXEC_END]
         if end is None:
-            end = rec['failed'] if 'failed' in rec else rec.get('lost')
-        if end is None:
-            raise MetricsError('task %s has exec_start but no end' % tid)
+            end = rec[FAILED] if rec[FAILED] is not None else rec[LOST]
+            if end is None:
+                raise MetricsError('task %s has exec_start but no end' % tid)
         if end < start:
             raise MetricsError('task %s: exec_end before exec_start' % tid)
-        out.append((tid, start, end, rec))
+        append((start, end, rec[CORES], rec[GPUS]))
     return out
 
 
@@ -122,7 +141,7 @@ def utilization(log, span_us=None, bucket_s=1.0):
     cores = n_nodes * info['cores_per_node']
     gpus = n_nodes * info['gpus_per_node']
 
-    per_task = log.from_table(_running_intervals)
+    per_task = log.from_records(_running_intervals)
     if span_us is None:
         t0 = info['t']
         t1 = log.last_t(default=t0)
@@ -130,20 +149,8 @@ def utilization(log, span_us=None, bucket_s=1.0):
         t0, t1 = span_us
     span = max(t1 - t0, 0)
 
+    # with span 0 no interval overlaps [t0, t1), so nothing is busy
     busy_c = busy_g = 0
-    for tid, start, end, rec in per_task:
-        lo, hi = max(start, t0), min(end, t1)
-        if hi <= lo:
-            continue
-        busy_c += (hi - lo) * rec['cores']
-        busy_g += (hi - lo) * rec['gpus']
-
-    alloc_c = span * cores
-    alloc_g = span * gpus
-    cpu_u = busy_c / alloc_c if alloc_c else 0.0
-    gpu_u = busy_g / alloc_g if alloc_g else 0.0
-    comb = (busy_c + busy_g) / (alloc_c + alloc_g) if (alloc_c + alloc_g) else 0.0
-
     timeline = []
     if span > 0:
         bucket = max(int(round(bucket_s * US_PER_S)), 1)
@@ -155,11 +162,13 @@ def utilization(log, span_us=None, bucket_s=1.0):
         acc_g = [0] * n_buckets
         run_c = [0] * n_buckets
         run_g = [0] * n_buckets
-        for tid, start, end, rec in per_task:
-            lo, hi = max(start, t0), min(end, t1)
+        for start, end, c, g in per_task:
+            lo = start if start > t0 else t0
+            hi = end if end < t1 else t1
             if hi <= lo:
                 continue
-            c, g = rec['cores'], rec['gpus']
+            busy_c += (hi - lo) * c
+            busy_g += (hi - lo) * g
             b0 = (lo - t0) // bucket
             b1 = (hi - t0 - 1) // bucket
             if b0 == b1:
@@ -189,6 +198,12 @@ def utilization(log, span_us=None, bucket_s=1.0):
             timeline.append((secs(blo),
                              busy_bc / cap_c if cap_c else 0.0,
                              busy_bg / cap_g if cap_g else 0.0))
+
+    alloc_c = span * cores
+    alloc_g = span * gpus
+    cpu_u = busy_c / alloc_c if alloc_c else 0.0
+    gpu_u = busy_g / alloc_g if alloc_g else 0.0
+    comb = (busy_c + busy_g) / (alloc_c + alloc_g) if (alloc_c + alloc_g) else 0.0
 
     return UtilizationReport(
         busy_core_seconds=busy_c / US_PER_S,
@@ -247,6 +262,14 @@ def rate(log, window_s, credit=None):
                       points=points)
 
 
+_END = itemgetter(1)    # a running interval's end
+
+
+def _column(recs, slot):
+    """The slot's values across the records, those not None."""
+    return filter(_present, map(itemgetter(slot), recs))
+
+
 @dataclass
 class OverheadReport:
     ttx: float
@@ -263,41 +286,40 @@ class OverheadReport:
 def overhead(log):
     """TTX minus the union of running intervals, with the non-busy time
     attributed to the phase active at each instant."""
-    tasks = log.task_intervals()
+    tasks = log.task_records()
     if not tasks:
         return OverheadReport(ttx=0.0, busy_union=0.0, overhead=0.0,
                               decomposition={k: 0.0 for k in
                                              ('startup', 'scheduling',
                                               'launch-delay', 'teardown',
                                               'idle-gaps')})
-    first_queued = min((rec['queued'] for rec in tasks.values()
-                        if 'queued' in rec), default=None)
-    terminals = [rec[s] for rec in tasks.values()
-                 for s in ('done', 'failed', 'lost') if s in rec]
-    if first_queued is None or not terminals:
+    recs = tasks.values()
+    first_queued = min(_column(recs, QUEUED), default=None)
+    last_terminal = max(chain(_column(recs, DONE), _column(recs, FAILED),
+                              _column(recs, LOST)), default=None)
+    if first_queued is None or last_terminal is None:
         raise MetricsError('log has no %s row: no time to execution'
                            % ('queued' if first_queued is None else 'terminal'))
-    last_terminal = max(terminals)
     ttx_us = last_terminal - first_queued
 
-    running = log.from_table(_running_intervals)
-    busy = merge_intervals([(s, e) for _, s, e, _ in running])
+    running = log.from_records(_running_intervals)
+    busy = merge_intervals(running)
     busy = intersect(busy, [(first_queued, last_terminal)])
     busy_us = total_length(busy)
     non_busy = subtract([(first_queued, last_terminal)], busy)
 
-    launches = [rec['launch_start'] for rec in tasks.values()
-                if 'launch_start' in rec]
-    exec_ends = [e for _, s, e, _ in running]
-    first_launch = min(launches) if launches else last_terminal
-    last_exec_end = max(exec_ends) if exec_ends else first_launch
+    first_launch = min(_column(recs, LAUNCH_START), default=last_terminal)
+    last_exec_end = max(map(_END, running), default=first_launch)
 
+    # a task without a launching row has no lane and a zero-length
+    # scheduling interval, which the merge drops
+    launched = [rec for rec in recs if rec[LAUNCH_START] is not None]
     lane = merge_intervals(
-        [(rec['launch_start'], rec['exec_start']) for rec in tasks.values()
-         if 'launch_start' in rec and 'exec_start' in rec])
+        [(rec[LAUNCH_START], rec[EXEC_START]) for rec in launched
+         if rec[EXEC_START] is not None])
     sched = merge_intervals(
-        [(rec['scheduled'], rec.get('launch_start', rec['scheduled']))
-         for rec in tasks.values() if 'scheduled' in rec])
+        [(rec[SCHEDULED], rec[LAUNCH_START]) for rec in launched
+         if rec[SCHEDULED] is not None])
 
     parts = {'startup': 0, 'scheduling': 0, 'launch-delay': 0,
              'teardown': 0, 'idle-gaps': 0}

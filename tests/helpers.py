@@ -1,11 +1,12 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
 the reference continuous scheduler, the reference per-task table,
-utilization timeline and rate series, and the reference overlay master."""
+utilization report and timeline, overhead report and rate series, and the
+reference overlay master."""
 
 import itertools
 
 from pilotsim.eventlog import LogError, TASK_EVENTS
-from pilotsim.metrics import _running_intervals
+from pilotsim.metrics import MetricsError
 from pilotsim.resources import (US_PER_S, NodeSpec, NodeState, Placement,
                                 secs)
 from pilotsim.scheduler import check_feasible, gpu_weight_for
@@ -296,19 +297,72 @@ def reference_task_intervals(rows):
     return tasks
 
 
-def reference_timeline(log, span_us=None, bucket_s=1.0):
-    """The utilization timeline [(t, cpu_frac, gpu_frac)], visiting every
-    bucket each running task overlaps."""
-    info = log.pilot_info()
-    cores = info['nodes'] * info['cores_per_node']
-    gpus = info['nodes'] * info['gpus_per_node']
+def _reference_running(tasks):
+    """(tid, start, end, rec) of every task in a reference_task_intervals
+    table that started running; the busy interval ends at exec_end for
+    completed tasks and at the terminal timestamp for tasks that died while
+    running."""
+    out = []
+    for tid, rec in tasks.items():
+        start = rec.get('exec_start')
+        if start is None:
+            continue
+        end = rec.get('exec_end')
+        if end is None:
+            end = rec['failed'] if 'failed' in rec else rec.get('lost')
+        if end is None:
+            raise MetricsError('task %s has exec_start but no end' % tid)
+        if end < start:
+            raise MetricsError('task %s: exec_end before exec_start' % tid)
+        out.append((tid, start, end, rec))
+    return out
+
+
+def _reference_span(log, span_us):
+    """(pilot row, t0, t1, span) of a utilization report."""
+    info = next(r for r in log.rows if r['event'] == 'pilot')
     if span_us is None:
         t0 = info['t']
         t1 = max((r['t'] for r in log.rows), default=t0)
     else:
         t0, t1 = span_us
-    span = max(t1 - t0, 0)
-    per_task = _running_intervals(reference_task_intervals(log.rows))
+    return info, t0, t1, max(t1 - t0, 0)
+
+
+def reference_utilization(log, span_us=None):
+    """utilization(log, span_us).to_json(), summing each running task's
+    clipped busy time in its own loop."""
+    info, t0, t1, span = _reference_span(log, span_us)
+    cores = info['nodes'] * info['cores_per_node']
+    gpus = info['nodes'] * info['gpus_per_node']
+    busy_c = busy_g = 0
+    for tid, start, end, rec in _reference_running(
+            reference_task_intervals(log.rows)):
+        lo, hi = max(start, t0), min(end, t1)
+        if hi > lo:
+            busy_c += (hi - lo) * rec['cores']
+            busy_g += (hi - lo) * rec['gpus']
+    alloc_c, alloc_g = span * cores, span * gpus
+    return {
+        'busy_core_seconds': busy_c / US_PER_S,
+        'busy_gpu_seconds': busy_g / US_PER_S,
+        'allocated_core_seconds': alloc_c / US_PER_S,
+        'allocated_gpu_seconds': alloc_g / US_PER_S,
+        'cpu_utilization': busy_c / alloc_c if alloc_c else 0.0,
+        'gpu_utilization': busy_g / alloc_g if alloc_g else 0.0,
+        'combined_utilization': (busy_c + busy_g) / (alloc_c + alloc_g)
+        if alloc_c + alloc_g else 0.0,
+        'span': [secs(t0), secs(t1)],
+    }
+
+
+def reference_timeline(log, span_us=None, bucket_s=1.0):
+    """The utilization timeline [(t, cpu_frac, gpu_frac)], visiting every
+    bucket each running task overlaps."""
+    info, t0, t1, span = _reference_span(log, span_us)
+    cores = info['nodes'] * info['cores_per_node']
+    gpus = info['nodes'] * info['gpus_per_node']
+    per_task = _reference_running(reference_task_intervals(log.rows))
     timeline = []
     if span > 0:
         bucket = max(int(round(bucket_s * US_PER_S)), 1)
@@ -336,6 +390,106 @@ def reference_timeline(log, span_us=None, bucket_s=1.0):
                              acc_c[b] / cap_c if cap_c else 0.0,
                              acc_g[b] / cap_g if cap_g else 0.0))
     return timeline
+
+
+# The metrics' interval algebra in its plain form (the merge sorts a copy
+# and rebuilds a tuple per merged interval), kept apart so that
+# reference_overhead calls none of the code it checks.
+
+def _ref_merge(intervals):
+    ivs = sorted((a, b) for a, b in intervals if b > a)
+    merged = []
+    for a, b in ivs:
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def _ref_length(intervals):
+    return sum(b - a for a, b in intervals)
+
+
+def _ref_subtract(intervals, cut):
+    out = []
+    for a, b in intervals:
+        segs = [(a, b)]
+        for ca, cb in cut:
+            nxt = []
+            for sa, sb in segs:
+                if cb <= sa or ca >= sb:
+                    nxt.append((sa, sb))
+                    continue
+                if sa < ca:
+                    nxt.append((sa, ca))
+                if cb < sb:
+                    nxt.append((cb, sb))
+            segs = nxt
+        out.extend(segs)
+    return [iv for iv in out if iv[1] > iv[0]]
+
+
+def _ref_intersect(intervals, other):
+    out = []
+    for a, b in intervals:
+        for ca, cb in other:
+            lo, hi = max(a, ca), min(b, cb)
+            if hi > lo:
+                out.append((lo, hi))
+    return _ref_merge(out)
+
+
+def reference_overhead(log):
+    """overhead(log).to_json(), from reference_task_intervals and the
+    interval algebra above, one comprehension per quantity."""
+    phases = ('startup', 'scheduling', 'launch-delay', 'teardown',
+              'idle-gaps')
+    tasks = reference_task_intervals(log.rows)
+    if not tasks:
+        return {'ttx': 0.0, 'busy_union': 0.0, 'overhead': 0.0,
+                'decomposition': {k: 0.0 for k in phases}}
+    first_queued = min((rec['queued'] for rec in tasks.values()
+                        if 'queued' in rec), default=None)
+    terminals = [rec[s] for rec in tasks.values()
+                 for s in ('done', 'failed', 'lost') if s in rec]
+    if first_queued is None or not terminals:
+        raise MetricsError('log has no %s row: no time to execution'
+                           % ('queued' if first_queued is None else 'terminal'))
+    last_terminal = max(terminals)
+    ttx_us = last_terminal - first_queued
+
+    running = _reference_running(tasks)
+    busy = _ref_merge([(s, e) for _, s, e, _ in running])
+    busy = _ref_intersect(busy, [(first_queued, last_terminal)])
+    busy_us = _ref_length(busy)
+    non_busy = _ref_subtract([(first_queued, last_terminal)], busy)
+
+    launches = [rec['launch_start'] for rec in tasks.values()
+                if 'launch_start' in rec]
+    exec_ends = [e for _, s, e, _ in running]
+    first_launch = min(launches) if launches else last_terminal
+    last_exec_end = max(exec_ends) if exec_ends else first_launch
+    lane = _ref_merge(
+        [(rec['launch_start'], rec['exec_start']) for rec in tasks.values()
+         if 'launch_start' in rec and 'exec_start' in rec])
+    sched = _ref_merge(
+        [(rec['scheduled'], rec.get('launch_start', rec['scheduled']))
+         for rec in tasks.values() if 'scheduled' in rec])
+
+    cuts = (('startup', [(first_queued, min(first_launch, last_terminal))]),
+            ('teardown', [(min(last_exec_end, last_terminal), last_terminal)]),
+            ('launch-delay', lane), ('scheduling', sched))
+    parts = {}
+    seg = non_busy
+    for name, cut in cuts:
+        take = _ref_intersect(seg, cut)
+        parts[name] = _ref_length(take)
+        seg = _ref_subtract(seg, take)
+    parts['idle-gaps'] = _ref_length(seg)
+    return {'ttx': ttx_us / US_PER_S, 'busy_union': busy_us / US_PER_S,
+            'overhead': (ttx_us - busy_us) / US_PER_S,
+            'decomposition': {k: parts[k] / US_PER_S for k in phases}}
 
 
 def reference_rate_points(log, window_s, credit=None):

@@ -288,6 +288,17 @@ _PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
               'gpus_per_node': 0}
 
 
+def _one_task_log(row=1, **values):
+    """A pilot row and one task's rows, with `values` set on row `row`."""
+    rows = [_PILOT_ROW, {'t': 1, 'event': 'queued', 'task': 'a'},
+            {'t': 1, 'event': 'scheduled', 'task': 'a', 'cores': 2, 'gpus': 0},
+            {'t': 2, 'event': 'running', 'task': 'a'},
+            {'t': 30, 'event': 'done', 'task': 'a', 'exec_end': 30,
+             'credit': 1}]
+    rows[row - 1] = dict(rows[row - 1], **values)
+    return rows
+
+
 @pytest.mark.parametrize('rows, message', [
     ([{'t': 0, 'event': 'queued', 'task': 'a'}], 'log carries no pilot row'),
     ([_PILOT_ROW, {'t': 1, 'event': 'queued'}],
@@ -307,6 +318,14 @@ _PILOT_ROW = {'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
      'log has no terminal row'),
     ([_PILOT_ROW, {'t': 1, 'event': 'done', 'task': 'a'}],
      'log has no queued row'),
+    (_one_task_log(3, cores='2'),
+     "row 3: cores must be an integer >= 0, got '2'"),
+    (_one_task_log(3, gpus=True), 'row 3: gpus must be an integer >= 0'),
+    (_one_task_log(5, exec_end='30'),
+     "row 5: exec_end must be an integer, got '30'"),
+    (_one_task_log(5, credit='x'),
+     "row 5: credit must be an integer >= 0, got 'x'"),
+    (_one_task_log(2, task=['a']), "row 2: task must be a string, got ['a']"),
 ])
 def test_report_on_inconsistent_log_exits_2(tmp_path, capsys, rows, message):
     """Rows that parse but cannot be reported on are named, not raised."""
@@ -317,6 +336,32 @@ def test_report_on_inconsistent_log_exits_2(tmp_path, capsys, rows, message):
     assert status == 2
     assert err.startswith('log error: ') and message in err, err
     assert not (tmp_path / 'r').exists()
+
+
+def test_run_out_that_is_a_file_exits_2_before_the_pilot(tmp_path, capsys,
+                                                         monkeypatch):
+    taken = tmp_path / 'taken'
+    taken.write_text('')
+
+    def acquire(*args):
+        raise AssertionError('the pilot was acquired')
+    monkeypatch.setattr('pilotsim.cli.acquire', acquire)
+    status = main(['run', '--config', _write(tmp_path, _base_config()),
+                   '--out', str(taken)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith('config error: output.dir: ') and str(taken) in err
+
+
+def test_report_out_that_is_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / 'events.jsonl'
+    path.write_text(''.join(json.dumps(r) + '\n' for r in _one_task_log()))
+    taken = tmp_path / 'taken'
+    taken.write_text('')
+    status = main(['report', '--log', str(path), '--out', str(taken)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith('output error: --out: ') and str(taken) in err
 
 
 def test_report_rejects_zero_window(tmp_path, capsys):

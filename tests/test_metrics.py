@@ -4,12 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import metrics
+from pilotsim.cli import write_reports
 from pilotsim.eventlog import EventLog
+from pilotsim.executors import ExecutionService, make_records
 from pilotsim.metrics import (MetricsError, intersect, merge_intervals,
                               overhead, rate, subtract, total_length,
                               utilization)
+from pilotsim.resources import PilotDescription, ResourceSpec, acquire
+from pilotsim.scheduler import SchedulerConfig
+from pilotsim.tasks import TaskDescription
 
-from helpers import (reference_rate_points, reference_timeline,
+from helpers import (reference_overhead, reference_rate_points,
+                     reference_timeline, reference_utilization,
                      tick_busy_slot_seconds)
 
 
@@ -264,3 +270,86 @@ def test_difference_array_timeline_equals_reference(case):
     log, span_us, bucket_s = case
     assert utilization(log, span_us=span_us, bucket_s=bucket_s).timeline == \
         reference_timeline(log, span_us=span_us, bucket_s=bucket_s)
+
+
+@st.composite
+def _report_logs(draw):
+    """A pilot row and up to 8 tasks, each walking a random part of its
+    lifecycle (some launch, some die while running, some repeat a terminal
+    row), with the rows in a random order."""
+    rows = [{'t': draw(st.integers(0, 5)), 'event': 'pilot',
+             'nodes': draw(st.integers(1, 2)),
+             'cores_per_node': draw(st.integers(0, 8)),
+             'gpus_per_node': draw(st.integers(0, 4))}]
+    times = st.integers(0, 60)
+    for i in range(draw(st.integers(0, 8))):
+        tid = 't%d' % i
+        q, s, ls, es = sorted(draw(st.lists(times, min_size=4, max_size=4)))
+        if draw(st.integers(0, 9)):
+            rows.append({'t': q, 'event': 'queued', 'task': tid})
+        if draw(st.booleans()):
+            rows.append({'t': s, 'event': 'scheduled', 'task': tid,
+                         'cores': draw(st.integers(0, 4)),
+                         'gpus': draw(st.integers(0, 2))})
+        if draw(st.booleans()):
+            rows.append({'t': ls, 'event': 'launching', 'task': tid})
+        if draw(st.booleans()):
+            rows.append({'t': es, 'event': 'running', 'task': tid})
+        for _ in range(draw(st.integers(0, 2))):
+            end = draw(st.sampled_from(('done', 'failed', 'lost')))
+            row = {'t': es + draw(st.integers(0, 30)), 'event': end,
+                   'task': tid}
+            if end == 'done' and draw(st.booleans()):
+                row['exec_end'] = es + draw(st.integers(0, 30))
+            if draw(st.booleans()):
+                row['credit'] = draw(st.integers(0, 16))
+            rows.append(row)
+    return EventLog(draw(st.permutations(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_logs())
+def test_overhead_and_utilization_equal_reference(log):
+    """Each report equals its reference exactly, or both raise the same
+    MetricsError."""
+    for report, reference in ((overhead, reference_overhead),
+                              (utilization, reference_utilization)):
+        try:
+            want = reference(log)
+        except MetricsError as exc:
+            with pytest.raises(MetricsError) as got:
+                report(log)
+            assert str(got.value) == str(exc)
+        else:
+            assert report(log).to_json() == want
+
+
+class _CountedRows(list):
+    """A row list that counts the iterators made over it; a slice is a
+    plain list and is not counted."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_reports_read_the_rows_once(tmp_path):
+    res = ResourceSpec.from_preset('frontera-node', 2)
+    svc = ExecutionService(acquire(PilotDescription(resource=res,
+                                                    walltime=1000.0)),
+                           SchedulerConfig())
+    descs = [TaskDescription(task_id='t%03d' % i, cpu_cores_per_rank=1 + i % 3)
+             for i in range(150)]
+    svc.submit(make_records(descs, [1.0 + i % 7 for i in range(150)]))
+    svc.run()
+    log = svc.log
+    log._rows = rows = _CountedRows(log._rows)
+    log.write(tmp_path / 'events.jsonl')
+    write_reports(log, str(tmp_path), 1.0)
+    log.terminal_counts()
+    log.completions()
+    assert rows.iterations <= 1
