@@ -18,7 +18,6 @@ class SimEngine:
         self.now = start_us
         self._heap = []
         self._seq = 0
-        self._pollers = []   # realtime only; kept here for a uniform API
 
     def at(self, t_us, fn):
         if t_us < self.now:
@@ -28,10 +27,6 @@ class SimEngine:
 
     def after(self, dt_us, fn):
         self.at(self.now + dt_us, fn)
-
-    def add_poller(self, poll_fn):
-        """poll_fn() -> True while it may still produce events."""
-        self._pollers.append(poll_fn)
 
     def run(self, until_us=None):
         """Process events in timestamp order until the heap drains, or
@@ -57,6 +52,11 @@ class RealtimeEngine(SimEngine):
     def __init__(self, start_us=0):
         super().__init__(start_us)
         self._wall0 = time.monotonic() - start_us / 1e6
+        self._pollers = []
+
+    def add_poller(self, poll_fn):
+        """poll_fn() -> True while it may still produce events."""
+        self._pollers.append(poll_fn)
 
     def wall_now_us(self):
         return int((time.monotonic() - self._wall0) * 1e6)

@@ -332,7 +332,10 @@ class EventLog:
 
     @classmethod
     def read(cls, path):
-        rows = []
+        """Parse, check and store each line as its row tuple, one line at
+        a time; LogError naming the first bad row."""
+        log = cls()
+        add = log._rows.append
         with open(path) as fh:
             for i, line in enumerate(fh):
                 line = line.strip()
@@ -353,8 +356,8 @@ class EventLog:
                                    % row['event'], row=i + 1)
                 if row['event'] in TASK_EVENTS:
                     _check_task_row(row, i + 1)
-                rows.append(row)
-        return cls(rows)
+                add(_from_dict(row))
+        return log
 
     def _digested(self):
         digest = self._digest

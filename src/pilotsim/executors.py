@@ -312,8 +312,7 @@ class ExecutionService:
             return
         if self.sched_cfg.algorithm == 'noop':
             for desc in schedule_noop(group.queue, self.sched_cfg):
-                self._to_lane(group.waiting.pop(desc.task_id), group,
-                              placement=None)
+                self._to_lane(group.waiting.pop(desc.task_id), group)
             return
         placements, _ = schedule(group.queue, group.nodes, self.sched_cfg,
                                  tag_bindings=group.tag_bindings)
@@ -327,9 +326,7 @@ class ExecutionService:
                          placement.n_gpus, placement.to_json())
             self._to_lane(rec, group)
 
-    def _to_lane(self, rec, group, placement='keep'):
-        if placement != 'keep':
-            rec.placement = placement
+    def _to_lane(self, rec, group):
         group.launched += 1
         injected = self._maybe_inject(group)
         launch_start, exec_start = self.lane.admit(self.engine.now)

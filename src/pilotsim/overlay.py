@@ -197,8 +197,6 @@ class Master:
 class Overlay:
     masters: list
     workers: list
-    master_nodes: list = field(default_factory=list)
-    worker_nodes: list = field(default_factory=list)
 
 
 def spawn_overlay(pilot, cfg, slot_kind='cores'):
@@ -218,9 +216,7 @@ def spawn_overlay(pilot, cfg, slot_kind='cores'):
             for w, node in enumerate(pilot.nodes[lo + 1:hi])]
         workers += master.workers
         masters.append(master)
-    return Overlay(masters=masters, workers=workers,
-                   master_nodes=[m.node_id for m in masters],
-                   worker_nodes=[w.node_id for w in workers])
+    return Overlay(masters=masters, workers=workers)
 
 
 def partition_items(items, n_masters):

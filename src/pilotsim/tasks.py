@@ -16,8 +16,7 @@ class TaskDescription:
     ranks: int = 1                  # MPI width; 1 for non-MPI
     gpus: int = 0
     tag: str = None                 # colocation key
-    payload: object = None          # DurationModel, sampled seconds, or command
-    stage_ref: str = None
+    payload: float = None           # duration in seconds
 
     def __post_init__(self):
         if self.ranks < 1:

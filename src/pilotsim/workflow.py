@@ -15,7 +15,6 @@ import numpy as np
 from .resources import check_range, us
 from .scheduler import UnschedulableError
 from .tasks import TaskDescription, TaskRecord
-from .workloads import DurationModel
 
 
 class WorkflowError(Exception):
@@ -112,14 +111,12 @@ class WorkflowEngine:
     """Single logical control loop over one ExecutionService; all task
     concurrency lives in the executor underneath."""
 
-    def __init__(self, service, comm_latency_s=0.0, failure_policy='continue',
-                 seed=0):
+    def __init__(self, service, comm_latency_s=0.0, failure_policy='continue'):
         if failure_policy not in ('continue', 'abort'):
             raise ValueError('failure policy must be continue or abort')
         self.service = service
         self.latency_us = us(comm_latency_s)
         self.failure_policy = failure_policy
-        self._rng = np.random.default_rng(seed)
         self._runs = []
         self._by_task = {}
         self._task_seq = 0
@@ -132,9 +129,6 @@ class WorkflowEngine:
             return 0.0
         if isinstance(payload, (int, float)):
             return float(payload)
-        if isinstance(payload, DurationModel):
-            seed = int(self._rng.integers(0, 2**31 - 1))
-            return float(payload.sample(1, seed=seed)[0])
         raise WorkflowError('cannot interpret payload %r' % (payload,))
 
     def _records_for(self, run, stage):
@@ -230,9 +224,9 @@ def run_pipeline(pipeline, service, comm_latency_s=0.0,
 # templates
 
 
-def _task(tid, cores=1, gpus=0, ranks=1, payload=0.0, stage_ref=None):
+def _task(tid, cores=1, gpus=0, ranks=1, payload=0.0):
     return TaskDescription(task_id=tid, cpu_cores_per_rank=cores, ranks=ranks,
-                           gpus=gpus, payload=payload, stage_ref=stage_ref)
+                           gpus=gpus, payload=payload)
 
 
 def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
@@ -247,16 +241,14 @@ def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
                                  'pilot has no GPUs')
     n_train = max(n_nodes // d.train_nodes_per_task, 1)
     pre = 'wf2%s-i%d' % (tag, iteration)
-    md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d.md,
-                            stage_ref='md') for i in range(n_gpus)])
+    md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d.md)
+                      for i in range(n_gpus)])
     agg = Stage('aggregate', [_task('%s-agg' % pre, cores=1,
-                                    payload=d.aggregate,
-                                    stage_ref='aggregate')])
+                                    payload=d.aggregate)])
     train = Stage('train', [_task('%s-train%02d' % (pre, i), gpus=1,
-                                  payload=d.train, stage_ref='train')
-                            for i in range(n_train)])
+                                  payload=d.train) for i in range(n_train)])
     infer = Stage('infer', [_task('%s-infer' % pre, gpus=1,
-                                  payload=d.infer, stage_ref='infer')])
+                                  payload=d.infer)])
     return Pipeline('%s' % pre, [md, agg, train, infer])
 
 
@@ -294,8 +286,7 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
         return branch
 
     pipeline.adaptivity = hook
-    eng = WorkflowEngine(service, comm_latency_s=loop_cfg.comm_latency,
-                         seed=loop_cfg.seed)
+    eng = WorkflowEngine(service, comm_latency_s=loop_cfg.comm_latency)
     runs = eng.run_pipelines([pipeline])
     return runs, summaries, eng
 

@@ -2,8 +2,8 @@
 
 The docking-style workloads use a clipped lognormal: samples are drawn from
 lognormal(mu, sigma) and clipped into [min_clip, max_clip].  Given a target
-post-clip mean, the free parameter (sigma, or mu when sigma is pinned) is
-solved by bisection on the closed-form clipped-mean equation.
+post-clip mean, sigma is solved by bisection on the closed-form clipped-mean
+equation, with mu at the geometric center of the clip window.
 """
 
 import math
@@ -51,23 +51,14 @@ def solve_sigma(mean, lo, hi):
     return mu, sigma
 
 
-def solve_mu(mean, sigma, lo, hi):
-    """Mu such that the clipped mean hits `mean` for a pinned sigma."""
-    err = lambda m: clipped_lognormal_mean(m, sigma, lo, hi) - mean
-    lo_mu, hi_mu = math.log(lo) - 5 * sigma, math.log(hi) + 5 * sigma
-    return _bisect(err, lo_mu, hi_mu, tol=1e-9)
-
-
 @dataclass(frozen=True)
 class DurationModel:
     """Seeded task-duration generator; immutable, safe to share."""
-    kind: str = 'constant'           # constant | lognormal-truncated | empirical-table
+    kind: str = 'constant'           # constant | lognormal-truncated
     mean: float = None               # target post-clip mean (lognormal)
-    sigma: float = None              # pinned log-sigma; solved from mean if None
     min_clip: float = None
     max_clip: float = None
     constant: float = None           # seconds (constant kind)
-    samples: tuple = None            # empirical-table pool
     seed: int = 0
 
     def __post_init__(self):
@@ -79,11 +70,6 @@ class DurationModel:
                 raise ValueError('lognormal model needs mean and clips')
             if not 0 < self.min_clip <= self.mean <= self.max_clip:
                 raise ValueError('need 0 < min_clip <= mean <= max_clip')
-        elif self.kind == 'empirical-table':
-            if not self.samples:
-                raise ValueError('empirical table must be non-empty')
-            if any(s < 0 for s in self.samples):
-                raise ValueError('durations must be >= 0')
         else:
             raise ValueError('unknown duration model kind: %s' % self.kind)
 
@@ -94,14 +80,7 @@ class DurationModel:
         rng = np.random.default_rng(self.seed if seed is None else seed)
         if self.kind == 'constant':
             return np.full(n, float(self.constant))
-        if self.kind == 'empirical-table':
-            pool = np.asarray(self.samples, dtype=float)
-            return pool[rng.integers(0, len(pool), size=n)]
-        if self.sigma is None:
-            mu, sigma = solve_sigma(self.mean, self.min_clip, self.max_clip)
-        else:
-            sigma = self.sigma
-            mu = solve_mu(self.mean, sigma, self.min_clip, self.max_clip)
+        mu, sigma = solve_sigma(self.mean, self.min_clip, self.max_clip)
         raw = rng.lognormal(mean=mu, sigma=sigma, size=n)
         return np.clip(raw, self.min_clip, self.max_clip)
 
@@ -109,8 +88,6 @@ class DurationModel:
         """Rescale the time axis (mean and clips) by `factor`."""
         if self.kind == 'constant':
             return replace(self, constant=self.constant * factor)
-        if self.kind == 'empirical-table':
-            return replace(self, samples=tuple(s * factor for s in self.samples))
         return replace(self, mean=self.mean * factor,
                        min_clip=self.min_clip * factor,
                        max_clip=self.max_clip * factor)

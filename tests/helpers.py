@@ -7,58 +7,60 @@ import itertools
 
 from pilotsim.eventlog import LogError, TASK_EVENTS
 from pilotsim.metrics import MetricsError
-from pilotsim.resources import (US_PER_S, NodeSpec, NodeState, Placement,
-                                secs)
+from pilotsim.resources import US_PER_S, Placement, secs
 from pilotsim.scheduler import check_feasible, gpu_weight_for
+from pilotsim.tasks import TERMINAL
 
 
-def replay_no_oversubscription(log):
-    """Replay an executor event log against fresh node state: every
-    placement must occupy only free slots and release cleanly.  Raises
-    SlotError on any conflict; returns the number of placements checked."""
+def replay_slots(log):
+    """Replay a log's scheduled and terminal rows against the pilot row,
+    from the rows alone.  A scheduled row with a `placement` is checked
+    slot by slot: every node and slot lies inside the pilot and no slot is
+    booked twice.  One without (the overlay's) is checked by count: busy
+    cores and GPUs never exceed the pilot's.  A terminal row releases what
+    its task holds; a scheduled task released twice or never fails.
+    Returns the number of scheduled rows checked."""
     info = log.pilot_info()
     assert info is not None, 'log has no pilot row'
-    nodes = [NodeState(NodeSpec(node_id=i, cpu_cores=info['cores_per_node'],
-                                gpus=info['gpus_per_node']))
-             for i in range(info['nodes'])]
-    by_id = {n.spec.node_id: n for n in nodes}
-    held = {}
-    checked = 0
-    for row in log.rows:
-        if row['event'] == 'scheduled' and 'placement' in row:
-            pl = Placement.from_json(row['task'], row['placement'])
-            for nid in pl.node_ids:
-                by_id[nid].occupy(pl)
-            held[row['task']] = pl
-            checked += 1
-        elif row['event'] in ('done', 'failed', 'lost'):
-            pl = held.pop(row['task'], None)
-            if pl is not None:
-                for nid in pl.node_ids:
-                    by_id[nid].release(pl)
-    assert not held, 'tasks never released: %s' % sorted(held)
-    return checked
-
-
-def replay_slot_counts(log):
-    """Replay the core/GPU counts of a log's scheduled rows (the overlay
-    writes counts, not placements): busy slots never exceed the pilot
-    row's.  Returns the number of scheduled rows checked."""
-    info = log.pilot_info()
-    assert info is not None, 'log has no pilot row'
-    free = [info['nodes'] * info['cores_per_node'],
-            info['nodes'] * info['gpus_per_node']]
-    held = {}
+    nodes = info['nodes']
+    limit = (info['cores_per_node'], info['gpus_per_node'])
+    free = [nodes * limit[0], nodes * limit[1]]
+    booked = set()       # (node, 0 for a core | 1 for a GPU, slot)
+    held = {}            # task -> booked slot keys, or (cores, gpus)
+    scheduled = set()
     checked = 0
     for i, row in enumerate(log.rows, 1):
-        if row['event'] == 'scheduled':
+        event, task = row['event'], row.get('task')
+        if event == 'scheduled':
             checked += 1
-            held[row['task']] = (row['cores'], row['gpus'])
-            free = [f - n for f, n in zip(free, held[row['task']])]
-            assert min(free) >= 0, 'row %d: more slots busy than the pilot ' \
-                                   'has' % i
-        elif row['event'] in ('done', 'failed', 'lost'):
-            free = [f + n for f, n in zip(free, held.pop(row['task']))]
+            scheduled.add(task)
+            if 'placement' in row:
+                keys = held[task] = []
+                for node, *slots in row['placement']:
+                    for kind, ids in enumerate(slots):
+                        for slot in ids:
+                            key = (node, kind, slot)
+                            assert 0 <= node < nodes and \
+                                0 <= slot < limit[kind], \
+                                'row %d: slot %r outside the pilot' % (i, key)
+                            assert key not in booked, \
+                                'row %d: slot %r booked twice' % (i, key)
+                            booked.add(key)
+                            keys.append(key)
+            else:
+                held[task] = (row['cores'], row['gpus'])
+                free = [f - n for f, n in zip(free, held[task])]
+                assert min(free) >= 0, 'row %d: more slots busy than the ' \
+                                       'pilot has' % i
+        elif event in TERMINAL:
+            slots = held.pop(task, None)
+            if isinstance(slots, list):
+                booked.difference_update(slots)
+            elif slots is not None:
+                free = [f + n for f, n in zip(free, slots)]
+            else:
+                assert task not in scheduled, \
+                    'row %d: task %s released twice' % (i, task)
     assert not held, 'tasks never released: %s' % sorted(held)
     return checked
 

@@ -24,10 +24,10 @@ from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams,
                                iterate_adaptive, run_hybrid)
 from pilotsim.workloads import make_preset
 
-from helpers import (oracle_schedule, replay_no_oversubscription,
-                     tick_busy_slot_seconds)
+from helpers import oracle_schedule, replay_slots, tick_busy_slot_seconds
 
-# executor logs from quantitative criteria, replayed in criterion 9
+# executor and overlay logs from quantitative criteria, replayed in
+# criterion 9
 _REPLAY_LOGS = []
 
 
@@ -264,9 +264,8 @@ def test_criterion_8_bulk_backend_rate(capsys):
 def test_criterion_9_property_suites(capsys):
     checks = []
 
-    # (i) no-oversubscription replay of every executor acceptance log
-    replayed = sum(replay_no_oversubscription(log) for log in _REPLAY_LOGS
-                   if log.pilot_info()['backend'] != 'overlay')
+    # (i) no-oversubscription replay of every acceptance log
+    replayed = sum(replay_slots(log) for log in _REPLAY_LOGS)
     checks.append(('replay', replayed > 30_000))
 
     # (ii) conservation on an overlay run with a mid-run worker death
@@ -333,7 +332,7 @@ def test_criterion_9_property_suites(capsys):
 
     failed = [name for name, ok in checks if not ok]
     _report(capsys, 9, not failed,
-            '%s (replayed %d placements)'
+            '%s (replayed %d scheduled rows)'
             % (', '.join('%s=%s' % (n, 'ok' if ok else 'FAIL')
                          for n, ok in checks), replayed))
 

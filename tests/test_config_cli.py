@@ -8,7 +8,7 @@ from pilotsim.cli import main, run_campaign
 from pilotsim.config import ConfigError, load_config, parse_config
 from pilotsim.eventlog import EventLog
 
-from helpers import replay_slot_counts
+from helpers import replay_slots
 
 RECIPES = os.path.join(os.path.dirname(__file__), os.pardir, 'recipes')
 
@@ -392,4 +392,4 @@ def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
     # GPU slots book no cores: the pilot row offers none
     assert summary['utilization']['combined_utilization'] <= 1.0
     log = EventLog.read(str(tmp_path / 'out' / 'events.jsonl'))
-    assert replay_slot_counts(log) == 625
+    assert replay_slots(log) == 625

@@ -17,7 +17,7 @@ from pilotsim.scheduler import SchedulerConfig, UnschedulableError
 from pilotsim.tasks import TaskDescription
 from pilotsim import metrics
 
-from helpers import replay_no_oversubscription
+from helpers import replay_slots
 
 
 def _pilot(preset='frontera-node', nodes=2, walltime=100_000.0, startup=0.0):
@@ -41,7 +41,7 @@ def test_direct_backend_runs_to_completion():
     assert all(r.state == 'done' for r in records)
     # 100 tasks on 68 slots: two waves of 2 s
     assert svc.now == us(4.0)
-    replay_no_oversubscription(svc.log)
+    replay_slots(svc.log)
 
 
 def test_startup_latency_gates_execution():

@@ -11,7 +11,7 @@ from pilotsim.overlay import (Master, MasterConfig, OverlayDrainedError,
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim import metrics
 
-from helpers import ReferenceMaster, replay_slot_counts
+from helpers import ReferenceMaster, replay_slots
 
 
 def _pilot(nodes, cores=8, walltime=1e6):
@@ -31,7 +31,8 @@ def test_spawn_overlay_master_worker_counts(nodes, masters, workers):
     overlay = spawn_overlay(_pilot(nodes), MasterConfig(nodes_per_master=100))
     assert len(overlay.masters) == masters
     assert len(overlay.workers) == workers
-    assert not set(overlay.master_nodes) & set(overlay.worker_nodes)
+    assert not {m.node_id for m in overlay.masters} & \
+        {w.node_id for w in overlay.workers}
 
 
 @pytest.mark.parametrize('nodes,nodes_per_master', [(1, 100), (3, 2),
@@ -220,7 +221,7 @@ def test_log_with_requeued_items_is_unchanged():
     master = sim.overlay.masters[0]
     assert len(queued) - len(set(queued)) == 10
     assert (master.completed, master.lost) == (117, 3)
-    assert replay_slot_counts(log) == 125
+    assert replay_slots(log) == 125
     assert sorted(r['task'] for r in log.rows if r['event'] == 'lost') == \
         sorted(i.item_id for i in master.failed_items)
     assert sum(r['event'] == 'lost' for r in log.rows) == 3
@@ -356,7 +357,7 @@ def test_walltime_ends_the_run_and_loses_open_items():
     ended = [r['task'] for r in lost + done]
     assert sorted(ended) == sorted(queued)
     assert all(m.conservation_ok() for m in sim.overlay.masters)
-    replay_slot_counts(log)
+    replay_slots(log)
 
 
 def test_negative_latency_is_rejected():

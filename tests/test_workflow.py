@@ -5,9 +5,11 @@ from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams, Pipeline,
-                               Stage, WorkflowEngine, deepdrive_pipeline,
-                               esmacs_pipeline, iterate_adaptive,
-                               run_hybrid, run_pipeline, ties_pipeline)
+                               Stage, WorkflowEngine, WorkflowError,
+                               deepdrive_pipeline, esmacs_pipeline,
+                               iterate_adaptive, run_hybrid, run_pipeline,
+                               ties_pipeline)
+from pilotsim.workloads import make_preset
 
 
 def _pilot(preset='summit-node', nodes=2, walltime=1e6, startup=0.0):
@@ -70,6 +72,17 @@ def test_failure_policy_abort_stops_pipeline():
     records, _ = run_pipeline(pipe, svc, failure_policy='abort')
     stages = {sid for sid, _ in records}
     assert stages == {'s1'}          # s2 never submitted
+
+
+def test_payload_that_is_not_seconds_is_rejected():
+    """A duration is a number of seconds, fixed when the workload is
+    built; the engine samples no duration model."""
+    model = make_preset('wf1-uc1').model
+    pipe = Pipeline('p', [Stage('s1', [TaskDescription(task_id='t0',
+                                                       payload=model)])])
+    with pytest.raises(WorkflowError,
+                       match=r'cannot interpret payload DurationModel\('):
+        run_pipeline(pipe, _service(_pilot()))
 
 
 def test_adaptive_repeat_continue_reuses_task_ids():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pilotsim.workloads import (DurationModel, clipped_lognormal_mean,
-                                make_preset, preset_names, solve_mu,
-                                solve_sigma)
+                                make_preset, preset_names, solve_sigma)
 
 
 def test_clipped_mean_matches_monte_carlo():
@@ -30,12 +29,6 @@ def test_solve_sigma_inverts_mean():
 def test_solve_sigma_rejects_unattainable_mean():
     with pytest.raises(ValueError, match='attainable'):
         solve_sigma(10_000.0, 0.1, 3582.6)
-
-
-def test_solve_mu_inverts_mean():
-    mu = solve_mu(28.8, 1.2, 0.1, 3582.6)
-    assert clipped_lognormal_mean(mu, 1.2, 0.1, 3582.6) == pytest.approx(
-        28.8, rel=1e-6)
 
 
 @pytest.mark.parametrize('name,mean,lo,hi', [
@@ -71,16 +64,13 @@ def test_sampling_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_constant_and_empirical_models():
+def test_constant_model_and_unknown_kinds():
     const = DurationModel(kind='constant', constant=320.0)
     assert np.all(const.sample(4) == 320.0)
-    emp = DurationModel(kind='empirical-table', samples=(1.0, 2.0, 4.0))
-    draws = emp.sample(500, seed=3)
-    assert set(np.unique(draws)) <= {1.0, 2.0, 4.0}
-    with pytest.raises(ValueError):
-        DurationModel(kind='empirical-table', samples=())
     with pytest.raises(ValueError):
         DurationModel(kind='constant', constant=-1.0)
+    with pytest.raises(ValueError, match='unknown duration model kind'):
+        DurationModel(kind='empirical-table')
 
 
 def test_scaled_rescales_time_axis():
