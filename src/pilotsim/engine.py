@@ -31,17 +31,17 @@ class SimEngine:
     def run(self, until_us=None):
         """Process events in timestamp order until the heap drains, or
         until the next event lies past `until_us`; returns whether events
-        remain."""
+        remain.  A drained run leaves `now` at its last event; a run cut
+        at `until_us` leaves `now` there, with the later events unrun."""
         while self._heap:
             t, _, fn = self._heap[0]
             if until_us is not None and t > until_us:
-                break
+                self.now = max(self.now, until_us)
+                return True
             heapq.heappop(self._heap)
             self.now = max(self.now, t)
             fn()
-        if until_us is not None and until_us > self.now:
-            self.now = until_us
-        return bool(self._heap)
+        return False
 
 
 class RealtimeEngine(SimEngine):
@@ -69,26 +69,33 @@ class RealtimeEngine(SimEngine):
         return pending
 
     def run(self, until_us=None):
+        """As SimEngine.run, paced by the wall clock.  While no event is
+        due by `until_us` but a poller is pending, the pilot clock follows
+        the wall clock, and the run is cut once that passes `until_us`."""
         while True:
             pending = self._poll()
-            if not self._heap:
+            t = self._heap[0][0] if self._heap else None
+            if until_us is not None and t is not None and t > until_us:
+                t = None        # past the cut: only completions can come
+            if t is None:
                 if not pending:
                     break
                 time.sleep(self.POLL_INTERVAL)
-                self.now = max(self.now, self.wall_now_us())
+                wall = self.wall_now_us()
+                if until_us is not None and wall > until_us:
+                    self.now = max(self.now, until_us)
+                    return True
+                self.now = max(self.now, wall)
                 continue
-            t, _, fn = self._heap[0]
-            if until_us is not None and t > until_us:
-                break
             wall = self.wall_now_us()
             if wall < t:
                 time.sleep(min((t - wall) / 1e6, self.POLL_INTERVAL))
                 continue
-            heapq.heappop(self._heap)
+            _, _, fn = heapq.heappop(self._heap)
             self.now = max(self.now, t)
             fn()
-        if until_us is not None and until_us > self.now:
-            self.now = until_us
+        if self._heap:
+            self.now = max(self.now, until_us)
         return bool(self._heap)
 
 
@@ -99,13 +106,10 @@ class LaunchLane:
     def __init__(self, delay_us=0):
         self.delay_us = delay_us
         self.free_at = 0
-        self.busy_intervals = []  # (launch_start, exec_start) pairs
 
     def admit(self, now_us):
         """Returns (launch_start, exec_start) for the next launch."""
         launch_start = max(now_us, self.free_at)
         exec_start = launch_start + self.delay_us
         self.free_at = exec_start
-        if self.delay_us:
-            self.busy_intervals.append((launch_start, exec_start))
         return launch_start, exec_start

@@ -11,6 +11,12 @@ The partitioned backend models a set of sequentially started runtime
 partitions with a serialized launch lane and optional failure injection
 beyond its stability envelope.  The bulk backend admits tasks at a capped
 scheduling rate.
+
+One walltime rule holds on every backend: `ExecutionService.run` runs the
+kernel up to the pilot deadline and no further, so no partition start,
+admission, launch, completion or stage submission happens at or after it.
+Each task still open there gets one `lost` row at exactly the deadline,
+in submission order.
 """
 
 import subprocess
@@ -126,10 +132,9 @@ class ExecutionService:
         self.on_terminal = []    # callbacks fn(record, t_us)
         self._rng = np.random.default_rng(seed)
         self._round_robin = 0
-        self._closed = False
         self._kick_flagged = set()
         self._next_admit_us = None
-        self._procs = {}         # task_id -> (Popen, record, group)
+        self._procs = {}         # task_id -> (Popen, record)
 
         engine_cls = RealtimeEngine if flavor == 'real' else SimEngine
         self.engine = engine_cls(start_us=pilot.clock_us)
@@ -242,8 +247,6 @@ class ExecutionService:
                 self._admit(rec)
 
     def _admit(self, rec):
-        if rec.is_terminal:
-            return
         if self.backend == 'bulk':
             self.log.add(_ADMITTED, self.engine.now, rec.task_id)
         self._assign(rec)
@@ -286,7 +289,7 @@ class ExecutionService:
     def _request_kick(self, group):
         """Coalesce scheduler invocations: many submissions or completions
         at one timestamp trigger a single scheduling pass."""
-        if self._closed or group.gid in self._kick_flagged:
+        if group.gid in self._kick_flagged:
             return
         self._kick_flagged.add(group.gid)
         self.engine.at(self.engine.now,
@@ -297,13 +300,9 @@ class ExecutionService:
         self._kick(group)
 
     def _kick(self, group):
-        if self._closed:
-            return
         if not group.queue or not group.alive or not self._all_started:
             return
         now = self.engine.now
-        if now >= self.deadline_us:
-            return
         if now < self.ready_us:
             # pilot still bootstrapping; try again once it is ready
             if not self._ready_kick_scheduled:
@@ -331,8 +330,7 @@ class ExecutionService:
         injected = self._maybe_inject(group)
         launch_start, exec_start = self.lane.admit(self.engine.now)
         self.engine.at(launch_start, lambda: self._on_launch(rec))
-        self.engine.at(exec_start,
-                       lambda: self._on_exec_start(rec, group, injected))
+        self.engine.at(exec_start, lambda: self._on_exec_start(rec, injected))
 
     def _kick_all(self):
         self._ready_kick_scheduled = False
@@ -341,7 +339,8 @@ class ExecutionService:
 
     def _maybe_inject(self, group):
         """Task-level failure mode, drawn when the partition is operating
-        beyond its stability envelope."""
+        beyond its stability envelope: the (state, error) the task ends
+        with when its execution would start, or None."""
         if self.backend != 'partitioned':
             return None
         beyond = (group.launched > self.limits.stable_max_tasks or
@@ -350,66 +349,38 @@ class ExecutionService:
             return None
         draw = self._rng.random()
         if draw < self.limits.internal_failure_p:
-            return 'internal_failure'
+            return 'failed', 'internal failure'
         if draw < self.limits.internal_failure_p + self.limits.lost_connection_p:
-            return 'lost_connection'
+            return 'lost', 'lost connection'
         return None
 
     def _on_launch(self, rec):
-        if rec.is_terminal:
-            return
         t = self.engine.now
-        if t >= self.deadline_us:
-            self._finish(rec, 'lost', error='walltime expired before launch')
-            return
         rec.stamp('launching', t)
         self.log.add(_LAUNCHING, t, rec.task_id)
 
-    def _on_exec_start(self, rec, group, injected):
-        if rec.is_terminal:
+    def _on_exec_start(self, rec, injected):
+        if injected is not None:
+            self._finish(rec, *injected)
             return
         t = self.engine.now
-        if t >= self.deadline_us:
-            self._finish(rec, 'lost', error='walltime expired before exec')
-            return
-        if injected == 'internal_failure':
-            self._finish(rec, 'failed', error='internal failure')
-            return
-        if injected == 'lost_connection':
-            self._finish(rec, 'lost', error='lost connection')
-            return
         rec.stamp('running', t)
         self.log.add(_RUNNING, t, rec.task_id)
-        end = t + (rec.duration_us or 0)
-        if end >= self.deadline_us:
-            self.engine.at(self.deadline_us, lambda: self._expire(rec))
         if self.flavor == 'real':
-            self._spawn_payload(rec, group)
-        elif end < self.deadline_us:
-            self.engine.at(end, lambda: self._complete(rec, group))
+            self._spawn_payload(rec)
+        else:
+            self.engine.at(t + (rec.duration_us or 0),
+                           lambda: self._complete(rec))
 
-    def _expire(self, rec):
-        """Walltime reached while running: a real payload is terminated
-        and reaped first, so it can no longer report back."""
-        entry = self._procs.pop(rec.task_id, None)
-        if entry is not None:
-            entry[0].terminate()
-            entry[0].wait()
-        if not rec.is_terminal:
-            self._finish(rec, 'lost', error='walltime expired while running')
-
-    def _complete(self, rec, group, rc=0):
-        if rec.is_terminal:
-            return
+    def _complete(self, rec, rc=0):
         if rc:
             self._finish(rec, 'failed', error='payload exit code %d' % rc)
             return
         self._finish(rec, 'done')
 
-    def _finish(self, rec, state, error=None):
-        t = min(self.engine.now, self.deadline_us) \
-            if state == 'lost' else self.engine.now
-        t = max(t, max(rec.timestamps.values(), default=t))
+    def _finish(self, rec, state, error=None, t=None):
+        if t is None:
+            t = self.engine.now
         rec.error = error
         rec.stamp(state, t)
         if state == 'done':
@@ -418,11 +389,9 @@ class ExecutionService:
             self.log.add(_ENDED[state], t, rec.task_id)
         if rec.placement is not None:
             self.pilot.release(rec.placement)
-        group = self._group_of(rec)
         for cb in self.on_terminal:
             cb(rec, t)
-        if group is not None:
-            self._request_kick(group)
+        self._request_kick(self._group_of(rec))
 
     def _group_of(self, rec):
         if self.backend == 'partitioned' and rec.partition_id is not None:
@@ -432,39 +401,40 @@ class ExecutionService:
     # ------------------------------------------------------------------
     # real-flavor payloads
 
-    def _spawn_payload(self, rec, group):
+    def _spawn_payload(self, rec):
         code = 'import time; time.sleep(%f)' % ((rec.duration_us or 0) / 1e6)
         proc = subprocess.Popen([sys.executable, '-c', code],
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
-        self._procs[rec.task_id] = (proc, rec, group)
+        self._procs[rec.task_id] = (proc, rec)
 
     def _poll_payloads(self):
         """One ordered completion channel: finished payloads are reported
         in task-id submission order at each poll."""
-        finished = [tid for tid, (proc, _, _) in self._procs.items()
+        finished = [tid for tid, (proc, _) in self._procs.items()
                     if proc.poll() is not None]
         for tid in finished:
-            proc, rec, group = self._procs.pop(tid)
-            self._complete(rec, group, rc=proc.returncode)
+            proc, rec = self._procs.pop(tid)
+            self._complete(rec, rc=proc.returncode)
         return bool(self._procs)
 
     # ------------------------------------------------------------------
 
     def run(self):
-        """Drain all events; at teardown, any task still not terminal is
-        marked lost.  However the run ends, every payload still running
-        is terminated and reaped."""
+        """Run the kernel up to the pilot deadline and no further; at
+        teardown, every task still not terminal is lost at the deadline,
+        in submission order.  However the run ends, every payload still
+        running is terminated and reaped."""
         try:
-            self.engine.run()
+            self.engine.run(until_us=self.deadline_us - 1)
         finally:
-            for proc, _, _ in self._procs.values():
+            for proc, _ in self._procs.values():
                 proc.terminate()
                 proc.wait()
-        self._closed = True
         for rec in self.records.values():
             if not rec.is_terminal:
-                self._finish(rec, 'lost', error='pilot teardown')
+                self._finish(rec, 'lost', t=self.deadline_us,
+                             error='walltime expired while %s' % rec.state)
         return self.log
 
     @property

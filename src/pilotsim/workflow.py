@@ -199,6 +199,11 @@ class WorkflowEngine:
         for run in self._runs:
             self._submit_stage(run, t0)
         self.service.run()
+        # a stage due at or after the pilot deadline was made, not submitted
+        submitted = self.service.records
+        for run in self._runs:
+            run.records = [(sid, rec) for sid, rec in run.records
+                           if submitted.get(rec.task_id) is rec]
         return self._runs
 
     def ttx_s(self):

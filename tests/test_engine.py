@@ -75,12 +75,26 @@ def test_launch_lane_serializes():
     assert lane.admit(0) == (100_000, 200_000)
     # an admission after the lane went idle starts immediately
     assert lane.admit(500_000) == (500_000, 600_000)
-    assert lane.busy_intervals == [(0, 100_000), (100_000, 200_000),
-                                   (500_000, 600_000)]
 
 
 def test_zero_delay_lane_never_queues():
     lane = LaunchLane()
     assert lane.admit(7) == (7, 7)
     assert lane.admit(7) == (7, 7)
-    assert lane.busy_intervals == []
+
+
+def test_drained_run_leaves_now_at_the_last_event():
+    eng = SimEngine()
+    eng.at(3, lambda: None)
+    assert eng.run(until_us=10) is False
+    assert eng.now == 3
+
+
+def test_realtime_run_is_cut_while_only_a_poller_is_pending():
+    t0 = time.monotonic()
+    eng = RealtimeEngine()
+    eng.add_poller(lambda: True)
+    eng.at(50_000, lambda: None)     # past the cut: never run
+    assert eng.run(until_us=20_000) is True
+    assert eng.now == 20_000
+    assert 0.02 <= time.monotonic() - t0 < 1.0

@@ -74,6 +74,20 @@ def test_failure_policy_abort_stops_pipeline():
     assert stages == {'s1'}          # s2 never submitted
 
 
+def test_a_stage_due_after_the_walltime_is_never_submitted():
+    """Three 2 s stages and 0.5 s per engine action on a 5 s pilot: the
+    second stage is lost at the deadline, and the third, due at 6 s, is
+    neither submitted nor among the returned records."""
+    pilot = _pilot(walltime=5.0)
+    svc = _service(pilot)
+    pipe = Pipeline('p', [_stage('s%d' % s, 1, 2.0, 'p') for s in range(3)])
+    records, _ = run_pipeline(pipe, svc, comm_latency_s=0.5)
+    assert [(sid, r.state) for sid, r in records] == [('s0', 'done'),
+                                                      ('s1', 'lost')]
+    assert records[1][1].timestamps['lost'] == pilot.deadline_us
+    assert list(svc.records) == ['p-s00', 'p-s10']
+
+
 def test_payload_that_is_not_seconds_is_rejected():
     """A duration is a number of seconds, fixed when the workload is
     built; the engine samples no duration model."""
