@@ -144,7 +144,7 @@ def _parse_resource(raw):
     return ResourceSpec.from_preset(preset, n_nodes)
 
 
-def _parse_workload(raw, seed):
+def _parse_workload(raw):
     _check_known(raw, {'preset', 'items', 'duration_scale'}, 'workload')
     preset = _get(raw, 'preset', 'workload', str, required=True)
     if preset not in preset_names():
@@ -156,7 +156,7 @@ def _parse_workload(raw, seed):
     scale = _get(raw, 'duration_scale', 'workload', float, default=1.0)
     if not 0 < scale < float('inf'):
         raise ConfigError('workload.duration_scale', 'must be > 0 and finite')
-    workload = make_preset(preset, item_count=items, seed=seed)
+    workload = make_preset(preset, item_count=items)
     return dataclasses.replace(workload, model=workload.model.scaled(scale))
 
 
@@ -223,7 +223,7 @@ def parse_config(raw):
         params = _section(raw_params, 'workflow.params', params_cls, **given)
 
     raw_wl = _get(raw, 'workload', '', dict)
-    workload = None if raw_wl is None else _parse_workload(raw_wl, seed)
+    workload = None if raw_wl is None else _parse_workload(raw_wl)
     if template in ('flat', 'wf1-overlay') and workload is None:
         raise ConfigError('workload',
                           'template %r needs a workload section' % template)

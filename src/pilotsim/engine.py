@@ -69,9 +69,10 @@ class RealtimeEngine(SimEngine):
         return pending
 
     def run(self, until_us=None):
-        """As SimEngine.run, paced by the wall clock.  While no event is
-        due by `until_us` but a poller is pending, the pilot clock follows
-        the wall clock, and the run is cut once that passes `until_us`."""
+        """As SimEngine.run, paced by the wall clock.  Between events the
+        pilot clock follows the wall clock, up to the next event; while no
+        event is due by `until_us` but a poller is pending, the run is cut
+        once the wall clock passes `until_us`."""
         while True:
             pending = self._poll()
             t = self._heap[0][0] if self._heap else None
@@ -90,6 +91,8 @@ class RealtimeEngine(SimEngine):
             wall = self.wall_now_us()
             if wall < t:
                 time.sleep(min((t - wall) / 1e6, self.POLL_INTERVAL))
+                # completions polled next happen now, not at the last event
+                self.now = max(self.now, min(self.wall_now_us(), t))
                 continue
             _, _, fn = heapq.heappop(self._heap)
             self.now = max(self.now, t)

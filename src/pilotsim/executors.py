@@ -17,6 +17,10 @@ kernel up to the pilot deadline and no further, so no partition start,
 admission, launch, completion or stage submission happens at or after it.
 Each task still open there gets one `lost` row at exactly the deadline,
 in submission order.
+
+One trigger schedules every scheduling pass, `_request_kick(group)`: one
+pass per group and timestamp, none before the pilot is ready, none while a
+partition is still starting, and none for a dead group.
 """
 
 import subprocess
@@ -29,7 +33,7 @@ from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
 from .resources import FieldError, check_range, us
 from .scheduler import SchedulerConfig, TaskQueue, schedule, schedule_noop
-from .tasks import TaskRecord
+from .tasks import TERMINAL, TaskRecord
 
 
 class ExecutorError(Exception):
@@ -102,7 +106,6 @@ class _NodeGroup:
         self.gid = gid
         self.nodes = nodes
         self.alive = True
-        self.started = True
         self.queue = TaskQueue(sched_cfg)   # scheduling descriptions
         self.waiting = {}    # task id -> record, for each pending one
         self.tag_bindings = {}
@@ -115,7 +118,7 @@ class ExecutionService:
     execution on one pilot, emitting the event log."""
 
     def __init__(self, pilot, sched_cfg=None, backend='direct', flavor='sim',
-                 plan=None, limits=None, bulk_cfg=None, seed=0, log=None):
+                 plan=None, limits=None, bulk_cfg=None, seed=0):
         if backend not in ('direct', 'partitioned', 'bulk'):
             raise ValueError('unknown backend: %s' % backend)
         if flavor not in ('sim', 'real'):
@@ -127,7 +130,7 @@ class ExecutionService:
         self.plan = plan
         self.limits = limits or StabilityLimits()
         self.bulk_cfg = bulk_cfg or BulkBackendConfig()
-        self.log = log if log is not None else EventLog()
+        self.log = EventLog()
         self.records = {}
         self.on_terminal = []    # callbacks fn(record, t_us)
         self._rng = np.random.default_rng(seed)
@@ -151,10 +154,9 @@ class ExecutionService:
                         backend=backend, flavor=flavor)
 
         self.ready_us = pilot.ready_us
-        self._ready_kick_scheduled = False
         self.groups = self._init_groups()
         # partitions start one by one; none runs work until all have
-        self._all_started = backend != 'partitioned'
+        self._starting = len(self.groups) if backend == 'partitioned' else 0
         delay = plan.per_launch_delay if (backend == 'partitioned' and plan) else 0.0
         self.lane = LaunchLane(delay_us=us(delay))
         if backend == 'partitioned':
@@ -179,9 +181,7 @@ class ExecutionService:
         for pid in range(plan.count):
             lo = pid * plan.nodes_per_partition
             nodes = self.pilot.nodes[lo:lo + plan.nodes_per_partition]
-            g = _NodeGroup(pid, nodes, self.sched_cfg)
-            g.started = False
-            groups.append(g)
+            groups.append(_NodeGroup(pid, nodes, self.sched_cfg))
         return groups
 
     def _start_partitions(self):
@@ -195,8 +195,6 @@ class ExecutionService:
             self.engine.at(t, lambda g=g: self._partition_up(g))
 
     def _partition_up(self, group):
-        group.started = True
-        self._all_started = all(g.started for g in self.groups)
         unstable = self.plan.nodes_per_partition > self.limits.stable_max_nodes
         if unstable and self._rng.random() < self.limits.startup_failure_p:
             group.alive = False
@@ -208,9 +206,9 @@ class ExecutionService:
                             nodes=[n.spec.node_id for n in group.nodes])
         # startup is one sequential blocking phase: execution begins only
         # once every partition has been brought up
-        if self._all_started:
-            for g in self.groups:
-                self._kick(g)
+        self._starting -= 1
+        for g in self.groups:
+            self._request_kick(g)
 
     def _reassign(self, dead_group):
         waiting, dead_group.waiting = dead_group.waiting, {}
@@ -222,12 +220,6 @@ class ExecutionService:
     # submission and admission
 
     def submit(self, records):
-        self._enqueue(records)
-
-    def submit_at(self, t_us, records):
-        self.engine.at(t_us, lambda: self._enqueue(records))
-
-    def _enqueue(self, records):
         now = self.engine.now
         add = self.log.add
         for rec in records:
@@ -245,6 +237,9 @@ class ExecutionService:
         else:
             for rec in records:
                 self._admit(rec)
+
+    def submit_at(self, t_us, records):
+        self.engine.at(t_us, lambda: self.submit(records))
 
     def _admit(self, rec):
         if self.backend == 'bulk':
@@ -265,8 +260,7 @@ class ExecutionService:
         group.queue.push(desc)
         group.waiting[rec.task_id] = rec
         group.assigned += 1
-        if group.started and group.alive:
-            self._request_kick(group)
+        self._request_kick(group)
 
     def _pick_group(self, rec):
         if self.backend != 'partitioned':
@@ -287,28 +281,22 @@ class ExecutionService:
     # scheduling and launch
 
     def _request_kick(self, group):
-        """Coalesce scheduler invocations: many submissions or completions
-        at one timestamp trigger a single scheduling pass."""
+        """The one trigger of a scheduling pass: the submissions and
+        completions of a group at one timestamp share one pass, run then
+        or, while the pilot bootstraps, once it is ready."""
+        if self._starting or not group.alive:
+            return
         if group.gid in self._kick_flagged:
             return
         self._kick_flagged.add(group.gid)
-        self.engine.at(self.engine.now,
-                       lambda g=group: self._kick_now(g))
-
-    def _kick_now(self, group):
-        self._kick_flagged.discard(group.gid)
-        self._kick(group)
+        self.engine.at(max(self.engine.now, self.ready_us),
+                       lambda: self._kick(group))
 
     def _kick(self, group):
-        if not group.queue or not group.alive or not self._all_started:
+        self._kick_flagged.discard(group.gid)
+        if not group.queue:
             return
         now = self.engine.now
-        if now < self.ready_us:
-            # pilot still bootstrapping; try again once it is ready
-            if not self._ready_kick_scheduled:
-                self._ready_kick_scheduled = True
-                self.engine.at(self.ready_us, self._kick_all)
-            return
         if self.sched_cfg.algorithm == 'noop':
             for desc in schedule_noop(group.queue, self.sched_cfg):
                 self._to_lane(group.waiting.pop(desc.task_id), group)
@@ -331,11 +319,6 @@ class ExecutionService:
         launch_start, exec_start = self.lane.admit(self.engine.now)
         self.engine.at(launch_start, lambda: self._on_launch(rec))
         self.engine.at(exec_start, lambda: self._on_exec_start(rec, injected))
-
-    def _kick_all(self):
-        self._ready_kick_scheduled = False
-        for g in self.groups:
-            self._kick(g)
 
     def _maybe_inject(self, group):
         """Task-level failure mode, drawn when the partition is operating
@@ -370,13 +353,7 @@ class ExecutionService:
             self._spawn_payload(rec)
         else:
             self.engine.at(t + (rec.duration_us or 0),
-                           lambda: self._complete(rec))
-
-    def _complete(self, rec, rc=0):
-        if rc:
-            self._finish(rec, 'failed', error='payload exit code %d' % rc)
-            return
-        self._finish(rec, 'done')
+                           lambda: self._finish(rec, 'done'))
 
     def _finish(self, rec, state, error=None, t=None):
         if t is None:
@@ -394,9 +371,7 @@ class ExecutionService:
         self._request_kick(self._group_of(rec))
 
     def _group_of(self, rec):
-        if self.backend == 'partitioned' and rec.partition_id is not None:
-            return self.groups[rec.partition_id]
-        return self.groups[0]
+        return self.groups[rec.partition_id or 0]
 
     # ------------------------------------------------------------------
     # real-flavor payloads
@@ -415,7 +390,11 @@ class ExecutionService:
                     if proc.poll() is not None]
         for tid in finished:
             proc, rec = self._procs.pop(tid)
-            self._complete(rec, rc=proc.returncode)
+            if proc.returncode:
+                self._finish(rec, 'failed', error='payload exit code %d'
+                             % proc.returncode)
+            else:
+                self._finish(rec, 'done')
         return bool(self._procs)
 
     # ------------------------------------------------------------------
@@ -432,7 +411,7 @@ class ExecutionService:
                 proc.terminate()
                 proc.wait()
         for rec in self.records.values():
-            if not rec.is_terminal:
+            if rec.state not in TERMINAL:
                 self._finish(rec, 'lost', t=self.deadline_us,
                              error='walltime expired while %s' % rec.state)
         return self.log

@@ -228,14 +228,14 @@ def partition_items(items, n_masters):
 class OverlaySim:
     """Discrete-event run of the overlay with per-message latency."""
 
-    def __init__(self, pilot, cfg, items, slot_kind='cores', log=None,
+    def __init__(self, pilot, cfg, items, slot_kind='cores',
                  invariant_hook=None):
         self.pilot = pilot
         self.cfg = cfg
         self.overlay = spawn_overlay(pilot, cfg, slot_kind=slot_kind)
         self.latency_us = us(cfg.latency)
         self.slot_kind = slot_kind
-        self.log = log if log is not None else EventLog()
+        self.log = EventLog()
         self.engine = SimEngine(start_us=pilot.clock_us)
         self.invariant_hook = invariant_hook
         self.message_count = 0
@@ -318,15 +318,16 @@ class OverlaySim:
             return
         t = self.engine.now
         worker.running -= 1
+        # booked with the master as the done row is written, so a worker
+        # that dies with this ack in flight does not get the item re-run
+        master.report_completion(worker, [item.item_id])
         self.log.add(_DONE, t, item.item_id, t, item.credit)
         self._worker_start(worker)
         self.message_count += 1
         self.engine.at(t + self.latency_us,
-                       lambda m=master, w=worker, i=item:
-                       self._master_ack(m, w, i))
+                       lambda m=master, w=worker: self._master_ack(m, w))
 
-    def _master_ack(self, master, worker, item):
-        master.report_completion(worker, [item.item_id])
+    def _master_ack(self, master, worker):
         if not worker.alive:
             return
         worker.in_flight -= 1

@@ -1,6 +1,7 @@
-"""Task descriptions and timestamped lifecycle records."""
+"""Task descriptions and lifecycle records.  A record keeps its state and
+the time it entered it; a task's timeline is kept only in the event log."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Lifecycle order; every record walks a prefix of this list and ends in
 # exactly one terminal state.
@@ -50,39 +51,19 @@ class TaskRecord:
     task_id: str
     description: TaskDescription = None
     state: str = 'queued'
-    timestamps: dict = field(default_factory=dict)  # state -> us
+    t: int = None               # us of the last transition; None until queued
     placement: object = None
     partition_id: int = None
     duration_us: int = None     # sampled payload duration
     credit: int = 1             # work items credited per completion (bundle)
     error: str = None
 
-    # state -> timestamp key recorded when entering it
-    _TS_KEY = {'queued': 'queued', 'scheduled': 'scheduled',
-               'launching': 'launch_start', 'running': 'exec_start',
-               'done': 'done', 'failed': 'failed', 'lost': 'lost'}
-
     def stamp(self, state, t_us):
-        prev = max(self.timestamps.values(), default=None)
-        if prev is not None and t_us < prev:
+        if self.t is not None and t_us < self.t:
             raise ValueError('timestamps must be monotone (%s at %d < %d)'
-                             % (state, t_us, prev))
+                             % (state, t_us, self.t))
         if self.state in TERMINAL:
             raise ValueError('task %s already terminal (%s)'
                              % (self.task_id, self.state))
-        if state == 'done':
-            self.timestamps.setdefault('exec_end', t_us)
-        self.timestamps[self._TS_KEY[state]] = t_us
         self.state = state
-
-    @property
-    def is_terminal(self):
-        return self.state in TERMINAL
-
-    @property
-    def exec_start(self):
-        return self.timestamps.get('exec_start')
-
-    @property
-    def exec_end(self):
-        return self.timestamps.get('exec_end')
+        self.t = t_us

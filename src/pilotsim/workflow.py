@@ -8,7 +8,7 @@ configurable communication latency is charged once per engine action
 workflow engine and its message broker.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class _PipelineRun:
         self.open_tasks = 0
         self.records = []            # (stage_id, TaskRecord)
         self.failed = False
-        self.finished = False
         self.iteration = 0
 
 
@@ -120,7 +119,6 @@ class WorkflowEngine:
         self._runs = []
         self._by_task = {}
         self._task_seq = 0
-        service.on_terminal.append(self._on_terminal)
 
     # ------------------------------------------------------------------
 
@@ -143,7 +141,7 @@ class WorkflowEngine:
                 rec_id = '%s@%d' % (desc.task_id, self._task_seq)
             rec = TaskRecord(task_id=rec_id, description=desc,
                              duration_us=us(dur))
-            self._by_task[rec_id] = (run, stage.stage_id)
+            self._by_task[rec_id] = run
             records.append(rec)
             run.records.append((stage.stage_id, rec))
         return records
@@ -155,10 +153,9 @@ class WorkflowEngine:
         self.service.submit_at(t_us, records)
 
     def _on_terminal(self, rec, t_us):
-        entry = self._by_task.get(rec.task_id)
-        if entry is None:
+        run = self._by_task.get(rec.task_id)
+        if run is None:
             return
-        run, _stage_id = entry
         if rec.state in ('failed', 'lost') and self.failure_policy == 'abort':
             run.failed = True
         run.open_tasks -= 1
@@ -177,11 +174,9 @@ class WorkflowEngine:
     def _pipeline_done(self, run):
         hook = run.pipeline.adaptivity
         if hook is None:
-            run.finished = True
             return
         directive = hook(run.iteration, run.records)
         if directive == 'stop':
-            run.finished = True
             return
         if directive not in ('repeat-continue', 'repeat-with-new-tasks'):
             raise WorkflowError('unknown adaptivity directive %r' % directive)
@@ -193,12 +188,18 @@ class WorkflowEngine:
     # ------------------------------------------------------------------
 
     def run_pipelines(self, pipelines):
-        """Run pipelines concurrently to completion; returns the runs."""
+        """Run pipelines concurrently to completion; returns the runs.
+        The engine hears of terminal tasks only while the service runs,
+        so neither holds the other once it returns."""
         self._runs = [_PipelineRun(p) for p in pipelines]
         t0 = self.service.engine.now + self.latency_us
         for run in self._runs:
             self._submit_stage(run, t0)
-        self.service.run()
+        self.service.on_terminal.append(self._on_terminal)
+        try:
+            self.service.run()
+        finally:
+            self.service.on_terminal.remove(self._on_terminal)
         # a stage due at or after the pilot deadline was made, not submitted
         submitted = self.service.records
         for run in self._runs:
@@ -206,23 +207,14 @@ class WorkflowEngine:
                            if submitted.get(rec.task_id) is rec]
         return self._runs
 
-    def ttx_s(self):
-        stamps = [rec.timestamps for _, rec in
-                  (pair for run in self._runs for pair in run.records)]
-        queued = [ts['queued'] for ts in stamps if 'queued' in ts]
-        ends = [max(ts.values()) for ts in stamps if ts]
-        if not queued or not ends:
-            return 0.0
-        return (max(ends) - min(queued)) / 1e6
-
 
 def run_pipeline(pipeline, service, comm_latency_s=0.0,
                  failure_policy='continue'):
-    """Run one pipeline; returns (records, ttx_seconds)."""
+    """Run one pipeline; returns its (stage id, record) pairs.  Its time
+    to execution is `metrics.overhead(service.log).ttx`."""
     eng = WorkflowEngine(service, comm_latency_s=comm_latency_s,
                          failure_policy=failure_policy)
-    runs = eng.run_pipelines([pipeline])
-    return runs[0].records, eng.ttx_s()
+    return eng.run_pipelines([pipeline])[0].records
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +226,7 @@ def _task(tid, cores=1, gpus=0, ranks=1, payload=0.0):
                            gpus=gpus, payload=payload)
 
 
-def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
-                       tag=''):
+def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations()):
     """4-stage adaptive loop: MD ensemble (one task per GPU) -> aggregate
     -> train (one GPU task per ~20 nodes) -> infer."""
     d = durations
@@ -245,7 +236,7 @@ def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
         raise UnschedulableError('the md stage runs one task per GPU; the '
                                  'pilot has no GPUs')
     n_train = max(n_nodes // d.train_nodes_per_task, 1)
-    pre = 'wf2%s-i%d' % (tag, iteration)
+    pre = 'wf2-i%d' % iteration
     md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d.md)
                       for i in range(n_gpus)])
     agg = Stage('aggregate', [_task('%s-agg' % pre, cores=1,
@@ -254,7 +245,7 @@ def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations(),
                                   payload=d.train) for i in range(n_train)])
     infer = Stage('infer', [_task('%s-infer' % pre, gpus=1,
                                   payload=d.infer)])
-    return Pipeline('%s' % pre, [md, agg, train, infer])
+    return Pipeline(pre, [md, agg, train, infer])
 
 
 def iterate_adaptive(loop_cfg, service, pipeline_factory):
@@ -290,9 +281,14 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
         pipeline.stages = pipeline_factory(generation['n']).stages
         return branch
 
+    # the hook holds the pipeline and the factory, which may hold the
+    # service: it is dropped when the run ends, so no cycle outlives it
     pipeline.adaptivity = hook
     eng = WorkflowEngine(service, comm_latency_s=loop_cfg.comm_latency)
-    runs = eng.run_pipelines([pipeline])
+    try:
+        runs = eng.run_pipelines([pipeline])
+    finally:
+        pipeline.adaptivity = None
     return runs, summaries, eng
 
 

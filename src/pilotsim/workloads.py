@@ -53,13 +53,12 @@ def solve_sigma(mean, lo, hi):
 
 @dataclass(frozen=True)
 class DurationModel:
-    """Seeded task-duration generator; immutable, safe to share."""
+    """Task-duration generator; immutable, safe to share."""
     kind: str = 'constant'           # constant | lognormal-truncated
     mean: float = None               # target post-clip mean (lognormal)
     min_clip: float = None
     max_clip: float = None
     constant: float = None           # seconds (constant kind)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind == 'constant':
@@ -73,11 +72,11 @@ class DurationModel:
         else:
             raise ValueError('unknown duration model kind: %s' % self.kind)
 
-    def sample(self, n, seed=None):
+    def sample(self, n, seed=0):
         """Draw n durations (seconds); deterministic per seed."""
         if n < 1:
             raise ValueError('n must be >= 1')
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        rng = np.random.default_rng(seed)
         if self.kind == 'constant':
             return np.full(n, float(self.constant))
         mu, sigma = solve_sigma(self.mean, self.min_clip, self.max_clip)
@@ -147,14 +146,12 @@ _PRESETS = {
 }
 
 
-def make_preset(name, item_count=None, seed=None):
+def make_preset(name, item_count=None):
     if name not in _PRESETS:
         raise KeyError('unknown workload preset: %s' % name)
     spec = dict(_PRESETS[name])
     if item_count is not None:
         spec['item_count'] = item_count
-    if seed is not None:
-        spec['model'] = replace(spec['model'], seed=seed)
     return WorkloadPreset(name=name, **spec)
 
 

@@ -49,7 +49,7 @@ def test_startup_latency_gates_execution():
     records = _tasks(1)
     svc.submit(records)
     svc.run()
-    assert records[0].timestamps['exec_start'] == us(30.0)
+    assert svc.log.task_intervals()['t0000']['exec_start'] == us(30.0)
 
 
 def test_walltime_expiry_marks_running_tasks_lost():
@@ -58,7 +58,7 @@ def test_walltime_expiry_marks_running_tasks_lost():
     svc.submit(records)
     svc.run()
     assert records[0].state == 'lost'
-    assert records[0].timestamps['lost'] == us(10.0)
+    assert records[0].t == us(10.0)
 
 
 def test_duplicate_task_id_rejected():
@@ -89,7 +89,8 @@ def test_partition_startup_is_sequential_and_blocking():
     starts = [r['t'] for r in svc.log.rows if r['event'] == 'partition_start']
     assert starts == [us(10.5), us(21.0), us(31.5), us(42.0)]
     # nothing executes until the last partition is up
-    assert min(r.timestamps['exec_start'] for r in records) == us(42.0)
+    assert min(iv['exec_start'] for iv in
+               svc.log.task_intervals().values()) == us(42.0)
 
 
 def test_partitions_start_work_when_the_last_one_dies_at_startup():
@@ -139,7 +140,8 @@ def test_launch_lane_delay_serializes_launches():
     records = _tasks(10, duration=0.0)
     svc.submit(records)
     svc.run()
-    execs = sorted(r.timestamps['exec_start'] for r in records)
+    execs = sorted(iv['exec_start']
+                   for iv in svc.log.task_intervals().values())
     assert execs == [us(0.1 * (i + 1)) for i in range(10)]
 
 
@@ -225,8 +227,22 @@ def test_real_flavor_single_task():
     svc.run()
     assert all(r.state == 'done' for r in records)
     # wall-clock pacing: exec_end trails exec_start by at least the payload
-    for r in records:
-        assert r.exec_end - r.exec_start >= us(0.05)
+    for iv in svc.log.task_intervals().values():
+        assert iv['exec_end'] - iv['exec_start'] >= us(0.05)
+
+
+def test_real_completion_is_stamped_at_the_wall_clock():
+    """While a later event is pending (task b is submitted at 1 s), a
+    payload that finishes is stamped when it is polled, not at the time
+    of the last event run."""
+    svc = ExecutionService(_pilot(nodes=1, walltime=30.0),
+                           SchedulerConfig(), flavor='real')
+    svc.submit(_tasks(1, duration=0.05, prefix='a'))
+    svc.submit_at(us(1.0), _tasks(1, duration=0.05, prefix='b'))
+    svc.run()
+    a = svc.log.task_intervals()['a0000']
+    assert a['state'] == 'done'
+    assert a['exec_end'] - a['exec_start'] >= us(0.05)
 
 
 def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
@@ -272,7 +288,7 @@ def test_real_payload_is_lost_at_the_walltime(monkeypatch):
     svc.submit(records)
     svc.run()
     assert records[0].state == 'lost'
-    assert records[0].timestamps['lost'] == svc.deadline_us
+    assert records[0].t == svc.deadline_us
     assert [p.returncode for p in spawned] == [-signal.SIGTERM]
     assert svc.log.rows[-1] == {'t': svc.deadline_us, 'event': 'lost',
                                 'task': 't0000'}

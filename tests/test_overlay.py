@@ -129,6 +129,26 @@ def test_worker_death_requeues_then_fails():
     assert master.conservation_ok()
 
 
+def test_an_item_done_before_its_worker_dies_is_not_run_again():
+    """1 s items on two frontera workers, 0.5 s per message: the worker
+    killed at 1.7 s finished its first wave at 1.5 s, and those acks are
+    still on their way.  Each of those items is done once, not re-queued
+    and run again."""
+    res = ResourceSpec.from_preset('frontera-node', 3)
+    sim = OverlaySim(acquire(PilotDescription(resource=res, walltime=1e6)),
+                     MasterConfig(bulk_size=4, latency=0.5),
+                     _items([1.0] * 200))
+    sim.kill_worker(0, at_s=1.7)
+    log = sim.run()
+    done = [r['task'] for r in log.rows if r['event'] == 'done']
+    assert sorted(done) == sorted(i.item_id for i in _items([1.0] * 200))
+    assert sum(credit for _, credit in log.completions()) == 200
+    master = sim.overlay.masters[0]
+    assert master.protocol_errors == []
+    assert (master.completed, master.lost) == (200, 0)
+    assert master.conservation_ok()
+
+
 @pytest.mark.parametrize('nodes,nodes_per_master,worker,master', [
     (2, 100, 0, 0),
     (4, 2, 1, 1),      # master 0's pool lives, master 1's is gone
@@ -289,6 +309,8 @@ def test_each_master_runs_as_a_one_master_overlay_on_its_pool(data):
         mine = {item.item_id for item in part}
         assert [r for r in sim.log.rows if r.get('task') in mine] == \
             [r for r in one.log.rows if r['event'] != 'pilot']
+    done = [r['task'] for r in sim.log.rows if r['event'] == 'done']
+    assert len(done) == len(set(done)), 'an item is done twice'
 
 
 def test_dead_worker_requeues_into_its_own_master_only():

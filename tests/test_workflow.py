@@ -1,6 +1,7 @@
 import pytest
 
 from pilotsim.executors import ExecutionService
+from pilotsim.metrics import overhead
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TaskDescription
@@ -32,23 +33,28 @@ def test_stage_barrier_is_strict():
     pilot = _pilot()
     svc = _service(pilot)
     pipe = Pipeline('p', [_stage('s1', 3, 5.0, 'p'), _stage('s2', 2, 1.0, 'p')])
-    records, ttx = run_pipeline(pipe, svc)
+    records = run_pipeline(pipe, svc)
+    intervals = svc.log.task_intervals()
     by_stage = {}
     for sid, rec in records:
-        by_stage.setdefault(sid, []).append(rec)
-    s1_end = max(r.exec_end for r in by_stage['s1'])
-    s2_start = min(r.timestamps['queued'] for r in by_stage['s2'])
+        by_stage.setdefault(sid, []).append(intervals[rec.task_id])
+    s1_end = max(iv['exec_end'] for iv in by_stage['s1'])
+    s2_start = min(iv['queued'] for iv in by_stage['s2'])
     assert s2_start >= s1_end
-    assert ttx == pytest.approx(6.0)
+    assert overhead(svc.log).ttx == pytest.approx(6.0)
 
 
 def test_comm_latency_charged_per_transition():
     """One latency at stage collect plus one at next submit."""
     pilot = _pilot()
     base = Pipeline('p', [_stage('s1', 1, 2.0, 'p'), _stage('s2', 1, 2.0, 'p')])
-    _, ttx0 = run_pipeline(base, _service(_pilot()))
+    svc0 = _service(_pilot())
+    run_pipeline(base, svc0)
+    ttx0 = overhead(svc0.log).ttx
     again = Pipeline('p', [_stage('s1', 1, 2.0, 'p'), _stage('s2', 1, 2.0, 'p')])
-    _, ttx1 = run_pipeline(again, _service(_pilot()), comm_latency_s=0.5)
+    svc1 = _service(_pilot())
+    run_pipeline(again, svc1, comm_latency_s=0.5)
+    ttx1 = overhead(svc1.log).ttx
     # collect + submit between the two stages = 2 extra latencies inside
     # the queued-to-done window
     assert ttx1 - ttx0 == pytest.approx(1.0)
@@ -61,7 +67,7 @@ def test_pipelines_run_concurrently():
              for i in range(3)]
     eng = WorkflowEngine(svc)
     eng.run_pipelines(pipes)
-    assert eng.ttx_s() == pytest.approx(4.0)
+    assert overhead(svc.log).ttx == pytest.approx(4.0)
 
 
 def test_failure_policy_abort_stops_pipeline():
@@ -69,7 +75,7 @@ def test_failure_policy_abort_stops_pipeline():
     svc = _service(pilot)
     pipe = Pipeline('p', [_stage('s1', 1, 10.0, 'p'),
                           _stage('s2', 1, 1.0, 'p')])
-    records, _ = run_pipeline(pipe, svc, failure_policy='abort')
+    records = run_pipeline(pipe, svc, failure_policy='abort')
     stages = {sid for sid, _ in records}
     assert stages == {'s1'}          # s2 never submitted
 
@@ -81,10 +87,10 @@ def test_a_stage_due_after_the_walltime_is_never_submitted():
     pilot = _pilot(walltime=5.0)
     svc = _service(pilot)
     pipe = Pipeline('p', [_stage('s%d' % s, 1, 2.0, 'p') for s in range(3)])
-    records, _ = run_pipeline(pipe, svc, comm_latency_s=0.5)
+    records = run_pipeline(pipe, svc, comm_latency_s=0.5)
     assert [(sid, r.state) for sid, r in records] == [('s0', 'done'),
                                                       ('s1', 'lost')]
-    assert records[1][1].timestamps['lost'] == pilot.deadline_us
+    assert records[1][1].t == pilot.deadline_us
     assert list(svc.records) == ['p-s00', 'p-s10']
 
 
@@ -165,9 +171,11 @@ def test_run_hybrid_places_both_kinds_concurrently():
     recs = [r for run in runs for _, r in run.records]
     assert all(r.state == 'done' for r in recs)
     # GPU and CPU pipelines overlap in time
-    gpu = [r for r in recs if r.description.gpus]
-    cpu = [r for r in recs if r.description.ranks > 1]
-    overlap = (min(r.exec_start for r in gpu) < max(r.exec_end for r in cpu)
-               and min(r.exec_start for r in cpu) < max(r.exec_end
-                                                        for r in gpu))
+    intervals = svc.log.task_intervals()
+    gpu = [intervals[r.task_id] for r in recs if r.description.gpus]
+    cpu = [intervals[r.task_id] for r in recs if r.description.ranks > 1]
+    overlap = (min(iv['exec_start'] for iv in gpu) <
+               max(iv['exec_end'] for iv in cpu)
+               and min(iv['exec_start'] for iv in cpu) <
+               max(iv['exec_end'] for iv in gpu))
     assert overlap
