@@ -127,9 +127,9 @@ def run_campaign(cfg):
 
     What is alive when the campaign starts (modules, the config) is frozen
     out of the cyclic collector until it ends, so a full collection scans
-    only what the campaign made, in whichever phase it falls.  The
-    collector stays on: only a sim campaign that ends before its walltime
-    leaves no reference cycle (events left unrun hold their runner).
+    only what the campaign made, in whichever phase it falls.  No
+    campaign, cut by its walltime or not, sim or real, leaves a reference
+    cycle; the collector stays on until turning it off is measured.
     """
     made = not os.path.isdir(cfg.output_dir)
     try:

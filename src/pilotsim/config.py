@@ -109,7 +109,6 @@ def _section(raw, path, cls, skip=(), **given):
 @dataclasses.dataclass
 class CampaignConfig:
     seed: int
-    resource: ResourceSpec
     pilot: PilotDescription
     scheduler: SchedulerConfig
     backend: str
@@ -260,7 +259,7 @@ def parse_config(raw):
         raise ConfigError('output.rate_window', str(exc))
 
     return CampaignConfig(
-        seed=seed, resource=resource, pilot=pilot, scheduler=scheduler,
+        seed=seed, pilot=pilot, scheduler=scheduler,
         backend=backend, flavor=flavor, template=template,
         template_params=params, workload=workload, plan=plan, limits=limits,
         bulk=bulk, overlay=overlay,
@@ -275,7 +274,3 @@ def read_config(path):
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError('<file>', 'not valid YAML: %s' % exc)
-
-
-def load_config(path):
-    return parse_config(read_config(path))

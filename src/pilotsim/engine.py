@@ -20,13 +20,16 @@ class SimEngine:
         self._seq = 0
 
     def at(self, t_us, fn):
+        """Run fn at t_us; ValueError for a time before now."""
         if t_us < self.now:
-            t_us = self.now
+            raise ValueError('event at %d us is before now' % t_us)
         heapq.heappush(self._heap, (int(t_us), self._seq, fn))
         self._seq += 1
 
-    def after(self, dt_us, fn):
-        self.at(self.now + dt_us, fn)
+    def close(self):
+        """End a run: drop the events left unrun, whose callbacks would hold
+        what ran here, and so this kernel, in a reference cycle."""
+        self._heap.clear()
 
     def run(self, until_us=None):
         """Process events in timestamp order until the heap drains, or
@@ -57,6 +60,11 @@ class RealtimeEngine(SimEngine):
     def add_poller(self, poll_fn):
         """poll_fn() -> True while it may still produce events."""
         self._pollers.append(poll_fn)
+
+    def close(self):
+        """As SimEngine.close, and drop the pollers too."""
+        super().close()
+        self._pollers.clear()
 
     def wall_now_us(self):
         return int((time.monotonic() - self._wall0) * 1e6)

@@ -23,6 +23,7 @@ pass per group and timestamp, none before the pilot is ready, none while a
 partition is still starting, and none for a dead group.
 """
 
+import math
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -403,30 +404,32 @@ class ExecutionService:
         """Run the kernel up to the pilot deadline and no further; at
         teardown, every task still not terminal is lost at the deadline,
         in submission order.  However the run ends, every payload still
-        running is terminated and reaped."""
+        running is terminated and reaped, and no event, poller or listener
+        is left: an `on_terminal` listener hears of one run only."""
         try:
             self.engine.run(until_us=self.deadline_us - 1)
+            for rec in self.records.values():
+                if rec.state not in TERMINAL:
+                    self._finish(rec, 'lost', t=self.deadline_us,
+                                 error='walltime expired while %s' % rec.state)
         finally:
             for proc, _ in self._procs.values():
                 proc.terminate()
                 proc.wait()
-        for rec in self.records.values():
-            if rec.state not in TERMINAL:
-                self._finish(rec, 'lost', t=self.deadline_us,
-                             error='walltime expired while %s' % rec.state)
+            self.engine.close()
+            self.on_terminal.clear()
         return self.log
 
-    @property
-    def now(self):
-        return self.engine.now
 
-
-def make_records(descriptions, durations_s, credit=1):
-    """Pair task descriptions with pre-sampled payload durations."""
+def make_records(descriptions, durations_s):
+    """Pair task descriptions with payload durations, finite seconds >= 0."""
     if len(descriptions) != len(durations_s):
         raise ValueError('need one duration per task')
     records = []
     for desc, dur in zip(descriptions, durations_s):
+        if not 0.0 <= dur < math.inf:
+            raise ValueError('task %s: duration %r s is not >= 0 and finite'
+                             % (desc.task_id, dur))
         records.append(TaskRecord(task_id=desc.task_id, description=desc,
-                                  duration_us=us(float(dur)), credit=credit))
+                                  duration_us=us(float(dur))))
     return records

@@ -243,6 +243,11 @@ class OverlaySim:
         self._refill_flagged = set()     # worker ids with a refill due
 
         parts = partition_items(list(items), len(self.overlay.masters))
+        bad = [i.item_id for part in parts for i in part
+               if not 0.0 <= i.duration_s < math.inf]
+        if bad:
+            raise OverlayError('item %s: duration is not >= 0 and finite'
+                               % ', '.join(bad))
         for master, part in zip(self.overlay.masters, parts):
             master.add_items(part)
 
@@ -374,7 +379,8 @@ class OverlaySim:
         runs out.  Nothing happens at or after the deadline: each item
         with a queued row and no terminal row gets a `lost` row at the
         deadline, as the executors mark their running tasks.  The masters'
-        books are left as they stand, so conservation still holds."""
+        books are left as they stand, so conservation still holds.  No
+        event is left pending once it returns."""
         def start():
             for master in self.overlay.masters:
                 if master.has_items():
@@ -384,6 +390,7 @@ class OverlaySim:
         if self.engine.run(until_us=deadline - 1):
             for item_id in self.log.open_tasks():
                 self.log.add(_LOST, deadline, item_id)
+        self.engine.close()
         self._check()
         return self.log
 

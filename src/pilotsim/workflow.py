@@ -8,6 +8,7 @@ configurable communication latency is charged once per engine action
 workflow engine and its message broker.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class Stage:
 class Pipeline:
     pipeline_id: str
     stages: list
-    adaptivity: object = None        # fn(iteration, records) -> directive
+    adaptivity: object = None        # fn(iteration, records) -> stages or None
 
     def __post_init__(self):
         if not self.stages:
@@ -102,7 +103,6 @@ class _PipelineRun:
         self.stage_idx = 0
         self.open_tasks = 0
         self.records = []            # (stage_id, TaskRecord)
-        self.failed = False
         self.iteration = 0
 
 
@@ -110,13 +110,11 @@ class WorkflowEngine:
     """Single logical control loop over one ExecutionService; all task
     concurrency lives in the executor underneath."""
 
-    def __init__(self, service, comm_latency_s=0.0, failure_policy='continue'):
-        if failure_policy not in ('continue', 'abort'):
-            raise ValueError('failure policy must be continue or abort')
+    def __init__(self, service, comm_latency_s=0.0):
+        if not comm_latency_s >= 0.0:
+            raise ValueError('comm_latency_s %r is not >= 0' % comm_latency_s)
         self.service = service
         self.latency_us = us(comm_latency_s)
-        self.failure_policy = failure_policy
-        self._runs = []
         self._by_task = {}
         self._task_seq = 0
 
@@ -125,9 +123,11 @@ class WorkflowEngine:
     def _resolve_duration(self, payload):
         if payload is None:
             return 0.0
-        if isinstance(payload, (int, float)):
-            return float(payload)
-        raise WorkflowError('cannot interpret payload %r' % (payload,))
+        if not isinstance(payload, (int, float)):
+            raise WorkflowError('cannot interpret payload %r' % (payload,))
+        if not 0.0 <= payload < math.inf:
+            raise WorkflowError('payload %r is not >= 0 and finite' % payload)
+        return float(payload)
 
     def _records_for(self, run, stage):
         records = []
@@ -156,8 +156,6 @@ class WorkflowEngine:
         run = self._by_task.get(rec.task_id)
         if run is None:
             return
-        if rec.state in ('failed', 'lost') and self.failure_policy == 'abort':
-            run.failed = True
         run.open_tasks -= 1
         if run.open_tasks > 0:
             return
@@ -165,7 +163,7 @@ class WorkflowEngine:
         # the next stage (one more latency) or finish the pipeline
         run.stage_idx += 1
         collect_t = t_us + self.latency_us
-        if run.failed or run.stage_idx >= len(run.pipeline.stages):
+        if run.stage_idx >= len(run.pipeline.stages):
             self.service.engine.at(collect_t,
                                    lambda: self._pipeline_done(run))
         else:
@@ -175,11 +173,12 @@ class WorkflowEngine:
         hook = run.pipeline.adaptivity
         if hook is None:
             return
-        directive = hook(run.iteration, run.records)
-        if directive == 'stop':
+        stages = hook(run.iteration, run.records)
+        if stages is None:
             return
-        if directive not in ('repeat-continue', 'repeat-with-new-tasks'):
-            raise WorkflowError('unknown adaptivity directive %r' % directive)
+        if not stages or not all(isinstance(s, Stage) for s in stages):
+            raise WorkflowError('adaptivity hook returned %r' % (stages,))
+        run.pipeline.stages = stages
         run.iteration += 1
         run.stage_idx = 0
         t = self.service.engine.now + self.latency_us
@@ -188,32 +187,25 @@ class WorkflowEngine:
     # ------------------------------------------------------------------
 
     def run_pipelines(self, pipelines):
-        """Run pipelines concurrently to completion; returns the runs.
-        The engine hears of terminal tasks only while the service runs,
-        so neither holds the other once it returns."""
-        self._runs = [_PipelineRun(p) for p in pipelines]
+        """Run pipelines concurrently to completion; returns the runs."""
+        runs = [_PipelineRun(p) for p in pipelines]
         t0 = self.service.engine.now + self.latency_us
-        for run in self._runs:
+        for run in runs:
             self._submit_stage(run, t0)
         self.service.on_terminal.append(self._on_terminal)
-        try:
-            self.service.run()
-        finally:
-            self.service.on_terminal.remove(self._on_terminal)
+        self.service.run()
         # a stage due at or after the pilot deadline was made, not submitted
         submitted = self.service.records
-        for run in self._runs:
+        for run in runs:
             run.records = [(sid, rec) for sid, rec in run.records
                            if submitted.get(rec.task_id) is rec]
-        return self._runs
+        return runs
 
 
-def run_pipeline(pipeline, service, comm_latency_s=0.0,
-                 failure_policy='continue'):
+def run_pipeline(pipeline, service, comm_latency_s=0.0):
     """Run one pipeline; returns its (stage id, record) pairs.  Its time
     to execution is `metrics.overhead(service.log).ttx`."""
-    eng = WorkflowEngine(service, comm_latency_s=comm_latency_s,
-                         failure_policy=failure_policy)
+    eng = WorkflowEngine(service, comm_latency_s=comm_latency_s)
     return eng.run_pipelines([pipeline])[0].records
 
 
@@ -269,7 +261,7 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
         if iteration + 1 >= loop_cfg.iterations:
             summaries.append({'iteration': iteration, 'branch': 'stop',
                               'generation': generation['n']})
-            return 'stop'
+            return None
         outliers = rng.random() < loop_cfg.outlier_probability
         if outliers:
             generation['n'] += 1
@@ -278,17 +270,11 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
             branch = 'repeat-continue'
         summaries.append({'iteration': iteration, 'branch': branch,
                           'generation': generation['n']})
-        pipeline.stages = pipeline_factory(generation['n']).stages
-        return branch
+        return pipeline_factory(generation['n']).stages
 
-    # the hook holds the pipeline and the factory, which may hold the
-    # service: it is dropped when the run ends, so no cycle outlives it
     pipeline.adaptivity = hook
     eng = WorkflowEngine(service, comm_latency_s=loop_cfg.comm_latency)
-    try:
-        runs = eng.run_pipelines([pipeline])
-    finally:
-        pipeline.adaptivity = None
+    runs = eng.run_pipelines([pipeline])
     return runs, summaries, eng
 
 

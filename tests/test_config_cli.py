@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from pilotsim.cli import main, run_campaign
-from pilotsim.config import ConfigError, load_config, parse_config
+from pilotsim.config import ConfigError, parse_config, read_config
 from pilotsim.eventlog import EventLog
 
 from helpers import replay_slots
@@ -38,7 +38,7 @@ def _write(tmp_path, cfg, name='campaign.yaml'):
 def test_parse_valid_config():
     cfg = parse_config(_base_config())
     assert cfg.seed == 7
-    assert len(cfg.resource.nodes) == 2
+    assert len(cfg.pilot.resource.nodes) == 2
     assert cfg.workload.item_count == 50
     assert cfg.workload.model.mean == pytest.approx(0.288)
 
@@ -385,7 +385,8 @@ def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
         'overlay': {'bulk_size': 4, 'latency': 0.001},
         'output': {'dir': str(tmp_path / 'out')},
     }
-    summary, status = run_campaign(load_config(_write(tmp_path, cfg)))
+    summary, status = run_campaign(
+        parse_config(read_config(_write(tmp_path, cfg))))
     assert status == 0
     assert summary['work_done'] == 10000
     assert summary['utilization']['gpu_utilization'] >= 0.90

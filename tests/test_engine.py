@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from pilotsim.engine import LaunchLane, RealtimeEngine, SimEngine
 
 
@@ -17,18 +19,38 @@ def test_events_fire_in_time_then_insertion_order():
 def test_events_can_spawn_events():
     eng = SimEngine()
     seen = []
-    eng.at(1, lambda: (seen.append(eng.now), eng.after(4, lambda:
-                                                       seen.append(eng.now))))
+    eng.at(1, lambda: (seen.append(eng.now), eng.at(eng.now + 4, lambda:
+                                                    seen.append(eng.now))))
     eng.run()
     assert seen == [1, 5]
 
 
-def test_past_events_clamp_to_now():
+def test_an_event_in_the_past_is_refused():
     eng = SimEngine(start_us=100)
+    with pytest.raises(ValueError, match='before now'):
+        eng.at(10, lambda: None)
+    assert not eng._heap
+
+
+def test_close_drops_the_events_left_unrun():
+    eng = SimEngine()
     seen = []
-    eng.at(10, lambda: seen.append(eng.now))
-    eng.run()
-    assert seen == [100]
+    for t in (1, 5, 9):
+        eng.at(t, lambda t=t: seen.append(t))
+    assert eng.run(until_us=5) is True
+    eng.close()
+    assert not eng._heap and eng.now == 5
+    assert eng.run() is False
+    assert seen == [1, 5]
+
+
+def test_realtime_close_drops_the_pollers_too():
+    eng = RealtimeEngine()
+    eng.add_poller(lambda: True)
+    eng.at(50_000, lambda: None)
+    eng.close()
+    assert not eng._heap and not eng._pollers
+    assert eng.run() is False
 
 
 def test_run_until_pauses_and_resumes():

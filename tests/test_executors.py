@@ -40,7 +40,7 @@ def test_direct_backend_runs_to_completion():
     svc.run()
     assert all(r.state == 'done' for r in records)
     # 100 tasks on 68 slots: two waves of 2 s
-    assert svc.now == us(4.0)
+    assert svc.engine.now == us(4.0)
     replay_slots(svc.log)
 
 
@@ -59,6 +59,13 @@ def test_walltime_expiry_marks_running_tasks_lost():
     svc.run()
     assert records[0].state == 'lost'
     assert records[0].t == us(10.0)
+
+
+@pytest.mark.parametrize('duration', [-5.0, float('inf'), float('nan')])
+def test_a_duration_below_zero_or_not_finite_is_rejected(duration):
+    descs = [TaskDescription(task_id='a')]
+    with pytest.raises(ValueError, match='task a: duration'):
+        make_records(descs, [duration])
 
 
 def test_duplicate_task_id_rejected():
@@ -269,6 +276,9 @@ def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
         svc.run()
     assert len(spawned) == 4
     assert all(proc.returncode is not None for proc in spawned)
+    # the raise still ends the run: nothing is left to call the service
+    assert svc.on_terminal == []
+    assert svc.engine._heap == [] and svc.engine._pollers == []
 
 
 def test_real_payload_is_lost_at_the_walltime(monkeypatch):

@@ -382,6 +382,19 @@ def test_walltime_ends_the_run_and_loses_open_items():
     replay_slots(log)
 
 
+@pytest.mark.parametrize('duration', [-2.0, float('inf'), float('nan')])
+def test_an_item_duration_below_zero_or_not_finite_is_rejected(duration):
+    items = _items([1.0] * 3) + [WorkItem('a', duration)]
+    with pytest.raises(OverlayError, match='item a: duration'):
+        OverlaySim(_pilot(3), MasterConfig(), items)
+
+
+def test_a_worker_killed_in_the_past_is_refused():
+    sim = OverlaySim(_pilot(3), MasterConfig(), _items([1.0] * 4))
+    with pytest.raises(ValueError, match='before now'):
+        sim.kill_worker(0, -5.0)
+
+
 def test_negative_latency_is_rejected():
     with pytest.raises(ValueError, match='latency'):
         MasterConfig(latency=-0.1)

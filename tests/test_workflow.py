@@ -70,16 +70,6 @@ def test_pipelines_run_concurrently():
     assert overhead(svc.log).ttx == pytest.approx(4.0)
 
 
-def test_failure_policy_abort_stops_pipeline():
-    pilot = _pilot(walltime=3.0)     # walltime kills the long task
-    svc = _service(pilot)
-    pipe = Pipeline('p', [_stage('s1', 1, 10.0, 'p'),
-                          _stage('s2', 1, 1.0, 'p')])
-    records = run_pipeline(pipe, svc, failure_policy='abort')
-    stages = {sid for sid, _ in records}
-    assert stages == {'s1'}          # s2 never submitted
-
-
 def test_a_stage_due_after_the_walltime_is_never_submitted():
     """Three 2 s stages and 0.5 s per engine action on a 5 s pilot: the
     second stage is lost at the deadline, and the third, due at 6 s, is
@@ -102,6 +92,51 @@ def test_payload_that_is_not_seconds_is_rejected():
                                                        payload=model)])])
     with pytest.raises(WorkflowError,
                        match=r'cannot interpret payload DurationModel\('):
+        run_pipeline(pipe, _service(_pilot()))
+
+
+def test_a_negative_payload_is_rejected():
+    pipe = Pipeline('p', [_stage('s1', 1, -3.0, 'p')])
+    with pytest.raises(WorkflowError, match='payload -3.0 is not >= 0'):
+        run_pipeline(pipe, _service(_pilot()))
+
+
+def test_a_negative_comm_latency_is_rejected():
+    pipe = Pipeline('p', [_stage('s%d' % s, 1, 2.0, 'p') for s in range(2)])
+    with pytest.raises(ValueError, match='comm_latency_s -5.0 is not >= 0'):
+        run_pipeline(pipe, _service(_pilot()), comm_latency_s=-5.0)
+
+
+def test_adaptivity_hook_returns_the_next_stages_or_none():
+    """The hook's stages run as the next iteration; None stops the
+    pipeline.  Once the run returns, the service holds no listener and no
+    pending event."""
+    svc = _service(_pilot())
+    calls = []
+
+    def hook(iteration, records):
+        calls.append((iteration, [r.task_id for _, r in records]))
+        if iteration == 0:
+            return [_stage('next', 2, 1.0, 'p')]
+        return None
+
+    pipe = Pipeline('p', [_stage('s1', 1, 2.0, 'p')], adaptivity=hook)
+    records = run_pipeline(pipe, svc)
+    assert [(sid, r.state) for sid, r in records] == \
+        [('s1', 'done'), ('next', 'done'), ('next', 'done')]
+    assert calls == [(0, ['p-s10']),
+                     (1, ['p-s10', 'p-next0', 'p-next1'])]
+    assert [s.stage_id for s in pipe.stages] == ['next']
+    assert overhead(svc.log).ttx == pytest.approx(3.0)
+    assert svc.on_terminal == [] and svc.engine._heap == []
+
+
+@pytest.mark.parametrize('returned', ['stop', []],
+                         ids=['a-directive', 'empty'])
+def test_an_adaptivity_hook_that_returns_no_stages_is_rejected(returned):
+    pipe = Pipeline('p', [_stage('s1', 1, 1.0, 'p')],
+                    adaptivity=lambda iteration, records: returned)
+    with pytest.raises(WorkflowError, match='adaptivity hook returned'):
         run_pipeline(pipe, _service(_pilot()))
 
 
