@@ -125,11 +125,12 @@ def run_campaign(cfg):
     made, before anything runs; an UnschedulableError leaves no output
     directory it made.
 
-    What is alive when the campaign starts (modules, the config) is frozen
-    out of the cyclic collector until it ends, so a full collection scans
-    only what the campaign made, in whichever phase it falls.  No
-    campaign, cut by its walltime or not, sim or real, leaves a reference
-    cycle; the collector stays on until turning it off is measured.
+    The cyclic collector is off for the campaign and restored to its
+    previous state after: no campaign, cut by its walltime or not, sim or
+    real, returning or raising, leaves a reference cycle, so collecting
+    during one would free nothing.  What is alive when the campaign starts
+    (modules, the config) is frozen out of the collector until it ends,
+    so a collection asked for during the campaign scans only what it made.
     """
     made = not os.path.isdir(cfg.output_dir)
     try:
@@ -137,6 +138,8 @@ def run_campaign(cfg):
     except OSError as exc:
         raise ConfigError('output.dir', str(exc))
     gc.freeze()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         pilot = acquire(cfg.pilot)
         runner = _run_overlay if cfg.backend == 'overlay' else _run_service
@@ -170,6 +173,8 @@ def run_campaign(cfg):
             log.warning('run finished with failures: %s', states)
         return summary, status
     finally:
+        if collecting:
+            gc.enable()
         gc.unfreeze()
 
 

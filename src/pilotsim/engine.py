@@ -12,19 +12,25 @@ import time
 
 
 class SimEngine:
-    """Single-threaded event heap over the pilot clock."""
+    """Single-threaded event heap over the pilot clock.
+
+    Events at one timestamp run in the order they were pushed: each gets
+    the next sequence number.  Read-only outside the kernel:
+    `running_seq` is the sequence number of the event running now (or last
+    run), and `next_seq` the one `at` assigns next."""
 
     def __init__(self, start_us=0):
         self.now = start_us
         self._heap = []
-        self._seq = 0
+        self.running_seq = -1
+        self.next_seq = 0
 
     def at(self, t_us, fn):
         """Run fn at t_us; ValueError for a time before now."""
         if t_us < self.now:
             raise ValueError('event at %d us is before now' % t_us)
-        heapq.heappush(self._heap, (int(t_us), self._seq, fn))
-        self._seq += 1
+        heapq.heappush(self._heap, (int(t_us), self.next_seq, fn))
+        self.next_seq += 1
 
     def close(self):
         """End a run: drop the events left unrun, whose callbacks would hold
@@ -36,13 +42,17 @@ class SimEngine:
         until the next event lies past `until_us`; returns whether events
         remain.  A drained run leaves `now` at its last event; a run cut
         at `until_us` leaves `now` there, with the later events unrun."""
-        while self._heap:
-            t, _, fn = self._heap[0]
+        heap = self._heap
+        while heap:
+            t, seq, fn = heap[0]
             if until_us is not None and t > until_us:
                 self.now = max(self.now, until_us)
                 return True
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
+            # max keeps `now` one int object across the events at one
+            # timestamp, so the rows they write share it
             self.now = max(self.now, t)
+            self.running_seq = seq
             fn()
         return False
 
@@ -102,7 +112,7 @@ class RealtimeEngine(SimEngine):
                 # completions polled next happen now, not at the last event
                 self.now = max(self.now, min(self.wall_now_us(), t))
                 continue
-            _, _, fn = heapq.heappop(self._heap)
+            _, self.running_seq, fn = heapq.heappop(self._heap)
             self.now = max(self.now, t)
             fn()
         if self._heap:

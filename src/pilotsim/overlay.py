@@ -17,6 +17,14 @@ worker has no room for its next bulk; a bulk fits a buffer, so each worker
 of its pool then holds an item of that master in flight, whose ack
 refills it.  Item queues and buffers are deques, so taking an item or
 putting a lost one back is O(1).
+
+An ack only lowers its worker's in-flight count, which matters only when
+the master next reads it.  So acks are applied lazily: each waits in its
+worker's `acks` deque, stamped with the arrival time and sequence number
+its own kernel event would have had, until a reader (a dispatch, or an
+ack that can refill) applies every ack that event order would already
+have run.  Only an ack that can leave its worker under the watermark is
+pushed as a kernel event.
 """
 
 import heapq
@@ -104,10 +112,17 @@ class WorkerState:
     completed: int = 0
     alive: bool = True
     buffer: deque = field(default_factory=deque)
+    # pending acks, (arrival time, kernel sequence number), in that order
+    acks: deque = field(default_factory=deque)
 
-    @property
-    def max_in_flight(self):       # the dispatch buffer
-        return self.capacity * BUFFER_FACTOR
+    def settle(self, now_us, seq):
+        """Apply every pending ack the kernel would have run by the event
+        (now_us, seq): one with an earlier time, or the same time and a
+        sequence number up to seq."""
+        acks, key = self.acks, (now_us, seq)
+        while acks and acks[0] <= key:
+            acks.popleft()
+            self.in_flight -= 1
 
     def free(self):
         return self.capacity * BUFFER_FACTOR - self.in_flight
@@ -275,6 +290,9 @@ class OverlaySim:
         """Greedy bulk dispatch: full bulks to the worker of the master's
         pool with the most free buffer (ties: lowest id); a partial bulk only
         for the tail of the item queue."""
+        now, seq = self.engine.now, self.engine.running_seq
+        for worker in master.workers:
+            worker.settle(now, seq)
         while master.has_items():
             if not master.workers:
                 raise OverlayDrainedError('no live workers for master %d'
@@ -329,17 +347,24 @@ class OverlaySim:
         self.log.add(_DONE, t, item.item_id, t, item.credit)
         self._worker_start(worker)
         self.message_count += 1
-        self.engine.at(t + self.latency_us,
-                       lambda m=master, w=worker: self._master_ack(m, w))
+        # the ack is pending until read; it gets an event of its own only
+        # if it can bring the worker under the watermark, as dispatches
+        # before it arrives only raise the in-flight count
+        acks, engine = worker.acks, self.engine
+        arrival = t + self.latency_us
+        acks.append((arrival, engine.next_seq))
+        if worker.in_flight - len(acks) < worker.capacity:
+            engine.at(arrival,
+                      lambda m=master, w=worker: self._master_ack(m, w))
+        self._check()
 
     def _master_ack(self, master, worker):
         if not worker.alive:
             return
-        worker.in_flight -= 1
-        self._check()
+        worker.settle(self.engine.now, self.engine.running_seq)
         # watermark refill, batched per worker and timestamp so a wave of
         # simultaneous completions triggers one refill at full size
-        if worker.in_flight >= worker.max_in_flight / 2:
+        if worker.in_flight >= worker.capacity:
             return
         wid = worker.worker_id
         if master.has_items() and wid not in self._refill_flagged:
@@ -363,6 +388,7 @@ class OverlaySim:
                 master.workers.remove(worker)
             worker.alive = False
             worker.buffer = deque()
+            worker.acks = deque()
             lost = [iid for iid, (_, wid) in master.in_flight.items()
                     if wid == worker_id]
             for item in master.report_lost(lost):
@@ -379,18 +405,27 @@ class OverlaySim:
         runs out.  Nothing happens at or after the deadline: each item
         with a queued row and no terminal row gets a `lost` row at the
         deadline, as the executors mark their running tasks.  The masters'
-        books are left as they stand, so conservation still holds.  No
-        event is left pending once it returns."""
+        books are left as they stand, so conservation still holds, and
+        each worker has applied the acks that arrived by then.  No event
+        is left pending once it returns or raises."""
         def start():
             for master in self.overlay.masters:
                 if master.has_items():
                     self.dispatch_bulk(master)
         self.engine.at(self.pilot.ready_us, start)
         deadline = self.pilot.deadline_us
-        if self.engine.run(until_us=deadline - 1):
-            for item_id in self.log.open_tasks():
-                self.log.add(_LOST, deadline, item_id)
-        self.engine.close()
+        try:
+            cut = self.engine.run(until_us=deadline - 1)
+            if cut:
+                for item_id in self.log.open_tasks():
+                    self.log.add(_LOST, deadline, item_id)
+        finally:
+            self.engine.close()
+        # a drained run would have run every ack event, a cut run those
+        # up to the cut
+        last = self.engine.now if cut else math.inf
+        for worker in self.overlay.workers:
+            worker.settle(last, math.inf)
         self._check()
         return self.log
 

@@ -1,7 +1,9 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,9 @@ from pilotsim.overlay import (Master, MasterConfig, OverlayDrainedError,
                               lpt_makespan, partition_items, spawn_overlay)
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
 from pilotsim import metrics
+from pilotsim.cli import run_campaign
+from pilotsim.config import parse_config
+from pilotsim.engine import SimEngine
 
 from helpers import ReferenceMaster, replay_slots
 
@@ -247,6 +252,90 @@ def test_log_with_requeued_items_is_unchanged():
     assert sum(r['event'] == 'lost' for r in log.rows) == 3
     assert hashlib.sha256(log.dumps().encode()).hexdigest() == \
         'd1c0bb84db5a7b69c23237f6f905087b6ff428cf0962cb71c8b5c2dbadf83710'
+
+
+def _zero_latency_with_instant_items():
+    """An ack lands at the timestamp of the refill it triggers."""
+    durations = np.random.default_rng(5).choice([0.0, 0.0, 0.5, 1.0], 60)
+    return OverlaySim(_pilot(4, cores=2), MasterConfig(bulk_size=1),
+                      _items(durations))
+
+
+def _bulk_of_a_full_buffer():
+    """bulk_size = 2 x slots: an ack under the watermark refills nothing
+    until the worker's buffer is empty."""
+    durations = np.random.default_rng(6).choice([0.5, 1.0, 2.5], 60)
+    return OverlaySim(_pilot(3, cores=2),
+                      MasterConfig(bulk_size=4, latency=0.01),
+                      _items(durations))
+
+
+def _deaths_at_an_ack():
+    """Three pools of two workers; the first waves' acks land at 2 s.
+    Worker 0's death is pushed before those acks, worker 3's after."""
+    sim = OverlaySim(_pilot(9, cores=2),
+                     MasterConfig(nodes_per_master=3, bulk_size=2,
+                                  latency=0.5),
+                     _items([1.0] * 90))
+    sim.kill_worker(0, at_s=2.0)
+    sim.engine.at(us(1.75), lambda: sim.kill_worker(3, at_s=2.0))
+    return sim
+
+
+def _walltime_between_done_and_ack():
+    """Acks take 1 s: the deadline at 3.6 s falls after the done rows of
+    3.4 s and before their acks, and an item is still running."""
+    return OverlaySim(_pilot(3, cores=2, walltime=3.6),
+                      MasterConfig(bulk_size=2, latency=1.0),
+                      _items([1.4] * 5 + [1.0] * 15))
+
+
+@pytest.mark.parametrize('build, digest, in_flight', [
+    (_zero_latency_with_instant_items,
+     '28ea554269e648fa16b12dcdfa69abfd873d799c70fca25b39485d83d29af2b4',
+     [0, 0, 0]),
+    (_bulk_of_a_full_buffer,
+     'f05a4328ccc3d2da10db0b714390369faa2a91c61245131b79f66c8a4555f163',
+     [0, 0]),
+    (_deaths_at_an_ack,
+     '96324fa6d414a971169bc81dce4b00845c75ab19512778e7229e7c8bb73d1ff3',
+     [0] * 6),
+    (_walltime_between_done_and_ack,
+     '71dd5bf86b88518f7d1b8b97e30fb238ed5c52eca0195578b8a9138d2f5338bd',
+     [2, 2]),
+])
+def test_ack_timing_edge_cases_are_unchanged(build, digest, in_flight):
+    """Logs and worker in-flight counts of overlays where acks meet other
+    events at one timestamp, or the deadline; the sha256 were recorded
+    while every ack was its own kernel event."""
+    sim = build()
+    log = sim.run()
+    assert hashlib.sha256(log.dumps().encode()).hexdigest() == digest
+    assert [w.in_flight for w in sim.overlay.workers] == in_flight
+    assert all(m.conservation_ok() for m in sim.overlay.masters)
+
+
+def test_an_item_costs_about_one_kernel_event(tmp_path, monkeypatch):
+    """The fig5-7 recipe at 2,000 items: each item's completion is an
+    event, and an ack is one only where it can refill its worker, so the
+    kernel is pushed fewer than 1.3 events per item (2.08 when every ack
+    was an event)."""
+    pushed = []
+    at = SimEngine.at
+
+    def counted_at(engine, t_us, fn):
+        pushed.append(t_us)
+        at(engine, t_us, fn)
+
+    monkeypatch.setattr(SimEngine, 'at', counted_at)
+    recipe = Path(__file__).resolve().parent.parent / 'recipes' / \
+        'fig5-7-wf1-rates.yaml'
+    raw = yaml.safe_load(recipe.read_text())
+    raw['workload']['items'] = 2000
+    raw['output']['dir'] = str(tmp_path)
+    summary, _ = run_campaign(parse_config(raw))
+    assert summary['work_done'] == 2000
+    assert len(pushed) < 1.3 * 2000
 
 
 def test_every_master_dispatches_when_one_fills_the_workers():
