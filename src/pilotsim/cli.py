@@ -21,10 +21,10 @@ Log verbosity is controlled by the PILOTSIM_LOG_LEVEL environment variable
 import argparse
 import csv
 import gc
-import json
 import logging
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .config import BACKENDS, FLAVORS, ConfigError, parse_config, read_config
 from .eventlog import EventLog, LogError
@@ -98,6 +98,61 @@ def _run_service(cfg, pilot):
     return service.log, sum(r.credit for r in service.records.values())
 
 
+_SPECIAL_FLOATS = {'nan': 'NaN', 'inf': 'Infinity', '-inf': '-Infinity'}
+
+
+def _json_scalar(value):
+    """The JSON text of a str, None, bool, int or float, as json.dumps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return 'null'
+    if value is True or value is False:
+        return 'true' if value else 'false'
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _SPECIAL_FLOATS.get(text, text)
+    raise TypeError('Object of type %s is not JSON serializable'
+                    % type(value).__name__)
+
+
+def _json_lines(value, out, newline='\n'):
+    """Append json.dumps(value, indent=2, sort_keys=True) to `out`, piece
+    by piece; `newline` starts a line at value's depth.  Plain recursion,
+    where json's indenting encoder builds closures that refer to each
+    other, a reference cycle per call."""
+    if isinstance(value, dict):
+        brackets = '{}'
+        items = [(encode_basestring_ascii(
+            key if isinstance(key, str) else _json_scalar(key)) + ': ', item)
+            for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = '[]'
+        items = [('', item) for item in value]
+    else:
+        out.append(_json_scalar(value))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = newline + '  '
+    sep = brackets[0]
+    for key, item in items:
+        out.append(sep + inner + key)
+        _json_lines(item, out, inner)
+        sep = ','
+    out.append(newline + brackets[1])
+
+
+def json_text(value):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte."""
+    out = []
+    _json_lines(value, out)
+    return ''.join(out)
+
+
 def write_reports(event_log, out_dir, rate_window):
     """Write utilization/overhead/rate reports plus the timeline CSV next
     to the event log; returns the report dict."""
@@ -106,11 +161,11 @@ def write_reports(event_log, out_dir, rate_window):
     rates = rate(event_log, rate_window)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, 'utilization.json'), 'w') as fh:
-        json.dump(util.to_json(), fh, indent=2, sort_keys=True)
+        fh.write(json_text(util.to_json()))
     with open(os.path.join(out_dir, 'overhead.json'), 'w') as fh:
-        json.dump(ovh.to_json(), fh, indent=2, sort_keys=True)
+        fh.write(json_text(ovh.to_json()))
     with open(os.path.join(out_dir, 'rate.json'), 'w') as fh:
-        json.dump(rates.to_json(), fh, indent=2, sort_keys=True)
+        fh.write(json_text(rates.to_json()))
     with open(os.path.join(out_dir, 'timeline.csv'), 'w', newline='') as fh:
         writer = csv.writer(fh)
         writer.writerow(['t_seconds', 'cpu_utilization', 'gpu_utilization'])
@@ -127,10 +182,12 @@ def run_campaign(cfg):
 
     The cyclic collector is off for the campaign and restored to its
     previous state after: no campaign, cut by its walltime or not, sim or
-    real, returning or raising, leaves a reference cycle, so collecting
-    during one would free nothing.  What is alive when the campaign starts
-    (modules, the config) is frozen out of the collector until it ends,
-    so a collection asked for during the campaign scans only what it made.
+    real, returning or raising, leaves a reference cycle of any type (the
+    reports are written by `json_text`, which builds no closures), so
+    collecting during one would free nothing.  What is alive when the
+    campaign starts (modules, the config) is frozen out of the collector
+    until it ends, so a collection asked for during the campaign scans
+    only what it made.
     """
     made = not os.path.isdir(cfg.output_dir)
     try:
@@ -167,7 +224,7 @@ def run_campaign(cfg):
         }
         summary.update(reports)
         with open(os.path.join(cfg.output_dir, 'summary.json'), 'w') as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write(json_text(summary))
         status = 0 if fraction >= cfg.completion_threshold else 1
         if states.get('failed') or states.get('lost'):
             log.warning('run finished with failures: %s', states)
@@ -223,9 +280,8 @@ def _cmd_report(args):
     except OSError as exc:
         print('output error: --out: %s' % exc, file=sys.stderr)
         return 2
-    print(json.dumps({'utilization': reports['utilization'],
-                      'overhead': reports['overhead']},
-                     indent=2, sort_keys=True))
+    print(json_text({'utilization': reports['utilization'],
+                     'overhead': reports['overhead']}))
     return 0
 
 

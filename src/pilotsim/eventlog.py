@@ -10,11 +10,13 @@ of the interned `RowKind` of the row's event name, task presence and extra
 keys, which holds the row's JSON template.  The id is a small int, not the
 RowKind itself, so a row of ints and strs holds no object the cyclic
 garbage collector tracks, and the collector stops visiting it, as it never
-visited the dict rows it replaces.  That format is known only to this
-module: callers append through `EventLog.append`, or on hot paths through
-`EventLog.add` with a kind declared once by `row_kind`, and they read
-through the `EventLog` methods or through `rows`, a view that builds one
-dict per row.
+visited the dict rows it replaces.  The id also indexes `_ENCODERS`: one
+function per kind that encodes its rows, compiled on the kind's first
+`dumps` (so importing, appending and reading compile nothing).  That
+format is known only to this module: callers append through
+`EventLog.append`, or on hot paths through `EventLog.add` with a kind
+declared once by `row_kind`, and they read through the `EventLog` methods
+or through `rows`, a view that builds one dict per row.
 
 The digest holds one fixed-slot list per task (its record; the slots are
 the `QUEUED` ... `STATE` indices below), the `(t, credit)` of every done
@@ -27,7 +29,6 @@ asked for; the metrics read the records themselves.
 import json
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .tasks import STATES as TASK_EVENTS, TERMINAL
 
@@ -88,14 +89,37 @@ class LogError(Exception):
         self.row = row
 
 
+def _compile_encoder(template, order):
+    """encode(row): `template` % the row's values at tuple indices `order`,
+    a value of type exactly int through %s (int.__repr__), of type exactly
+    str through encode_basestring_ascii, and any other (a bool, an int or
+    str subclass, a float, None, a list) through the JSON encoder, so the
+    line is json.dumps's byte for byte.  Compiled from generated
+    source, as namedtuple does; the source holds only tuple indices and
+    local names, and the template is a bound constant, so no key or event
+    text of a log is ever compiled."""
+    names = ['v%d' % i for i in range(len(order))]
+    source = ''.join(
+        ['def make(T, esc, enc):\n def encode(row):\n']
+        + ['  %s = row[%d]\n' % (v, i) for v, i in zip(names, order)]
+        + ['  return T %% (%s,)\n return encode\n' % ', '.join(
+            '{0} if type({0}) is int else esc({0}) if type({0}) is str '
+            'else enc({0})'.format(v) for v in names)])
+    namespace = {}
+    exec(source, namespace)
+    return namespace.pop('make')(template, encode_basestring_ascii, _encode)
+
+
 class RowKind:
     """The shape of a row: event name, whether it names a task, and its
     extra keys in tuple order.  Holds the row's JSON template, keys sorted
-    and the event built in, and the tuple position of every value.  Build
-    one with `row_kind`, which interns it."""
+    and the event built in, the tuple position of every value, and `order`,
+    the tuple index of each template slot, which its encoder reads.  Build
+    one with `row_kind`, which interns it and enters `_first_encode` as its
+    encoder until the first row of it is encoded."""
 
     __slots__ = ('id', 'event', 'has_task', 'keys', 'pos', 'template',
-                 'values')
+                 'order')
 
     def __init__(self, kind_id, event, has_task, keys):
         pos = {'t': 1, 'task': 2} if has_task else {'t': 1}
@@ -118,9 +142,14 @@ class RowKind:
         self.keys = keys
         self.pos = pos                      # key -> tuple index
         self.template = '{%s}' % ','.join(parts)
-        # the row's values in template (sorted key) order, as a tuple
-        self.values = itemgetter(*order) if len(order) > 1 \
-            else lambda row, i=order[0]: (row[i],)
+        self.order = tuple(order)           # tuple index of each %s
+
+    def _first_encode(self, row):
+        """Compile this kind's encoder, put it in its place in _ENCODERS
+        and encode `row` with it."""
+        encode = _ENCODERS[self.id] = _compile_encoder(self.template,
+                                                       self.order)
+        return encode(row)
 
     def as_dict(self, row):
         out = {'t': row[1], 'event': self.event}
@@ -132,6 +161,7 @@ class RowKind:
 
 _KINDS = {}         # (event, task, keys) -> RowKind
 _KIND_TABLE = []    # RowKind by id
+_ENCODERS = []      # encode(row) by kind id, compiled on first use
 
 
 def row_kind(event, *keys, task=True):
@@ -143,6 +173,7 @@ def row_kind(event, *keys, task=True):
         kind = RowKind(len(_KIND_TABLE), event, task, keys)
         _KINDS[ident] = kind
         _KIND_TABLE.append(kind)
+        _ENCODERS.append(kind._first_encode)
     return kind
 
 
@@ -310,18 +341,10 @@ class EventLog:
 
     def dumps(self, start=0, stop=None):
         """Rows [start:stop] as JSON lines, each byte for byte a
-        json.dumps(row, sort_keys=True, separators=(',', ':')) of its dict.
-        A str value goes through encode_basestring_ascii, an int (not a
-        bool) through %s, which is int.__repr__, and any other value
-        through the JSON encoder."""
-        esc, enc, kinds = encode_basestring_ascii, _encode, _KIND_TABLE
-        lines = []
-        line = lines.append
-        for row in self._rows[start:stop]:
-            kind = kinds[row[0]]
-            line(kind.template % tuple([
-                v if type(v) is int else esc(v) if type(v) is str else enc(v)
-                for v in kind.values(row)]))
+        json.dumps(row, sort_keys=True, separators=(',', ':')) of its dict:
+        each row through its kind's compiled encoder."""
+        encoders = _ENCODERS
+        lines = [encoders[row[0]](row) for row in self._rows[start:stop]]
         return '\n'.join(lines) + '\n' if lines else ''
 
     def write(self, path):

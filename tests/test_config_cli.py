@@ -3,8 +3,10 @@ import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pilotsim.cli import main, run_campaign
+from pilotsim.cli import json_text, main, run_campaign
 from pilotsim.config import ConfigError, parse_config, read_config
 from pilotsim.eventlog import EventLog
 
@@ -394,3 +396,39 @@ def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
     assert summary['utilization']['combined_utilization'] <= 1.0
     log = EventLog.read(str(tmp_path / 'out' / 'events.jsonl'))
     assert replay_slots(log) == 625
+
+
+# report-shaped values: str-keyed dicts, lists and tuples, empty or not,
+# over floats (NaN and the infinities too), ints, bools, None and strs that
+# need escaping
+_report_leaves = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(),
+    st.text(), st.sampled_from(['', '"', '\\', '\n', '\u00e9', '\U0001f600']))
+_report_values = st.recursive(
+    _report_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=5), inner,
+                                            max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values)
+def test_json_text_equals_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize('value', [
+    {1: 'a', 10: 'b', -2: 'c'}, {0.5: 1, float('inf'): 2, float('nan'): 3},
+    {True: [], False: {}}, {None: ()}, {'k': {2: [1.0, -0.0, 1e300]}}])
+def test_json_text_converts_scalar_keys_as_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for value in ({'a': object()}, [{1, 2}], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(value)

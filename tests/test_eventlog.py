@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -40,11 +44,32 @@ def test_dumps_is_deterministic_bytes():
     assert a.dumps() == b.dumps()
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+class _Name(str):
+    pass
+
+
+# values that are neither exactly an int nor exactly a str, so an encoder
+# sends them to the JSON encoder: an IntEnum member, a str subclass, the
+# infinities and nested tuples
+_odd = st.one_of(
+    st.sampled_from([_Level.LOW, _Level.HIGH, float('inf'), float('-inf')]),
+    st.text(max_size=3).map(_Name),
+    st.recursive(st.one_of(st.integers(), st.text(max_size=2)),
+                 lambda inner: st.lists(inner, max_size=3).map(tuple),
+                 max_leaves=6))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.dictionaries(
     st.text(max_size=4),
     st.one_of(st.text(), st.integers(), st.floats(allow_nan=False),
-              st.booleans(), st.none(), st.lists(st.integers(), max_size=3)),
+              st.booleans(), st.none(), st.lists(st.integers(), max_size=3),
+              _odd),
     max_size=4), max_size=6))
 def test_dumps_equals_one_json_dumps_per_row(extras):
     """Any value, including strings holding newlines or braces, serializes
@@ -57,14 +82,18 @@ def test_dumps_equals_one_json_dumps_per_row(extras):
         for r in log.rows)
 
 
-# strings that a %-template or a JSON encoder could get wrong
+# strings that a %-template, a JSON encoder or an encoder compiled from
+# generated source could get wrong: Python source, and the names the
+# generated source uses
 _tricky = st.sampled_from(['%', '%s', '%%d', '"', 'a"b', '\\', '\n', 'x\ny',
-                           '\u00e9', '\u6f22', '\U0001f600', '%(t)s'])
+                           '\u00e9', '\u6f22', '\U0001f600', '%(t)s',
+                           "x'); import os; ('", 'T', 'row', 'v0'])
 _keys = st.one_of(_tricky, st.text(max_size=4)).filter(
     lambda k: k not in ('t', 'event', 'task'))
 _values = st.one_of(_tricky, st.text(), st.integers(),
                     st.floats(allow_nan=False), st.booleans(), st.none(),
-                    st.lists(st.one_of(st.integers(), _tricky), max_size=3))
+                    st.lists(st.one_of(st.integers(), _tricky), max_size=3),
+                    _odd)
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,6 +125,48 @@ def test_appended_rows_dump_as_one_json_dumps_per_row(steps):
     assert log.rows == expected
     assert [log.rows[i] for i in range(len(log.rows))] == expected
     assert log.rows[1:] == expected[1:]
+
+
+def _stub(kind):
+    """Whether `kind`'s encoder is still the one that compiles it."""
+    return eventlog._ENCODERS[kind.id] == kind._first_encode
+
+
+def test_a_kind_compiled_after_its_rows_were_appended_encodes_them(tmp_path):
+    kind = row_kind('late-kind', 'v0', 'row', 'T')
+    log = EventLog()
+    log.add(kind, 1, 'a', 7, 'x', _Level.HIGH)
+    log.append(2, 'late-kind', task='b', v0=True, row=None, T=(1, 'y'))
+    path = tmp_path / 'events.jsonl'
+    path.write_text('{"T":3,"event":"late-read","t":4}\n')
+    read = EventLog.read(path)
+    assert _stub(kind) and _stub(row_kind('late-read', 'T', task=False))
+    expected = [{'t': 1, 'event': 'late-kind', 'task': 'a', 'v0': 7,
+                 'row': 'x', 'T': _Level.HIGH},
+                {'t': 2, 'event': 'late-kind', 'task': 'b', 'v0': True,
+                 'row': None, 'T': (1, 'y')}]
+    assert log.dumps() == ''.join(
+        json.dumps(r, sort_keys=True, separators=(',', ':')) + '\n'
+        for r in expected)
+    assert not _stub(kind)
+    log.add(kind, 3, 'c', -1, _Name('n'), float('inf'))
+    assert log.dumps(2) == '{"T":Infinity,"event":"late-kind","row":"n",' \
+        '"t":3,"task":"c","v0":-1}\n'
+    assert read.dumps() == path.read_text()
+
+
+def test_importing_the_package_compiles_no_encoder():
+    """In a fresh interpreter, every kind declared at import keeps the
+    encoder that compiles it."""
+    probe = ('import pilotsim.cli, pilotsim.eventlog as e; '
+             'print(len(e._KIND_TABLE), all(f == k._first_encode '
+             'for f, k in zip(e._ENCODERS, e._KIND_TABLE)))')
+    src = os.path.dirname(os.path.dirname(eventlog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, '-c', probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    count, stubs = out.split()
+    assert int(count) > 0 and stubs == 'True'
 
 
 def test_write_encodes_in_chunks(tmp_path, monkeypatch):
