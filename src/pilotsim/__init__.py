@@ -11,7 +11,7 @@ from .resources import (NODE_PRESETS, FieldError, NodeSpec, NodeState, Pilot,
                         acquire, secs, us)
 from .tasks import TaskDescription, TaskRecord
 from .scheduler import (SchedulerConfig, TaskQueue, UnschedulableError,
-                        check_feasible, schedule, schedule_noop)
+                        check_feasible, schedule)
 from .workloads import (DurationModel, WorkloadPreset, clipped_lognormal_mean,
                         make_preset, preset_names)
 from .eventlog import EventLog, LogError, state_sequence

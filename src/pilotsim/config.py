@@ -182,9 +182,8 @@ def parse_config(raw):
         _section(raw_plan, 'pilot.partitions', PartitionPlan)
     pilot = _section(raw_pilot, 'pilot', PilotDescription,
                      skip=('partitions',), resource=resource)
-    # colocation is library-only: no template or preset tags a task
     scheduler = _section(_get(raw, 'scheduler', '', dict, default={}),
-                         'scheduler', SchedulerConfig, colocation={})
+                         'scheduler', SchedulerConfig)
 
     backend = _get(raw, 'backend', '', str, default='direct')
     if backend not in BACKENDS:

@@ -33,7 +33,7 @@ import numpy as np
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
 from .resources import FieldError, check_range, us
-from .scheduler import SchedulerConfig, TaskQueue, schedule, schedule_noop
+from .scheduler import SchedulerConfig, TaskQueue, schedule
 from .tasks import TERMINAL, TaskRecord
 
 
@@ -109,7 +109,6 @@ class _NodeGroup:
         self.alive = True
         self.queue = TaskQueue(sched_cfg)   # scheduling descriptions
         self.waiting = {}    # task id -> record, for each pending one
-        self.tag_bindings = {}
         self.assigned = 0    # admission count (partition capacity cap)
         self.launched = 0    # stability-limit accounting
 
@@ -298,12 +297,7 @@ class ExecutionService:
         if not group.queue:
             return
         now = self.engine.now
-        if self.sched_cfg.algorithm == 'noop':
-            for desc in schedule_noop(group.queue, self.sched_cfg):
-                self._to_lane(group.waiting.pop(desc.task_id), group)
-            return
-        placements, _ = schedule(group.queue, group.nodes, self.sched_cfg,
-                                 tag_bindings=group.tag_bindings)
+        placements, _ = schedule(group.queue, group.nodes, self.sched_cfg)
         group.queue.pop_placed()
         for task_id, placement in placements:
             rec = group.waiting.pop(task_id)

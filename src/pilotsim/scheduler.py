@@ -1,39 +1,35 @@
-"""Continuous and noop scheduling over slot-level node state.
+"""Continuous scheduling over slot-level node state.
 
 The continuous algorithm maps task descriptions to concrete slot placements:
 large tasks first (optionally), first-fit by ascending node id, lowest slot
-ids, with colocation tags and one reserved CPU core per requested GPU.  The
-noop algorithm forwards tasks untouched, tracking lifecycle only.
-
-Neither ever mutates the node states it is given, so both are safe to call
-from tests without any runtime.
+ids, with one reserved CPU core per requested GPU.  It never mutates the
+node states it is given, so it is safe to call from tests without any
+runtime.
 
 Queued tasks wait in a `TaskQueue`, which a node group keeps across passes.
 It files each task under its priority key, and within a key in one FIFO per
-memo: the shape (cores per rank, ranks, GPUs) and, under a colocation
-policy, the tag.  Every task carries its arrival number.  A pass walks the
-keys in order and, within a key, merges the heads of its FIFOs by arrival,
-which is the order a pass over the whole queue would try them in.  It drops
-a FIFO at its first failure, and this is exact: within a pass the free
-slots only shrink, and colocation state only narrows (a same-node tag gets
-bound, a different-node tag uses up nodes).  Whether a task fits depends
-only on its memo, so once a memo's head fails, every later task of that
-memo fails too.  Every task needs at least one free core or GPU, so once
-none is left the pass stops.  A pass therefore costs O(placed + memos), not
-O(queued).
+shape (cores per rank, ranks, GPUs).  Every task carries its arrival
+number.  A pass walks the keys in order and, within a key, merges the heads
+of its FIFOs by arrival, which is the order a pass over the whole queue
+would try them in.  It drops a FIFO at its first failure, and this is
+exact: within a pass the free slots only shrink, and whether a task fits
+depends only on its shape, so once a shape's head fails, every later task
+of that shape fails too.  Every task needs at least one free core or GPU,
+so once none is left the pass stops.  A pass therefore costs O(placed +
+shapes), not O(queued).
 
 Feasibility depends only on the shape and the group's nodes, so it is
-checked once per shape, at the first pass that sees it, in the order the
-shapes first arrived: the first infeasible task in arrival order is the
-one named.  `schedule` on a plain list builds a transient `TaskQueue`, so
-there is one scheduling code path.
+checked once per shape, at the first pass that sees it, on the first task
+of its FIFO, in the order the shapes first arrived: the first infeasible
+task in arrival order is the one named.  `schedule` on a plain list builds
+a transient `TaskQueue`, so there is one scheduling code path.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace, merge
 
-from .resources import FieldError, Placement
+from .resources import Placement
 from .tasks import TaskDescription
 
 
@@ -44,19 +40,7 @@ class UnschedulableError(Exception):
 
 @dataclass
 class SchedulerConfig:
-    algorithm: str = 'continuous'           # continuous | noop
     prioritize_large: bool = True
-    colocation: dict = field(default_factory=dict)  # tag -> policy
-
-    def __post_init__(self):
-        if self.algorithm not in ('continuous', 'noop'):
-            raise FieldError('algorithm', 'must be continuous or noop, not %r'
-                             % self.algorithm)
-        for tag, policy in self.colocation.items():
-            if policy not in ('same-node', 'different-node', 'none'):
-                raise FieldError('colocation', 'policy %r of tag %r must be '
-                                 'same-node, different-node or none'
-                                 % (policy, tag))
 
 
 class _FreeView:
@@ -111,14 +95,10 @@ def check_feasible(task, nodes, capacity=None):
             'rank of task %s exceeds single-node capacity' % task.task_id)
 
 
-def _fit_single_node(task, view, allowed=None, forbidden=()):
+def _fit_single_node(task, view):
     """First free node (ascending id) with room for a non-MPI task."""
     need_cores = task.effective_cores
     for node_id in view.node_ids:
-        if allowed is not None and node_id not in allowed:
-            continue
-        if node_id in forbidden:
-            continue
         if len(view.free_cores[node_id]) >= need_cores and \
                 len(view.free_gpus[node_id]) >= task.gpus:
             cores, gpus = view.take(node_id, need_cores, task.gpus)
@@ -126,15 +106,13 @@ def _fit_single_node(task, view, allowed=None, forbidden=()):
     return None
 
 
-def _fit_mpi(task, view, forbidden=()):
+def _fit_mpi(task, view):
     """Pack ranks densely: fill a node before spilling to the next."""
     remaining_ranks = task.ranks
     remaining_gpus = task.gpus
     chosen = []
     taken = []  # (node_id, n_cores, n_gpus) to commit on success
     for node_id in view.node_ids:
-        if node_id in forbidden:
-            continue
         cores_here = len(view.free_cores[node_id])
         ranks_here = (cores_here // task.cpu_cores_per_rank
                       if task.cpu_cores_per_rank else remaining_ranks)
@@ -155,36 +133,13 @@ def _fit_mpi(task, view, forbidden=()):
     return tuple(chosen)
 
 
-def _try_place(task, policy, view, tag_bindings):
-    if policy == 'same-node':
-        bound = tag_bindings.get(task.tag)
-        allowed = {bound} if bound is not None else None
-        slots = _fit_single_node(task, view, allowed=allowed)
-        if slots and bound is None:
-            tag_bindings[task.tag] = slots[0][0]
-        return slots
-    if policy == 'different-node':
-        used = tag_bindings.setdefault((task.tag, 'used'), set())
-        if task.is_mpi:
-            slots = _fit_mpi(task, view, forbidden=used)
-        else:
-            slots = _fit_single_node(task, view, forbidden=used)
-        if slots:
-            used.update(nid for nid, _, _ in slots)
-        return slots
-    if task.is_mpi:
-        return _fit_mpi(task, view)
-    return _fit_single_node(task, view)
-
-
 class _Fifo:
-    """The queued tasks of one memo, oldest first, as (arrival, task)."""
+    """The queued tasks of one shape, oldest first, as (arrival, task)."""
 
-    __slots__ = ('memo', 'policy', 'key', 'items', 'placed')
+    __slots__ = ('shape', 'key', 'items', 'placed')
 
-    def __init__(self, memo, policy):
-        self.memo = memo
-        self.policy = policy
+    def __init__(self, shape):
+        self.shape = shape
         self.key = None     # priority key, once the shape is checked
         self.items = deque()
         self.placed = 0     # head tasks the last pass placed
@@ -205,9 +160,9 @@ class TaskQueue:
         self._cfg = cfg
         self._arrivals = 0
         self._len = 0
-        self._fifos = {}        # memo -> its FIFO, never empty
+        self._fifos = {}        # shape -> its FIFO, never empty
         self._keys = {}         # shape -> priority key, once checked
-        self._unchecked = {}    # shape -> (first task, FIFOs), first seen first
+        self._unchecked = deque()   # FIFOs of unchecked shapes, first seen first
         self._by_key = {}       # priority key -> its FIFOs
         self._placed = []       # FIFOs the last pass placed from
 
@@ -220,16 +175,13 @@ class TaskQueue:
                 merge(*(f.items for f in self._fifos.values())))
 
     def push(self, task):
-        tag = task.tag
-        policy = self._cfg.colocation.get(tag, 'none') if tag else 'none'
         shape = (task.cpu_cores_per_rank, task.ranks, task.gpus)
-        memo = shape + (None if policy == 'none' else tag,)
-        fifo = self._fifos.get(memo)
+        fifo = self._fifos.get(shape)
         if fifo is None:
-            fifo = self._fifos[memo] = _Fifo(memo, policy)
+            fifo = self._fifos[shape] = _Fifo(shape)
             key = self._keys.get(shape)
             if key is None:
-                self._unchecked.setdefault(shape, (task, []))[1].append(fifo)
+                self._unchecked.append(fifo)
             else:
                 self._file(fifo, key)
         fifo.items.append((self._arrivals, task))
@@ -251,19 +203,20 @@ class TaskQueue:
         self._by_key.setdefault(key, []).append(fifo)
 
     def _check_shapes(self, nodes):
-        """Check each new shape on its first task, in arrival order, and
-        file its FIFOs under its priority key."""
+        """Check each new shape on the first task of its FIFO, in arrival
+        order, and file the FIFO under its priority key."""
         capacity = _capacity(nodes)
         weight = gpu_weight_for(nodes[0].spec)
-        for shape, (task, fifos) in list(self._unchecked.items()):
+        while self._unchecked:
+            fifo = self._unchecked[0]
+            task = fifo.items[0][1]
             check_feasible(task, nodes, capacity)
-            key = self._keys[shape] = -task.priority_hint(weight) \
+            key = self._keys[fifo.shape] = -task.priority_hint(weight) \
                 if self._cfg.prioritize_large else 0
-            del self._unchecked[shape]
-            for fifo in fifos:
-                self._file(fifo, key)
+            self._unchecked.popleft()
+            self._file(fifo, key)
 
-    def place(self, nodes, tag_bindings):
+    def place(self, nodes):
         """One pass: place as many queued tasks as fit in the free slots of
         `nodes`, largest key first and by arrival within a key.  Returns
         the placements as (task_id, Placement), in the order tried."""
@@ -283,9 +236,10 @@ class TaskQueue:
                 if not view.free_slots:
                     return placements
                 _, task, fifo, rest = heads[0]
-                slots = _try_place(task, fifo.policy, view, tag_bindings)
+                slots = _fit_mpi(task, view) if task.is_mpi else \
+                    _fit_single_node(task, view)
                 if slots is None:
-                    heappop(heads)      # the memo's later tasks fail too
+                    heappop(heads)      # the shape's later tasks fail too
                     continue
                 placements.append((task.task_id, Placement(
                     task_id=task.task_id, node_slots=slots)))
@@ -308,7 +262,7 @@ class TaskQueue:
             self._len -= fifo.placed
             fifo.placed = 0
             if not fifo.items:
-                del self._fifos[fifo.memo]
+                del self._fifos[fifo.shape]
                 fifos = self._by_key[fifo.key]
                 fifos.remove(fifo)
                 if not fifos:
@@ -316,7 +270,7 @@ class TaskQueue:
         self._placed.clear()
 
 
-def schedule(queue, nodes, cfg, tag_bindings=None):
+def schedule(queue, nodes, cfg):
     """Place as many queued tasks as currently fit.
 
     `queue` is a TaskQueue or a list of tasks in arrival order.  Returns
@@ -326,36 +280,13 @@ def schedule(queue, nodes, cfg, tag_bindings=None):
     still in it until `pop_placed`.  With prioritize_large on, tasks are
     tried largest-first by priority hint (GPUs weighted at their fair core
     share); a task that does not fit is skipped, never blocking smaller
-    placeable ones.
+    placeable ones.  Each task goes to the first nodes that fit it.
     """
-    if cfg.algorithm == 'noop':
-        raise ValueError('noop scheduling goes through schedule_noop')
-    if tag_bindings is None:
-        tag_bindings = {}
     if isinstance(queue, TaskQueue):
-        return queue.place(nodes, tag_bindings), queue
+        return queue.place(nodes), queue
     transient = TaskQueue(cfg)
     for task in queue:
         transient.push(task)
-    placements = transient.place(nodes, tag_bindings)
+    placements = transient.place(nodes)
     transient.pop_placed()
     return placements, list(transient)
-
-
-def schedule_noop(queue, cfg):
-    """Forward tasks in arrival order with no slot accounting; a TaskQueue
-    is drained."""
-    if isinstance(queue, TaskQueue):
-        return queue.drain()
-    return list(queue)
-
-
-def place_colocated(tasks, nodes, cfg, tag_bindings=None):
-    """Schedule a batch of tagged tasks honoring their colocation policy;
-    unsatisfiable tasks stay queued (transient requeue)."""
-    for task in tasks:
-        if task.tag is None:
-            raise ValueError('task %s carries no colocation tag' % task.task_id)
-        if task.tag not in cfg.colocation:
-            raise ValueError('no policy defined for tag %r' % task.tag)
-    return schedule(tasks, nodes, cfg, tag_bindings=tag_bindings)

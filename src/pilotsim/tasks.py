@@ -3,6 +3,8 @@ the time it entered it; a task's timeline is kept only in the event log."""
 
 from dataclasses import dataclass
 
+from .resources import FieldError
+
 # Lifecycle order; every record walks a prefix of this list and ends in
 # exactly one terminal state.
 STATES = ('queued', 'scheduled', 'launching', 'running',
@@ -16,10 +18,15 @@ class TaskDescription:
     cpu_cores_per_rank: int = 1
     ranks: int = 1                  # MPI width; 1 for non-MPI
     gpus: int = 0
-    tag: str = None                 # colocation key
     payload: float = None           # duration in seconds
 
     def __post_init__(self):
+        if not (type(self.cpu_cores_per_rank) is type(self.ranks) is
+                type(self.gpus) is int):    # a bool is no count
+            for name in ('cpu_cores_per_rank', 'ranks', 'gpus'):
+                value = getattr(self, name)
+                if type(value) is not int:
+                    raise FieldError(name, 'must be an int, not %r' % (value,))
         if self.ranks < 1:
             raise ValueError('ranks must be >= 1')
         if self.cpu_cores_per_rank < 0 or self.gpus < 0:

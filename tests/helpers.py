@@ -147,10 +147,8 @@ def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
 
 # ----------------------------------------------------------------------
 # The continuous scheduler as it was before the per-pass failure memo and
-# early stop, kept verbatim apart from its names (prefixed `_ref`) and
-# docstrings.  It is the oracle for colocation-tagged queues, which
-# `oracle_schedule` does not model, and it tries every queued task on
-# every pass.
+# the early stop: it tries every queued task on every pass.  It is the
+# reference for the pass-by-pass `TaskQueue` property.
 
 class _RefFreeView:
     def __init__(self, nodes):
@@ -166,13 +164,9 @@ class _RefFreeView:
         return cores, gpus
 
 
-def _ref_fit_single_node(task, view, allowed=None, forbidden=()):
+def _ref_fit_single_node(task, view):
     need_cores = task.effective_cores
     for node_id in sorted(view.free_cores):
-        if allowed is not None and node_id not in allowed:
-            continue
-        if node_id in forbidden:
-            continue
         if len(view.free_cores[node_id]) >= need_cores and \
                 len(view.free_gpus[node_id]) >= task.gpus:
             cores, gpus = view.take(node_id, need_cores, task.gpus)
@@ -180,14 +174,12 @@ def _ref_fit_single_node(task, view, allowed=None, forbidden=()):
     return None
 
 
-def _ref_fit_mpi(task, view, forbidden=()):
+def _ref_fit_mpi(task, view):
     remaining_ranks = task.ranks
     remaining_gpus = task.gpus
     chosen = []
     taken = []  # (node_id, n_cores, n_gpus) to commit on success
     for node_id in sorted(view.free_cores):
-        if node_id in forbidden:
-            continue
         cores_here = len(view.free_cores[node_id])
         ranks_here = (cores_here // task.cpu_cores_per_rank
                       if task.cpu_cores_per_rank else remaining_ranks)
@@ -208,34 +200,7 @@ def _ref_fit_mpi(task, view, forbidden=()):
     return tuple(chosen)
 
 
-def _ref_try_place(task, view, cfg, tag_bindings):
-    policy = cfg.colocation.get(task.tag, 'none') if task.tag else 'none'
-    if policy == 'same-node':
-        bound = tag_bindings.get(task.tag)
-        allowed = {bound} if bound is not None else None
-        slots = _ref_fit_single_node(task, view, allowed=allowed)
-        if slots and bound is None:
-            tag_bindings[task.tag] = slots[0][0]
-        return slots
-    if policy == 'different-node':
-        used = tag_bindings.setdefault((task.tag, 'used'), set())
-        if task.is_mpi:
-            slots = _ref_fit_mpi(task, view, forbidden=used)
-        else:
-            slots = _ref_fit_single_node(task, view, forbidden=used)
-        if slots:
-            used.update(nid for nid, _, _ in slots)
-        return slots
-    if task.is_mpi:
-        return _ref_fit_mpi(task, view)
-    return _ref_fit_single_node(task, view)
-
-
-def reference_schedule(queue, nodes, cfg, tag_bindings=None):
-    if cfg.algorithm == 'noop':
-        raise ValueError('noop scheduling goes through schedule_noop')
-    if tag_bindings is None:
-        tag_bindings = {}
+def reference_schedule(queue, nodes, cfg):
     for task in queue:
         check_feasible(task, nodes)
 
@@ -247,7 +212,10 @@ def reference_schedule(queue, nodes, cfg, tag_bindings=None):
     view = _RefFreeView(nodes)
     placed = {}
     for task in order:
-        slots = _ref_try_place(task, view, cfg, tag_bindings)
+        if task.is_mpi:
+            slots = _ref_fit_mpi(task, view)
+        else:
+            slots = _ref_fit_single_node(task, view)
         if slots is not None:
             placed[task.task_id] = Placement(task_id=task.task_id,
                                              node_slots=slots)

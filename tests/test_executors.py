@@ -197,16 +197,6 @@ def test_bulk_backend_paces_admissions():
     assert admits[-1] - admits[0] == us(4.9)   # 50 admissions at 10/s
 
 
-def test_noop_scheduler_skips_slot_accounting():
-    svc = ExecutionService(_pilot(), SchedulerConfig(algorithm='noop'))
-    records = _tasks(10, duration=1.0)
-    svc.submit(records)
-    svc.run()
-    assert all(r.state == 'done' for r in records)
-    assert all(r.placement is None for r in records)
-    assert not any('placement' in row for row in svc.log.rows)
-
-
 def test_seeded_runs_are_byte_identical():
     def run_once():
         svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
@@ -337,14 +327,17 @@ def test_a_pass_reads_only_what_it_places(tmp_path, monkeypatch):
         passes.append((len(read), len(placements)))
         return placements, remaining
 
-    def counted_try(*args):
-        tries.append(None)
-        return try_place(*args)
+    def counted(fit):
+        def counted_fit(*args):
+            tries.append(None)
+            return fit(*args)
+        return counted_fit
 
-    schedule, try_place = executors.schedule, scheduler._try_place
+    schedule = executors.schedule
     monkeypatch.setattr(cli, 'TaskDescription', Watched)
     monkeypatch.setattr(executors, 'schedule', watched_schedule)
-    monkeypatch.setattr(scheduler, '_try_place', counted_try)
+    for name in ('_fit_single_node', '_fit_mpi'):
+        monkeypatch.setattr(scheduler, name, counted(getattr(scheduler, name)))
     recipe = Path(__file__).resolve().parent.parent / 'recipes' / \
         'fig14-partitioned.yaml'
     raw = yaml.safe_load(recipe.read_text())
@@ -354,5 +347,5 @@ def test_a_pass_reads_only_what_it_places(tmp_path, monkeypatch):
     placed = sum(n for _, n in passes)
     assert placed == 2000
     bound = placed + len(passes) * 1    # every task has one shape
-    assert len(tries) <= bound
+    assert placed <= len(tries) <= bound
     assert sum(n for n, _ in passes) <= bound

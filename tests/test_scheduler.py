@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from pilotsim.resources import NodeSpec, NodeState, Placement, ResourceSpec
 from pilotsim.scheduler import (SchedulerConfig, TaskQueue,
                                 UnschedulableError, check_feasible,
-                                gpu_weight_for, place_colocated, schedule,
-                                schedule_noop)
+                                gpu_weight_for, schedule)
 from pilotsim.tasks import TaskDescription
 
 from helpers import oracle_schedule, reference_schedule
@@ -58,6 +57,17 @@ def test_infeasible_task_raises():
         schedule([too_many_gpus], nodes, SchedulerConfig())
 
 
+@pytest.mark.parametrize('name, value', [
+    ('cpu_cores_per_rank', 1.5), ('ranks', 2.0), ('gpus', 1.0),
+    ('ranks', True), ('gpus', False), ('cpu_cores_per_rank', '2')])
+def test_task_shape_must_be_ints(name, value):
+    """A fractional, bool or string count is refused by the description,
+    naming its field, instead of failing inside the first scheduling
+    pass or being taken as 0 or 1."""
+    with pytest.raises(ValueError, match='^%s must be an int' % name):
+        TaskDescription(task_id='t', **{name: value})
+
+
 def test_transient_full_keeps_task_queued():
     nodes = _nodes(1, 4)
     first = TaskDescription(task_id='a', cpu_cores_per_rank=3)
@@ -76,52 +86,6 @@ def test_mpi_dense_packing_spills_nodes():
     pl = placements[0][1]
     per_node = {nid: len(cores) for nid, cores, _ in pl.node_slots}
     assert per_node == {0: 4, 1: 4, 2: 2}
-
-
-def test_colocation_same_node_binds_tag():
-    nodes = _nodes(2, 4)
-    cfg = SchedulerConfig(colocation={'grp': 'same-node'})
-    tasks = [TaskDescription(task_id='t%d' % i, cpu_cores_per_rank=2,
-                             tag='grp') for i in range(3)]
-    bindings = {}
-    placements, remaining = place_colocated(tasks[:2], nodes, cfg,
-                                            tag_bindings=bindings)
-    assert len(placements) == 2
-    assert {pl.node_ids[0] for _, pl in placements} == {bindings['grp']}
-    for _, pl in placements:
-        nodes[pl.node_ids[0]].occupy(pl)
-    # bound node is now full; the third stays queued even though the other
-    # node has room
-    placements, remaining = place_colocated([tasks[2]], nodes, cfg,
-                                            tag_bindings=bindings)
-    assert not placements and len(remaining) == 1
-
-
-def test_colocation_different_node_spreads():
-    nodes = _nodes(3, 4)
-    cfg = SchedulerConfig(colocation={'spread': 'different-node'})
-    tasks = [TaskDescription(task_id='t%d' % i, cpu_cores_per_rank=1,
-                             tag='spread') for i in range(3)]
-    placements, remaining = place_colocated(tasks, nodes, cfg)
-    assert not remaining
-    used = [pl.node_ids[0] for _, pl in placements]
-    assert len(set(used)) == 3
-
-
-def test_noop_passes_through_without_node_reads(monkeypatch):
-    """The noop algorithm must never consult slot state."""
-    reads = {'n': 0}
-
-    def counting(self):
-        reads['n'] += 1
-        return list(range(self.spec.usable_cpu_cores))
-
-    monkeypatch.setattr(NodeState, 'free_core_ids', counting)
-    monkeypatch.setattr(NodeState, 'free_gpu_ids', counting)
-    tasks = [TaskDescription(task_id='t%d' % i) for i in range(5)]
-    out = schedule_noop(tasks, SchedulerConfig(algorithm='noop'))
-    assert out == tasks
-    assert reads['n'] == 0
 
 
 def _random_instance(rng):
@@ -199,13 +163,11 @@ def _busy_instances(draw):
     shapes = [(cpr, ranks, n_gpus) for cpr, n_gpus in pairs
               for ranks in draw(st.sets(st.integers(1, 4), min_size=1,
                                         max_size=3))]
-    tags = draw(st.sampled_from([[None], [None, 'same', 'spread', 'free']]))
     tasks = []
-    for i, (tag, (cpr, ranks, n_gpus)) in enumerate(draw(st.lists(
-            st.tuples(st.sampled_from(tags), st.sampled_from(shapes)),
-            min_size=1, max_size=14))):
+    for i, (cpr, ranks, n_gpus) in enumerate(draw(st.lists(
+            st.sampled_from(shapes), min_size=1, max_size=14))):
         task = TaskDescription(task_id='t%02d' % i, cpu_cores_per_rank=cpr,
-                               ranks=ranks, gpus=n_gpus, tag=tag)
+                               ranks=ranks, gpus=n_gpus)
         try:
             check_feasible(task, nodes)
         except UnschedulableError:
@@ -214,38 +176,20 @@ def _busy_instances(draw):
     return nodes, tasks, draw(st.booleans())
 
 
-_POLICIES = {'same': 'same-node', 'spread': 'different-node', 'free': 'none'}
-
-
-def _nonempty_bindings(bindings):
-    return {k: v for k, v in bindings.items() if v != set()}
-
-
 @settings(max_examples=400, deadline=None)
 @given(_busy_instances())
 def test_memo_and_early_stop_keep_every_placement(instance):
-    """One pass places what trying every task would: untagged queues
-    against the enumeration oracle, tagged ones against the scheduler
-    kept verbatim from before the memo and the early stop."""
+    """One pass places what trying every task would, by the enumeration
+    oracle."""
     nodes, tasks, prioritize = instance
-    cfg = SchedulerConfig(prioritize_large=prioritize, colocation=_POLICIES)
-    bindings = {}
-    placements, remaining = schedule(tasks, nodes, cfg, tag_bindings=bindings)
+    cfg = SchedulerConfig(prioritize_large=prioritize)
+    placements, remaining = schedule(tasks, nodes, cfg)
     got = [(tid, pl.node_slots) for tid, pl in placements]
     placed = {tid for tid, _ in got}
     assert [t.task_id for t in remaining] == \
         [t.task_id for t in tasks if t.task_id not in placed]
-    if all(t.tag is None for t in tasks):
-        assert got == oracle_schedule(tasks, nodes,
-                                      gpu_weight_for(nodes[0].spec),
-                                      prioritize=prioritize)
-    ref_bindings = {}
-    ref_placements, _ = reference_schedule(tasks, nodes, cfg,
-                                           tag_bindings=ref_bindings)
-    assert got == [(tid, pl.node_slots) for tid, pl in ref_placements]
-    # the reference records an empty node set for a different-node tag it
-    # tried and failed; a skipped try records nothing
-    assert _nonempty_bindings(bindings) == _nonempty_bindings(ref_bindings)
+    assert got == oracle_schedule(tasks, nodes, gpu_weight_for(nodes[0].spec),
+                                  prioritize=prioritize)
 
 
 # (cores per rank, ranks, GPUs) on 4-core, 2-GPU nodes, where a GPU weighs
@@ -254,7 +198,6 @@ _QUEUE_SHAPES = [(1, 1, 0), (2, 1, 0), (1, 2, 0), (0, 2, 1), (1, 1, 1),
                  (3, 1, 0)]
 # a non-MPI task wider than a node, one with more GPUs than a node has
 _INFEASIBLE_SHAPES = [(5, 1, 0), (1, 1, 3)]
-_TAGS = [None, 'same', 'spread', 'free']
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,16 +208,14 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
     list, and keeps what remains in arrival order.  An infeasible shape
     pushed late raises at the next pass, naming its first task."""
     nodes = _nodes(data.draw(st.integers(1, 3)), 4, gpus=2)
-    cfg = SchedulerConfig(prioritize_large=data.draw(st.booleans()),
-                          colocation=_POLICIES)
+    cfg = SchedulerConfig(prioritize_large=data.draw(st.booleans()))
     ops = data.draw(st.lists(st.one_of(
-        st.tuples(st.just('push'), st.sampled_from(_QUEUE_SHAPES),
-                  st.sampled_from(_TAGS)),
+        st.tuples(st.just('push'), st.sampled_from(_QUEUE_SHAPES)),
         st.just(('pass',)),
         st.tuples(st.just('release'), st.integers(0, 30))), max_size=40))
     bad_at = data.draw(st.none() | st.integers(0, len(ops)))
     if bad_at is not None:
-        ops[bad_at:bad_at] = [('push', shape, None) for shape in data.draw(
+        ops[bad_at:bad_at] = [('push', shape) for shape in data.draw(
             st.lists(st.sampled_from(_INFEASIBLE_SHAPES), min_size=1,
                      max_size=2))]
     ops.append(('pass',))
@@ -282,13 +223,12 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
     queue = TaskQueue(cfg)
     waiting = []        # the queued tasks as a list, in arrival order
     running = []        # placements holding slots on the nodes
-    bindings, ref_bindings = {}, {}
     first_bad = None
     for i, op in enumerate(ops):
         if op[0] == 'push':
-            (cpr, ranks, gpus), tag = op[1], op[2]
+            cpr, ranks, gpus = op[1]
             task = TaskDescription(task_id='t%02d' % i, cpu_cores_per_rank=cpr,
-                                   ranks=ranks, gpus=gpus, tag=tag)
+                                   ranks=ranks, gpus=gpus)
             if first_bad is None and op[1] in _INFEASIBLE_SHAPES:
                 first_bad = task
             queue.push(task)
@@ -300,21 +240,17 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
                     nodes[nid].release(pl)
         elif first_bad is not None:
             with pytest.raises(UnschedulableError) as ref_error:
-                reference_schedule(waiting, nodes, cfg,
-                                   tag_bindings=ref_bindings)
+                reference_schedule(waiting, nodes, cfg)
             with pytest.raises(UnschedulableError,
                                match='task %s ' % first_bad.task_id) as error:
-                schedule(queue, nodes, cfg, tag_bindings=bindings)
+                schedule(queue, nodes, cfg)
             assert str(error.value) == str(ref_error.value)
             return
         else:
-            ref_placements, waiting = reference_schedule(
-                waiting, nodes, cfg, tag_bindings=ref_bindings)
-            placements, _ = schedule(queue, nodes, cfg, tag_bindings=bindings)
+            ref_placements, waiting = reference_schedule(waiting, nodes, cfg)
+            placements, _ = schedule(queue, nodes, cfg)
             assert [(tid, pl.node_slots) for tid, pl in placements] == \
                 [(tid, pl.node_slots) for tid, pl in ref_placements]
-            assert _nonempty_bindings(bindings) == \
-                _nonempty_bindings(ref_bindings)
             queue.pop_placed()
             assert len(queue) == len(waiting)
             assert list(queue) == waiting
