@@ -28,12 +28,26 @@ asked for; the metrics read the records themselves.
 
 import json
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .tasks import STATES as TASK_EVENTS, TERMINAL
 
-# one encoder for the event literals and every value neither a str nor an int
-_encode = json.JSONEncoder(sort_keys=True, separators=(',', ':')).encode
+# The encoder of the event literals and of every value neither a str nor an
+# int, built once (JSONEncoder.encode builds one per call); its circular-
+# reference memo is emptied after every encode, even one that failed.
+_markers = {}
+_c_encode = c_make_encoder(_markers, json.JSONEncoder().default,
+                           encode_basestring_ascii, None, ':', ',', True,
+                           False, True)
+
+
+def _encode(value):
+    """json.dumps(value, sort_keys=True, separators=(',', ':'))."""
+    try:
+        return ''.join(_c_encode(value, 0))
+    finally:
+        _markers.clear()
+
 # the pilot row's slot counts, which the utilization report multiplies
 _PILOT_COUNTS = ('nodes', 'cores_per_node', 'gpus_per_node')
 # the keys every row stores in fixed tuple positions

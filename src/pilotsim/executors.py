@@ -312,6 +312,11 @@ class ExecutionService:
         group.launched += 1
         injected = self._maybe_inject(group)
         launch_start, exec_start = self.lane.admit(self.engine.now)
+        if launch_start == exec_start:
+            # no event can run between two pushed back to back for one
+            # time, so an undelayed launch writes both rows in one event
+            self.engine.at(launch_start, lambda: self._launch_now(rec, injected))
+            return
         self.engine.at(launch_start, lambda: self._on_launch(rec))
         self.engine.at(exec_start, lambda: self._on_exec_start(rec, injected))
 
@@ -331,6 +336,10 @@ class ExecutionService:
         if draw < self.limits.internal_failure_p + self.limits.lost_connection_p:
             return 'lost', 'lost connection'
         return None
+
+    def _launch_now(self, rec, injected):
+        self._on_launch(rec)
+        self._on_exec_start(rec, injected)
 
     def _on_launch(self, rec):
         t = self.engine.now

@@ -121,37 +121,30 @@ class PilotDescription:
         check_range(self, 0.0, None, 'startup_latency')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
-    """Slot assignment of one task: per-node core id and GPU id lists."""
+    """Slot assignment of one task: core and GPU ids, one entry per node."""
     task_id: str
     node_slots: tuple  # tuple of (node_id, core_ids tuple, gpu_ids tuple)
+    n_cores: int = field(init=False, repr=False, compare=False)
+    n_gpus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        n_cores = n_gpus = 0
+        nodes = set()
         for node_id, cores, gpus in self.node_slots:
-            for c in cores:
-                key = (node_id, 'c', c)
-                if key in seen:
-                    raise ValueError('core %d on node %d listed twice' % (c, node_id))
-                seen.add(key)
-            for g in gpus:
-                key = (node_id, 'g', g)
-                if key in seen:
-                    raise ValueError('gpu %d on node %d listed twice' % (g, node_id))
-                seen.add(key)
-
-    @property
-    def n_cores(self):
-        return sum(len(cores) for _, cores, _ in self.node_slots)
-
-    @property
-    def n_gpus(self):
-        return sum(len(gpus) for _, _, gpus in self.node_slots)
-
-    @property
-    def node_ids(self):
-        return [node_id for node_id, _, _ in self.node_slots]
+            if node_id in nodes:
+                raise ValueError('node %d listed twice' % node_id)
+            nodes.add(node_id)
+            for kind, ids in (('core', cores), ('gpu', gpus)):
+                if len(set(ids)) < len(ids):
+                    dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+                    raise ValueError('%s %d on node %d listed twice'
+                                     % (kind, dup, node_id))
+            n_cores += len(cores)
+            n_gpus += len(gpus)
+        object.__setattr__(self, 'n_cores', n_cores)
+        object.__setattr__(self, 'n_gpus', n_gpus)
 
     def to_json(self):
         return [[nid, list(cores), list(gpus)]
@@ -165,7 +158,9 @@ class Placement:
 
 
 class NodeState:
-    """Per-slot occupancy of one node.
+    """Per-slot occupancy of one node: who holds each slot, and the free
+    ids in ascending order, which `occupy` and `release` keep live for the
+    scheduler to read.  A refused `occupy` or `release` changes nothing.
 
     Mutation is confined to the scheduler's single logical thread; snapshots
     handed across threads must be copies.
@@ -176,29 +171,19 @@ class NodeState:
         # index -> owning task id, or FREE; only the usable core range exists
         self.core_occupancy = [FREE] * spec.usable_cpu_cores
         self.gpu_occupancy = [FREE] * spec.gpus
+        self.free_core_ids = list(range(spec.usable_cpu_cores))
+        self.free_gpu_ids = list(range(spec.gpus))
 
     @property
     def free_cores(self):
-        return sum(1 for o in self.core_occupancy if o is FREE)
+        return len(self.free_core_ids)
 
     @property
     def free_gpus(self):
-        return sum(1 for o in self.gpu_occupancy if o is FREE)
+        return len(self.free_gpu_ids)
 
-    def free_core_ids(self):
-        return [i for i, o in enumerate(self.core_occupancy) if o is FREE]
-
-    def free_gpu_ids(self):
-        return [i for i, o in enumerate(self.gpu_occupancy) if o is FREE]
-
-    def slots_for(self, placement):
-        for node_id, cores, gpus in placement.node_slots:
-            if node_id == self.spec.node_id:
-                return cores, gpus
-        return (), ()
-
-    def occupy(self, placement):
-        cores, gpus = self.slots_for(placement)
+    def check_free(self, cores, gpus):
+        """SlotError unless every listed core and GPU exists and is free."""
         for c in cores:
             if not 0 <= c < len(self.core_occupancy):
                 raise SlotError('core %d not usable on node %d' % (c, self.spec.node_id))
@@ -211,25 +196,57 @@ class NodeState:
             if self.gpu_occupancy[g] is not FREE:
                 raise SlotError('gpu %d on node %d already held by %s'
                                 % (g, self.spec.node_id, self.gpu_occupancy[g]))
+
+    def check_owned(self, cores, gpus, task_id):
+        """SlotError unless `task_id` holds every listed core and GPU."""
         for c in cores:
-            self.core_occupancy[c] = placement.task_id
+            if not 0 <= c < len(self.core_occupancy) or \
+                    self.core_occupancy[c] != task_id:
+                raise SlotError('core %d on node %d not owned by %s'
+                                % (c, self.spec.node_id, task_id))
         for g in gpus:
-            self.gpu_occupancy[g] = placement.task_id
+            if not 0 <= g < len(self.gpu_occupancy) or \
+                    self.gpu_occupancy[g] != task_id:
+                raise SlotError('gpu %d on node %d not owned by %s'
+                                % (g, self.spec.node_id, task_id))
+
+    def take(self, cores, gpus, task_id):
+        """Give checked free slots to `task_id`."""
+        for ids, occupancy, free in ((cores, self.core_occupancy, self.free_core_ids),
+                                     (gpus, self.gpu_occupancy, self.free_gpu_ids)):
+            for i in ids:
+                occupancy[i] = task_id
+            # n distinct free ids, the largest free[n - 1]: the list's head
+            n = len(ids)
+            if n and max(ids) == free[n - 1]:
+                del free[:n]
+            elif n:
+                free[:] = sorted(set(free).difference(ids))
+
+    def give_back(self, cores, gpus):
+        """Free checked slots, merging each free list back in one sort."""
+        for ids, occupancy, free in ((cores, self.core_occupancy, self.free_core_ids),
+                                     (gpus, self.gpu_occupancy, self.free_gpu_ids)):
+            for i in ids:
+                occupancy[i] = FREE
+            free.extend(ids)
+            free.sort()
+
+    def slots_for(self, placement):
+        for node_id, cores, gpus in placement.node_slots:
+            if node_id == self.spec.node_id:
+                return cores, gpus
+        return (), ()
+
+    def occupy(self, placement):
+        cores, gpus = self.slots_for(placement)
+        self.check_free(cores, gpus)
+        self.take(cores, gpus, placement.task_id)
 
     def release(self, placement):
         cores, gpus = self.slots_for(placement)
-        for c in cores:
-            if self.core_occupancy[c] != placement.task_id:
-                raise SlotError('core %d on node %d not owned by %s'
-                                % (c, self.spec.node_id, placement.task_id))
-        for g in gpus:
-            if self.gpu_occupancy[g] != placement.task_id:
-                raise SlotError('gpu %d on node %d not owned by %s'
-                                % (g, self.spec.node_id, placement.task_id))
-        for c in cores:
-            self.core_occupancy[c] = FREE
-        for g in gpus:
-            self.gpu_occupancy[g] = FREE
+        self.check_owned(cores, gpus, placement.task_id)
+        self.give_back(cores, gpus)
 
 
 class Pilot:
@@ -250,25 +267,29 @@ class Pilot:
     def deadline_us(self):
         return self.ready_us + self.walltime_us
 
-    def occupy(self, placement):
-        by_id = self._by_id
-        for node_id in placement.node_ids:
-            if node_id not in by_id:
+    def _states(self, placement):
+        """(node state, core ids, GPU ids) of each node of the placement."""
+        for node_id, _, _ in placement.node_slots:
+            if node_id not in self._by_id:
                 raise SlotError('placement references unknown node %d' % node_id)
-        for node_id in placement.node_ids:
-            by_id[node_id].occupy(placement)
+        return [(self._by_id[node_id], cores, gpus)
+                for node_id, cores, gpus in placement.node_slots]
+
+    def occupy(self, placement):
+        """Hold the placement's slots, all or, if refused, none."""
+        states = self._states(placement)
+        for node, cores, gpus in states:
+            node.check_free(cores, gpus)
+        for node, cores, gpus in states:
+            node.take(cores, gpus, placement.task_id)
 
     def release(self, placement):
-        for node_id in placement.node_ids:
-            self._by_id[node_id].release(placement)
-
-    @property
-    def free_cores(self):
-        return sum(n.free_cores for n in self.nodes)
-
-    @property
-    def free_gpus(self):
-        return sum(n.free_gpus for n in self.nodes)
+        """Free the placement's slots, all or, if refused, none."""
+        states = self._states(placement)
+        for node, cores, gpus in states:
+            node.check_owned(cores, gpus, placement.task_id)
+        for node, cores, gpus in states:
+            node.give_back(cores, gpus)
 
 
 def acquire(description):

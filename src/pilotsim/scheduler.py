@@ -15,8 +15,17 @@ would try them in.  It drops a FIFO at its first failure, and this is
 exact: within a pass the free slots only shrink, and whether a task fits
 depends only on its shape, so once a shape's head fails, every later task
 of that shape fails too.  Every task needs at least one free core or GPU,
-so once none is left the pass stops.  A pass therefore costs O(placed +
-shapes), not O(queued).
+so once none is left the pass stops.  A pass thus tries O(placed + shapes)
+tasks, not O(queued).
+
+Nor does a fit scan from node 0.  The free slots only shrink in a pass,
+so a node that cannot take a (cores, GPUs) non-MPI task never can again:
+each fit of that key resumes where the last one placed, or past the last
+node once one failed.  An MPI fit skips a node with room for no rank and
+no GPU to give, which stays so for its (cores per rank, wants GPUs), so
+those fits resume at the first node still of use.  With the cursors, and
+the ids handed out as slices of the nodes' live free lists, a pass costs
+O(nodes x shapes + placed).
 
 Feasibility depends only on the shape and the group's nodes, so it is
 checked once per shape, at the first pass that sees it, on the first task
@@ -28,6 +37,7 @@ a transient `TaskQueue`, so there is one scheduling code path.
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace, merge
+from operator import attrgetter
 
 from .resources import Placement
 from .tasks import TaskDescription
@@ -44,24 +54,30 @@ class SchedulerConfig:
 
 
 class _FreeView:
-    """Scratch view of free slots, so scheduling N tasks in one call yields
-    mutually disjoint placements without touching the real NodeStates."""
+    """One pass's free slot counts, nodes in ascending id, so that N tasks
+    placed in one call get disjoint slots and no NodeState changes: what
+    the pass took from node i is a prefix of its free lists.  `single_from`
+    and `mpi_from` are the fits' resume cursors, by fit key."""
 
     def __init__(self, nodes):
-        self.free_cores = {n.spec.node_id: n.free_core_ids() for n in nodes}
-        self.free_gpus = {n.spec.node_id: n.free_gpu_ids() for n in nodes}
-        self.node_ids = sorted(self.free_cores)
+        self.nodes = nodes = sorted(nodes, key=attrgetter('spec.node_id'))
+        self.cores = [len(n.free_core_ids) for n in nodes]
+        self.gpus = [len(n.free_gpu_ids) for n in nodes]
         # free cores plus free GPUs; 0 means no task can fit any more
-        self.free_slots = sum(map(len, self.free_cores.values())) + \
-            sum(map(len, self.free_gpus.values()))
+        self.free_slots = sum(self.cores) + sum(self.gpus)
+        self.single_from, self.mpi_from = {}, {}
 
-    def take(self, node_id, n_cores, n_gpus):
-        cores = self.free_cores[node_id][:n_cores]
-        gpus = self.free_gpus[node_id][:n_gpus]
-        del self.free_cores[node_id][:n_cores]
-        del self.free_gpus[node_id][:n_gpus]
-        self.free_slots -= len(cores) + len(gpus)
-        return cores, gpus
+    def take(self, i, n_cores, n_gpus):
+        """(node id, core ids, GPU ids) of the next free slots of node i."""
+        node = self.nodes[i]
+        free_cores, free_gpus = node.free_core_ids, node.free_gpu_ids
+        c0 = len(free_cores) - self.cores[i]
+        g0 = len(free_gpus) - self.gpus[i]
+        self.cores[i] -= n_cores
+        self.gpus[i] -= n_gpus
+        self.free_slots -= n_cores + n_gpus
+        return (node.spec.node_id, tuple(free_cores[c0:c0 + n_cores]),
+                tuple(free_gpus[g0:g0 + n_gpus]))
 
 
 def gpu_weight_for(node_spec):
@@ -96,41 +112,49 @@ def check_feasible(task, nodes, capacity=None):
 
 
 def _fit_single_node(task, view):
-    """First free node (ascending id) with room for a non-MPI task."""
+    """First node (ascending id) with room for a non-MPI task, scanned from
+    where the last fit of its (cores, GPUs) stopped."""
     need_cores = task.effective_cores
-    for node_id in view.node_ids:
-        if len(view.free_cores[node_id]) >= need_cores and \
-                len(view.free_gpus[node_id]) >= task.gpus:
-            cores, gpus = view.take(node_id, need_cores, task.gpus)
-            return ((node_id, tuple(cores), tuple(gpus)),)
+    need_gpus = task.gpus
+    key = (need_cores, need_gpus)
+    cores, gpus = view.cores, view.gpus
+    for i in range(view.single_from.get(key, 0), len(cores)):
+        if cores[i] >= need_cores and gpus[i] >= need_gpus:
+            view.single_from[key] = i
+            return (view.take(i, need_cores, need_gpus),)
+    view.single_from[key] = len(cores)
     return None
 
 
 def _fit_mpi(task, view):
-    """Pack ranks densely: fill a node before spilling to the next."""
+    """Pack ranks densely: fill a node before spilling to the next,
+    starting at the first node with room for a rank or a GPU to give."""
+    per_rank = task.cpu_cores_per_rank
     remaining_ranks = task.ranks
     remaining_gpus = task.gpus
-    chosen = []
-    taken = []  # (node_id, n_cores, n_gpus) to commit on success
-    for node_id in view.node_ids:
-        cores_here = len(view.free_cores[node_id])
-        ranks_here = (cores_here // task.cpu_cores_per_rank
-                      if task.cpu_cores_per_rank else remaining_ranks)
+    cores, gpus = view.cores, view.gpus
+    n = len(cores)
+    key = (per_rank, remaining_gpus > 0)
+    start = view.mpi_from.get(key, 0)
+    while start < n and cores[start] < per_rank and \
+            not (remaining_gpus and gpus[start]):
+        start += 1
+    view.mpi_from[key] = start
+    taken = []  # (node index, n_cores, n_gpus) to commit on success
+    for i in range(start, n):
+        ranks_here = (cores[i] // per_rank if per_rank else remaining_ranks)
         ranks_here = min(ranks_here, remaining_ranks)
-        gpus_here = min(len(view.free_gpus[node_id]), remaining_gpus)
+        gpus_here = min(gpus[i], remaining_gpus)
         if ranks_here == 0 and gpus_here == 0:
             continue
-        taken.append((node_id, ranks_here * task.cpu_cores_per_rank, gpus_here))
+        taken.append((i, ranks_here * per_rank, gpus_here))
         remaining_ranks -= ranks_here
         remaining_gpus -= gpus_here
         if remaining_ranks == 0 and remaining_gpus == 0:
             break
     if remaining_ranks or remaining_gpus:
         return None
-    for node_id, n_cores, n_gpus in taken:
-        cores, gpus = view.take(node_id, n_cores, n_gpus)
-        chosen.append((node_id, tuple(cores), tuple(gpus)))
-    return tuple(chosen)
+    return tuple(view.take(*t) for t in taken)
 
 
 class _Fifo:

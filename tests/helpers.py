@@ -123,12 +123,20 @@ def oracle_mpi(task, free_cores, free_gpus):
     return None
 
 
+def free_ids(occupancy):
+    """The free slot ids of an occupancy list, ascending: read from who
+    holds each slot, not from the node's own free lists."""
+    return [i for i, owner in enumerate(occupancy) if owner is None]
+
+
 def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
     """Independent reimplementation of the continuous scheduler for small
     instances: priority order, then per task the enumerated lexicographic
     minimum placement."""
-    free_cores = {n.spec.node_id: set(n.free_core_ids()) for n in nodes}
-    free_gpus = {n.spec.node_id: set(n.free_gpu_ids()) for n in nodes}
+    free_cores = {n.spec.node_id: set(free_ids(n.core_occupancy))
+                  for n in nodes}
+    free_gpus = {n.spec.node_id: set(free_ids(n.gpu_occupancy))
+                 for n in nodes}
     order = list(tasks)
     if prioritize:
         order.sort(key=lambda t: -t.priority_hint(gpu_weight))
@@ -153,8 +161,10 @@ def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
 class _RefFreeView:
     def __init__(self, nodes):
         self.nodes = nodes
-        self.free_cores = {n.spec.node_id: list(n.free_core_ids()) for n in nodes}
-        self.free_gpus = {n.spec.node_id: list(n.free_gpu_ids()) for n in nodes}
+        self.free_cores = {n.spec.node_id: free_ids(n.core_occupancy)
+                           for n in nodes}
+        self.free_gpus = {n.spec.node_id: free_ids(n.gpu_occupancy)
+                          for n in nodes}
 
     def take(self, node_id, n_cores, n_gpus):
         cores = self.free_cores[node_id][:n_cores]

@@ -127,6 +127,52 @@ def test_appended_rows_dump_as_one_json_dumps_per_row(steps):
     assert log.rows[1:] == expected[1:]
 
 
+def _line(row):
+    return json.dumps(row, sort_keys=True, separators=(',', ':')) + '\n'
+
+
+def test_a_value_json_refuses_raises_as_in_json_dumps():
+    """A value that cannot be serialized, or a circular one, raises the
+    exception json.dumps raises, with its message."""
+    looped = [1]
+    looped.append(looped)
+    for value, error in ((object(), TypeError), ([{'a': {1, 2}}], TypeError),
+                         (looped, ValueError)):
+        log = EventLog()
+        log.append(0, 'x', task='t', v=value)
+        with pytest.raises(error) as ours:
+            log.dumps()
+        with pytest.raises(error) as theirs:
+            _line(log.rows[0])
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_a_failed_encode_leaves_nothing_for_the_next(monkeypatch):
+    """The encoder is built at import, not per value, and a failed encode
+    leaves nothing in its circular-reference memo: the same list, once
+    fixed, encodes."""
+    want = _line({'t': 0, 'event': 'x', 'v': [{'a': 1}]}) + \
+        _line({'t': 1, 'event': 'x', 'v': [2]})
+    built = []
+    make = json.encoder.c_make_encoder
+    monkeypatch.setattr(json.encoder, 'c_make_encoder',
+                        lambda *args: built.append(args) or make(*args))
+    held = [{'a': object()}]
+    looped = [2]
+    looped.append(looped)
+    log = EventLog()
+    log.append(0, 'x', v=held)
+    log.append(1, 'x', v=looped)
+    with pytest.raises(TypeError):
+        log.dumps(0, 1)
+    with pytest.raises(ValueError, match='Circular'):
+        log.dumps(1, 2)
+    held[0]['a'] = 1
+    looped.pop()
+    assert log.dumps() == want
+    assert not built
+
+
 def _stub(kind):
     """Whether `kind`'s encoder is still the one that compiles it."""
     return eventlog._ENCODERS[kind.id] == kind._first_encode

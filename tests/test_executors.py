@@ -8,6 +8,7 @@ import yaml
 
 from pilotsim import cli, executors, scheduler
 from pilotsim.config import parse_config
+from pilotsim.engine import SimEngine
 from pilotsim.executors import (BulkBackendConfig, ExecutionService,
                                 ExecutorError, PartitionPlan,
                                 StabilityLimits, make_records)
@@ -15,6 +16,7 @@ from pilotsim.resources import (PilotDescription, ResourceSpec, acquire,
                                 us)
 from pilotsim.scheduler import SchedulerConfig, UnschedulableError
 from pilotsim.tasks import TaskDescription
+from pilotsim.workflow import HybridParams, run_hybrid
 from pilotsim import metrics
 
 from helpers import replay_slots
@@ -150,6 +152,54 @@ def test_launch_lane_delay_serializes_launches():
     execs = sorted(iv['exec_start']
                    for iv in svc.log.task_intervals().values())
     assert execs == [us(0.1 * (i + 1)) for i in range(10)]
+
+
+def _count_events(monkeypatch):
+    """The list that gets one entry per kernel event handled."""
+    handled = []
+    push = SimEngine.at
+
+    def counted_at(engine, t_us, fn):
+        def event():
+            handled.append(t_us)
+            fn()
+        push(engine, t_us, event)
+    monkeypatch.setattr(SimEngine, 'at', counted_at)
+    return handled
+
+
+def test_an_undelayed_launch_is_one_kernel_event(monkeypatch):
+    """On the direct backend a task's launching and running rows share one
+    event: a small hybrid campaign handles one event fewer per task than
+    the 102 it took when each row had its own."""
+    handled = _count_events(monkeypatch)
+    svc = ExecutionService(_pilot('summit-node', nodes=2), SchedulerConfig())
+    runs, _ = run_hybrid(svc, HybridParams(wf3_count=4, wf4_count=2,
+                                           wf3_duration=5.0,
+                                           wf4_duration=5.0))
+    records = [rec for run in runs for _, rec in run.records]
+    assert len(records) == 22
+    assert all(rec.state == 'done' for rec in records)
+    assert len(handled) == 102 - 22
+
+
+def test_a_delayed_launch_keeps_its_two_events(monkeypatch):
+    """With a launch delay the rows are apart in time and stay two events:
+    a partitioned campaign handles the 164 events it always did."""
+    handled = _count_events(monkeypatch)
+    plan = PartitionPlan(count=2, nodes_per_partition=1,
+                         per_partition_start_cost=0.0, post_start_sleep=1.0,
+                         per_launch_delay=0.1)
+    svc = ExecutionService(_pilot(nodes=2), SchedulerConfig(),
+                           backend='partitioned', plan=plan)
+    records = _tasks(40, duration=2.0, cores=4)
+    svc.submit(records)
+    svc.run()
+    assert all(rec.state == 'done' for rec in records)
+    assert len(handled) == 164
+    starts = svc.log.task_intervals()
+    assert all(iv['exec_start'] - iv['launch_start'] == us(0.1)
+               for iv in starts.values())
 
 
 def test_failure_injection_beyond_stability_envelope():

@@ -6,6 +6,8 @@ from pilotsim.resources import (NODE_PRESETS, NodeSpec, NodeState,
                                 PilotDescription, Placement, ResourceSpec,
                                 SlotError, acquire, secs, us)
 
+from helpers import free_ids
+
 
 def test_time_conversion_round_trip():
     assert us(1.5) == 1_500_000
@@ -56,6 +58,72 @@ def test_placement_rejects_duplicate_slots():
         Placement(task_id='t', node_slots=((0, (1, 1), ()),))
     with pytest.raises(ValueError, match='twice'):
         Placement(task_id='t', node_slots=((0, (), (2,)), (0, (), (2,))))
+
+
+def test_placement_refuses_a_node_listed_twice():
+    """A node listed twice would be occupied through its first entry only,
+    leaving the second entry's slots free."""
+    with pytest.raises(ValueError, match='node 0 listed twice'):
+        Placement(task_id='t', node_slots=((0, (1,), ()), (0, (2,), ())))
+    pl = Placement(task_id='t', node_slots=((0, (1, 2), (0,)), (1, (3,), ())))
+    assert (pl.n_cores, pl.n_gpus) == (3, 1)
+
+
+def test_a_refused_pilot_occupy_or_release_changes_nothing():
+    """Every node of a placement is checked before any is changed."""
+    pilot = acquire(PilotDescription(
+        resource=ResourceSpec.from_preset('frontera-node', 2), walltime=1.0))
+    node0, node1 = pilot.nodes
+    pilot.occupy(Placement(task_id='a', node_slots=((1, (0,), ()),)))
+    b = Placement(task_id='b', node_slots=((0, (5,), ()), (1, (0,), ())))
+    with pytest.raises(SlotError, match='core 0 on node 1 already held by a'):
+        pilot.occupy(b)
+    assert node0.core_occupancy[5] is None
+    assert node0.free_core_ids == list(range(34))
+    pilot.occupy(Placement(task_id='c', node_slots=((0, (5,), ()),)))
+    c = Placement(task_id='c', node_slots=((0, (5,), ()), (1, (0,), ())))
+    with pytest.raises(SlotError, match='core 0 on node 1 not owned by c'):
+        pilot.release(c)
+    assert node0.core_occupancy[5] == 'c'
+    assert 5 not in node0.free_core_ids
+    with pytest.raises(SlotError, match='unknown node 2'):
+        pilot.occupy(Placement(task_id='d', node_slots=(
+            (0, (6,), ()), (2, (0,), ()))))
+    assert node0.core_occupancy[6] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(['occupy', 'release', 'foreign']),
+    st.lists(st.integers(0, 9), unique=True, max_size=5),
+    st.lists(st.integers(0, 3), unique=True, max_size=3),
+    st.integers(0, 20)), max_size=30))
+def test_free_lists_are_the_free_slots_in_ascending_order(ops):
+    """After any sequence of occupies, releases and refused ones (a slot
+    held, a core past the usable 8, a GPU past the 3, a release by a task
+    that holds nothing), the live free lists are the FREE positions of the
+    occupancy lists, ascending, and a refused call changed nothing."""
+    node = NodeState(NodeSpec(node_id=0, cpu_cores=10, gpus=3,
+                              usable_cpu_cores=8))
+    held = []
+    for i, (op, cores, gpus, pick) in enumerate(ops):
+        before = (list(node.core_occupancy), list(node.gpu_occupancy),
+                  list(node.free_core_ids), list(node.free_gpu_ids))
+        pl = Placement(task_id='t%d' % i,
+                       node_slots=((0, tuple(cores), tuple(gpus)),))
+        try:
+            if op == 'occupy':
+                node.occupy(pl)
+                held.append(pl)
+            elif op == 'release' and held:
+                node.release(held.pop(pick % len(held)))
+            else:
+                node.release(pl)    # t{i} holds nothing
+        except SlotError:
+            assert (node.core_occupancy, node.gpu_occupancy,
+                    node.free_core_ids, node.free_gpu_ids) == before
+        assert node.free_core_ids == free_ids(node.core_occupancy)
+        assert node.free_gpu_ids == free_ids(node.gpu_occupancy)
 
 
 def test_placement_json_round_trip():

@@ -193,9 +193,11 @@ def test_memo_and_early_stop_keep_every_placement(instance):
 
 
 # (cores per rank, ranks, GPUs) on 4-core, 2-GPU nodes, where a GPU weighs
-# 2 cores: 2x1, 1x2 and the GPU-only 0x2+1 share one priority key
+# 2 cores: 2x1, 1x2 and the GPU-only 0x2+1 share one priority key.  The
+# GPU-only 0x3+2 and the MPI shapes 2x3 and 1x6+1 span nodes, and are
+# infeasible on too few of them
 _QUEUE_SHAPES = [(1, 1, 0), (2, 1, 0), (1, 2, 0), (0, 2, 1), (1, 1, 1),
-                 (3, 1, 0)]
+                 (3, 1, 0), (0, 3, 2), (2, 3, 0), (1, 6, 1)]
 # a non-MPI task wider than a node, one with more GPUs than a node has
 _INFEASIBLE_SHAPES = [(5, 1, 0), (1, 1, 3)]
 
@@ -205,9 +207,20 @@ _INFEASIBLE_SHAPES = [(5, 1, 0), (1, 1, 3)]
 def test_task_queue_matches_the_reference_pass_by_pass(data):
     """One TaskQueue kept across pushes, passes and releases places, at
     every pass, what the reference scheduler places on the same tasks as a
-    list, and keeps what remains in arrival order.  An infeasible shape
-    pushed late raises at the next pass, naming its first task."""
-    nodes = _nodes(data.draw(st.integers(1, 3)), 4, gpus=2)
+    list, and keeps what remains in arrival order.  The nodes start partly
+    busy, so their free ids have holes, and up to 12 of them give the
+    fits' resume cursors nodes to skip.  An infeasible shape pushed late
+    raises at the next pass, naming its first task."""
+    nodes = _nodes(data.draw(st.integers(1, 12)), 4, gpus=2)
+    running = []        # placements holding slots on the nodes
+    for node in nodes:
+        busy = Placement(task_id='busy%d' % node.spec.node_id, node_slots=(
+            (node.spec.node_id,
+             tuple(data.draw(st.lists(st.integers(0, 3), unique=True))),
+             tuple(data.draw(st.lists(st.integers(0, 1), unique=True)))),))
+        if busy.n_cores or busy.n_gpus:
+            node.occupy(busy)
+            running.append(busy)
     cfg = SchedulerConfig(prioritize_large=data.draw(st.booleans()))
     ops = data.draw(st.lists(st.one_of(
         st.tuples(st.just('push'), st.sampled_from(_QUEUE_SHAPES)),
@@ -222,21 +235,23 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
 
     queue = TaskQueue(cfg)
     waiting = []        # the queued tasks as a list, in arrival order
-    running = []        # placements holding slots on the nodes
     first_bad = None
     for i, op in enumerate(ops):
         if op[0] == 'push':
             cpr, ranks, gpus = op[1]
             task = TaskDescription(task_id='t%02d' % i, cpu_cores_per_rank=cpr,
                                    ranks=ranks, gpus=gpus)
-            if first_bad is None and op[1] in _INFEASIBLE_SHAPES:
-                first_bad = task
+            if first_bad is None:
+                try:
+                    check_feasible(task, nodes)
+                except UnschedulableError:
+                    first_bad = task
             queue.push(task)
             waiting.append(task)
         elif op[0] == 'release':
             if running:
                 pl = running.pop(op[1] % len(running))
-                for nid in pl.node_ids:
+                for nid, _, _ in pl.node_slots:
                     nodes[nid].release(pl)
         elif first_bad is not None:
             with pytest.raises(UnschedulableError) as ref_error:
@@ -255,6 +270,6 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
             assert len(queue) == len(waiting)
             assert list(queue) == waiting
             for _, pl in placements:
-                for nid in pl.node_ids:
+                for nid, _, _ in pl.node_slots:
                     nodes[nid].occupy(pl)
                 running.append(pl)
