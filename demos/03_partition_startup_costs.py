@@ -7,8 +7,8 @@ the payloads themselves are instantaneous.
 """
 
 from pilotsim import (ExecutionService, PartitionPlan, PilotDescription,
-                      ResourceSpec, SchedulerConfig, TaskDescription,
-                      acquire, make_records, overhead)
+                      ResourceSpec, TaskDescription, acquire, make_records,
+                      overhead)
 
 pilot = acquire(PilotDescription(
     resource=ResourceSpec.from_preset('frontera-node', 32),
@@ -17,8 +17,7 @@ plan = PartitionPlan(count=32, nodes_per_partition=1,
                      per_partition_start_cost=0.5, post_start_sleep=10.0,
                      per_launch_delay=0.1)
 
-service = ExecutionService(pilot, SchedulerConfig(), backend='partitioned',
-                           plan=plan)
+service = ExecutionService(pilot, backend='partitioned', plan=plan)
 descs = [TaskDescription(task_id='t%05d' % i) for i in range(6000)]
 service.submit(make_records(descs, [0.0] * 6000))
 service.run()

@@ -6,9 +6,9 @@ count; with 1 ms it is flat.
 """
 
 from pilotsim import (AdaptiveLoopConfig, ExecutionService,
-                      PilotDescription, ResourceSpec, SchedulerConfig,
-                      StageDurations, acquire, deepdrive_pipeline,
-                      iterate_adaptive, overhead)
+                      PilotDescription, ResourceSpec, StageDurations,
+                      acquire, deepdrive_pipeline, iterate_adaptive,
+                      overhead)
 
 DURATIONS = StageDurations(md=6.0, aggregate=0.5, train=0.5, infer=0.2)
 
@@ -17,7 +17,7 @@ def loop_overhead(iterations, comm_latency):
     pilot = acquire(PilotDescription(
         resource=ResourceSpec.from_preset('summit-node', 4),
         walltime=100_000.0, startup_latency=10.0))
-    service = ExecutionService(pilot, SchedulerConfig())
+    service = ExecutionService(pilot)
     cfg = AdaptiveLoopConfig(iterations=iterations, comm_latency=comm_latency,
                              durations=DURATIONS, seed=42)
     iterate_adaptive(cfg, service,

@@ -10,8 +10,7 @@ from .resources import (NODE_PRESETS, FieldError, NodeSpec, NodeState, Pilot,
                         PilotDescription, Placement, ResourceSpec, SlotError,
                         acquire, secs, us)
 from .tasks import TaskDescription, TaskRecord
-from .scheduler import (SchedulerConfig, TaskQueue, UnschedulableError,
-                        check_feasible, schedule)
+from .scheduler import TaskQueue, UnschedulableError, check_feasible, schedule
 from .workloads import (DurationModel, WorkloadPreset, clipped_lognormal_mean,
                         make_preset, preset_names)
 from .eventlog import EventLog, LogError, state_sequence

@@ -4,7 +4,7 @@
                  [--flavor F] [--out DIR]
     pilotsim report --log events.jsonl [--window S]
 
-`run` assembles pilot + scheduler + backend + workflow from a YAML config,
+`run` assembles pilot + backend + workflow from a YAML config,
 executes, and writes the event log plus utilization/overhead/rate reports.
 `report` recomputes the same reports from an event log alone.  Exit status
 is 0 when at least the configured fraction of work completed, and 2 when
@@ -90,10 +90,9 @@ _TEMPLATE_RUNNERS = {
 def _run_service(cfg, pilot):
     """Run the config's template on the direct, partitioned or bulk
     backend; returns the event log and the work total."""
-    service = ExecutionService(pilot, cfg.scheduler, backend=cfg.backend,
-                               flavor=cfg.flavor, plan=cfg.plan,
-                               limits=cfg.limits, bulk_cfg=cfg.bulk,
-                               seed=cfg.seed)
+    service = ExecutionService(pilot, backend=cfg.backend, flavor=cfg.flavor,
+                               plan=cfg.plan, limits=cfg.limits,
+                               bulk_cfg=cfg.bulk, seed=cfg.seed)
     _TEMPLATE_RUNNERS[cfg.template](cfg, service)
     return service.log, sum(r.credit for r in service.records.values())
 

@@ -1,7 +1,7 @@
 """Declarative campaign configuration: YAML schema, validation, assembly.
 
-A campaign file describes one run: the resource, the pilot, the scheduler,
-the execution backend and flavor, and either a flat workload or a workflow
+A campaign file describes one run: the resource, the pilot, the execution
+backend and flavor, and either a flat workload or a workflow
 template.  A section that builds a dataclass is read from it: the section's
 keys are the dataclass's fields, typed by their annotations, and a key the
 file leaves out takes the field's default.  The dataclass checks its own
@@ -19,7 +19,6 @@ from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
                         ResourceSpec)
-from .scheduler import SchedulerConfig
 from .workflow import AdaptiveLoopConfig, EnsembleParams, HybridParams
 from .workloads import make_preset, preset_names
 
@@ -110,7 +109,6 @@ def _section(raw, path, cls, skip=(), **given):
 class CampaignConfig:
     seed: int
     pilot: PilotDescription
-    scheduler: SchedulerConfig
     backend: str
     flavor: str
     template: str
@@ -164,9 +162,8 @@ def parse_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError('<root>', 'config must be a mapping')
     _check_known(raw, {'schema_version', 'seed', 'resource', 'pilot',
-                       'scheduler', 'backend', 'flavor', 'workflow',
-                       'workload', 'bulk', 'overlay', 'stability', 'output'},
-                 '')
+                       'backend', 'flavor', 'workflow', 'workload', 'bulk',
+                       'overlay', 'stability', 'output'}, '')
     version = _get(raw, 'schema_version', '', int, default=SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError('schema_version',
@@ -182,8 +179,6 @@ def parse_config(raw):
         _section(raw_plan, 'pilot.partitions', PartitionPlan)
     pilot = _section(raw_pilot, 'pilot', PilotDescription,
                      skip=('partitions',), resource=resource)
-    scheduler = _section(_get(raw, 'scheduler', '', dict, default={}),
-                         'scheduler', SchedulerConfig)
 
     backend = _get(raw, 'backend', '', str, default='direct')
     if backend not in BACKENDS:
@@ -258,10 +253,9 @@ def parse_config(raw):
         raise ConfigError('output.rate_window', str(exc))
 
     return CampaignConfig(
-        seed=seed, pilot=pilot, scheduler=scheduler,
-        backend=backend, flavor=flavor, template=template,
-        template_params=params, workload=workload, plan=plan, limits=limits,
-        bulk=bulk, overlay=overlay,
+        seed=seed, pilot=pilot, backend=backend, flavor=flavor,
+        template=template, template_params=params, workload=workload,
+        plan=plan, limits=limits, bulk=bulk, overlay=overlay,
         output_dir=_get(raw_out, 'dir', 'output', str, default='out'),
         completion_threshold=threshold, rate_window=rate_window)
 

@@ -430,19 +430,6 @@ class EventLog:
         """{terminal state: number of rows}, in order of first appearance."""
         return dict(self._digested().terminal_counts)
 
-    def open_tasks(self):
-        """Ids of the tasks with a queued row and no terminal row after it,
-        in the order they were queued."""
-        open_ = {}
-        kinds = _KIND_TABLE
-        for row in self._rows:
-            ev = kinds[row[0]].event
-            if ev == 'queued':
-                open_[row[2]] = None
-            elif ev in TERMINAL:
-                open_.pop(row[2], None)
-        return list(open_)
-
     def task_records(self):
         """{task id: record}, the digest's fixed-slot list per task (slots
         `QUEUED` ... `STATE`), in order of each task's first row.  Shared by

@@ -33,7 +33,7 @@ import numpy as np
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
 from .resources import FieldError, check_range, us
-from .scheduler import SchedulerConfig, TaskQueue, schedule
+from .scheduler import TaskQueue, schedule
 from .tasks import TERMINAL, TaskRecord
 
 
@@ -55,14 +55,12 @@ _ENDED = {state: row_kind(state) for state in ('failed', 'lost')}
 class PartitionPlan:
     count: int
     nodes_per_partition: int
-    max_tasks_per_partition: int | None = None
     per_partition_start_cost: float = 0.5   # seconds, fitted constant
     post_start_sleep: float = 10.0          # seconds after each start
     per_launch_delay: float = 0.1           # seconds between launches
 
     def __post_init__(self):
-        check_range(self, 1, None, 'count', 'nodes_per_partition',
-                    'max_tasks_per_partition')
+        check_range(self, 1, None, 'count', 'nodes_per_partition')
         check_range(self, 0.0, None, 'per_partition_start_cost',
                     'post_start_sleep', 'per_launch_delay')
 
@@ -93,23 +91,20 @@ class StabilityLimits:
 @dataclass(frozen=True)
 class BulkBackendConfig:
     scheduling_rate: float | None = 14.21  # tasks/second; None: no cap
-    startup_cost: float = 0.0
 
     def __post_init__(self):
         check_range(self, 0.0, None, 'scheduling_rate', strict=True)
-        check_range(self, 0.0, None, 'startup_cost')
 
 
 class _NodeGroup:
     """A scheduling domain: the whole pilot, or one partition."""
 
-    def __init__(self, gid, nodes, sched_cfg):
+    def __init__(self, gid, nodes):
         self.gid = gid
         self.nodes = nodes
         self.alive = True
-        self.queue = TaskQueue(sched_cfg)   # scheduling descriptions
+        self.queue = TaskQueue()   # scheduling descriptions
         self.waiting = {}    # task id -> record, for each pending one
-        self.assigned = 0    # admission count (partition capacity cap)
         self.launched = 0    # stability-limit accounting
 
 
@@ -117,14 +112,13 @@ class ExecutionService:
     """Drives queued TaskRecords through scheduling, launch, and payload
     execution on one pilot, emitting the event log."""
 
-    def __init__(self, pilot, sched_cfg=None, backend='direct', flavor='sim',
-                 plan=None, limits=None, bulk_cfg=None, seed=0):
+    def __init__(self, pilot, backend='direct', flavor='sim', plan=None,
+                 limits=None, bulk_cfg=None, seed=0):
         if backend not in ('direct', 'partitioned', 'bulk'):
             raise ValueError('unknown backend: %s' % backend)
         if flavor not in ('sim', 'real'):
             raise ValueError('unknown flavor: %s' % flavor)
         self.pilot = pilot
-        self.sched_cfg = sched_cfg or SchedulerConfig()
         self.backend = backend
         self.flavor = flavor
         self.plan = plan
@@ -162,14 +156,14 @@ class ExecutionService:
         if backend == 'partitioned':
             self._start_partitions()
         elif backend == 'bulk':
-            self._next_admit_us = self.ready_us + us(self.bulk_cfg.startup_cost)
+            self._next_admit_us = self.ready_us
 
     # ------------------------------------------------------------------
     # backend setup
 
     def _init_groups(self):
         if self.backend != 'partitioned':
-            return [_NodeGroup(0, self.pilot.nodes, self.sched_cfg)]
+            return [_NodeGroup(0, self.pilot.nodes)]
         plan = self.plan
         if plan is None:
             raise ValueError('partitioned backend needs a PartitionPlan')
@@ -181,7 +175,7 @@ class ExecutionService:
         for pid in range(plan.count):
             lo = pid * plan.nodes_per_partition
             nodes = self.pilot.nodes[lo:lo + plan.nodes_per_partition]
-            groups.append(_NodeGroup(pid, nodes, self.sched_cfg))
+            groups.append(_NodeGroup(pid, nodes))
         return groups
 
     def _start_partitions(self):
@@ -247,7 +241,7 @@ class ExecutionService:
         self._assign(rec)
 
     def _assign(self, rec):
-        group = self._pick_group(rec)
+        group = self._pick_group()
         if group is None:
             self._finish(rec, 'failed', error='no partition capacity')
             return
@@ -259,22 +253,16 @@ class ExecutionService:
             desc = replace(desc, task_id=rec.task_id)
         group.queue.push(desc)
         group.waiting[rec.task_id] = rec
-        group.assigned += 1
         self._request_kick(group)
 
-    def _pick_group(self, rec):
-        if self.backend != 'partitioned':
-            return self.groups[0]
-        cap = self.plan.max_tasks_per_partition
+    def _pick_group(self):
+        """The next live group, round robin; None once every group died."""
         n = len(self.groups)
         for i in range(n):
             g = self.groups[(self._round_robin + i) % n]
-            if not g.alive:
-                continue
-            if cap is not None and g.assigned >= cap:
-                continue
-            self._round_robin = (self._round_robin + i + 1) % n
-            return g
+            if g.alive:
+                self._round_robin = (self._round_robin + i + 1) % n
+                return g
         return None
 
     # ------------------------------------------------------------------
@@ -297,7 +285,7 @@ class ExecutionService:
         if not group.queue:
             return
         now = self.engine.now
-        placements, _ = schedule(group.queue, group.nodes, self.sched_cfg)
+        placements, _ = schedule(group.queue, group.nodes)
         group.queue.pop_placed()
         for task_id, placement in placements:
             rec = group.waiting.pop(task_id)

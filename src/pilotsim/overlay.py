@@ -33,8 +33,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import SimEngine
-from .eventlog import EventLog, row_kind
+from .eventlog import STATE, EventLog, row_kind
 from .resources import FieldError, check_range, us
+from .tasks import TERMINAL
 
 
 class OverlayError(Exception):
@@ -403,11 +404,12 @@ class OverlaySim:
     def run(self):
         """Dispatch until every item is through or the pilot walltime
         runs out.  Nothing happens at or after the deadline: each item
-        with a queued row and no terminal row gets a `lost` row at the
-        deadline, as the executors mark their running tasks.  The masters'
-        books are left as they stand, so conservation still holds, and
-        each worker has applied the acks that arrived by then.  No event
-        is left pending once it returns or raises."""
+        with no terminal row gets a `lost` row at the deadline, in the
+        order of its queued row, its first (no item is queued again after
+        a terminal row), as the executors mark their running tasks.  The
+        masters' books are left as they stand, so conservation still
+        holds, and each worker has applied the acks that arrived by then.
+        No event is left pending once it returns or raises."""
         def start():
             for master in self.overlay.masters:
                 if master.has_items():
@@ -417,8 +419,9 @@ class OverlaySim:
         try:
             cut = self.engine.run(until_us=deadline - 1)
             if cut:
-                for item_id in self.log.open_tasks():
-                    self.log.add(_LOST, deadline, item_id)
+                for item_id, rec in self.log.task_records().items():
+                    if rec[STATE] not in TERMINAL:
+                        self.log.add(_LOST, deadline, item_id)
         finally:
             self.engine.close()
         # a drained run would have run every ack event, a cut run those

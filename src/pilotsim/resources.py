@@ -78,7 +78,6 @@ NODE_PRESETS = {
 class ResourceSpec:
     """A homogeneous set of nodes; heterogeneous clusters are a non-goal."""
     nodes: tuple
-    name: str = 'cluster'
 
     def __post_init__(self):
         if not self.nodes:
@@ -90,20 +89,16 @@ class ResourceSpec:
                 raise ValueError('nodes within one pilot must be homogeneous')
 
     @classmethod
-    def from_preset(cls, preset, n_nodes, name=None):
+    def from_preset(cls, preset, n_nodes):
         if preset not in NODE_PRESETS:
             raise KeyError('unknown node preset: %s' % preset)
         shape = NODE_PRESETS[preset]
         nodes = tuple(NodeSpec(node_id=i, **shape) for i in range(n_nodes))
-        return cls(nodes=nodes, name=name or preset)
+        return cls(nodes=nodes)
 
     @property
     def node_type(self):
         return self.nodes[0]
-
-    @property
-    def total_usable_cores(self):
-        return sum(n.usable_cpu_cores for n in self.nodes)
 
     @property
     def total_gpus(self):
@@ -253,7 +248,6 @@ class Pilot:
     """An acquired resource allocation with its clock and walltime countdown."""
 
     def __init__(self, description):
-        self.description = description
         self.resource = description.resource
         self.nodes = [NodeState(spec) for spec in self.resource.nodes]
         self._by_id = {n.spec.node_id: n for n in self.nodes}

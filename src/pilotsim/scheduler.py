@@ -1,10 +1,10 @@
 """Continuous scheduling over slot-level node state.
 
 The continuous algorithm maps task descriptions to concrete slot placements:
-large tasks first (optionally), first-fit by ascending node id, lowest slot
-ids, with one reserved CPU core per requested GPU.  It never mutates the
-node states it is given, so it is safe to call from tests without any
-runtime.
+large tasks first, always, first-fit by ascending node id, lowest slot ids,
+with one reserved CPU core per requested GPU.  It has no settings.  It
+never mutates the node states it is given, so it is safe to call from
+tests without any runtime.
 
 Queued tasks wait in a `TaskQueue`, which a node group keeps across passes.
 It files each task under its priority key, and within a key in one FIFO per
@@ -21,11 +21,11 @@ tasks, not O(queued).
 Nor does a fit scan from node 0.  The free slots only shrink in a pass,
 so a node that cannot take a (cores, GPUs) non-MPI task never can again:
 each fit of that key resumes where the last one placed, or past the last
-node once one failed.  An MPI fit skips a node with room for no rank and
-no GPU to give, which stays so for its (cores per rank, wants GPUs), so
-those fits resume at the first node still of use.  With the cursors, and
-the ids handed out as slices of the nodes' live free lists, a pass costs
-O(nodes x shapes + placed).
+node once one failed.  A node is of use to an MPI task only with room for
+a rank that needs cores, or a GPU to give; a node of no use stays so for
+its (cores per rank, wants GPUs), so those fits resume at the first node
+still of use.  With the cursors, and the ids handed out as slices of the
+nodes' live free lists, a pass costs O(nodes x shapes + placed).
 
 Feasibility depends only on the shape and the group's nodes, so it is
 checked once per shape, at the first pass that sees it, on the first task
@@ -35,7 +35,6 @@ a transient `TaskQueue`, so there is one scheduling code path.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace, merge
 from operator import attrgetter
 
@@ -46,11 +45,6 @@ from .tasks import TaskDescription
 class UnschedulableError(Exception):
     """Task requirements exceed whole-pilot capacity; permanent, as opposed
     to transiently not fitting in the currently free slots."""
-
-
-@dataclass
-class SchedulerConfig:
-    prioritize_large: bool = True
 
 
 class _FreeView:
@@ -127,8 +121,10 @@ def _fit_single_node(task, view):
 
 
 def _fit_mpi(task, view):
-    """Pack ranks densely: fill a node before spilling to the next,
-    starting at the first node with room for a rank or a GPU to give."""
+    """Pack ranks densely: fill a node before spilling to the next.  A
+    node is of use only with room for a rank that needs cores, or a GPU
+    to give; the ranks of a GPU-only task go with its first GPU.  The
+    scan starts at the first node of use."""
     per_rank = task.cpu_cores_per_rank
     remaining_ranks = task.ranks
     remaining_gpus = task.gpus
@@ -136,15 +132,17 @@ def _fit_mpi(task, view):
     n = len(cores)
     key = (per_rank, remaining_gpus > 0)
     start = view.mpi_from.get(key, 0)
-    while start < n and cores[start] < per_rank and \
+    while start < n and (not per_rank or cores[start] < per_rank) and \
             not (remaining_gpus and gpus[start]):
         start += 1
     view.mpi_from[key] = start
     taken = []  # (node index, n_cores, n_gpus) to commit on success
     for i in range(start, n):
-        ranks_here = (cores[i] // per_rank if per_rank else remaining_ranks)
-        ranks_here = min(ranks_here, remaining_ranks)
         gpus_here = min(gpus[i], remaining_gpus)
+        if per_rank:
+            ranks_here = min(cores[i] // per_rank, remaining_ranks)
+        else:
+            ranks_here = remaining_ranks if gpus_here else 0
         if ranks_here == 0 and gpus_here == 0:
             continue
         taken.append((i, ranks_here * per_rank, gpus_here))
@@ -172,16 +170,15 @@ class _Fifo:
 class TaskQueue:
     """The tasks waiting for one node group, kept across passes.
 
-    Tasks are filed by the `SchedulerConfig` the queue was made with, and
-    feasibility is checked against the nodes of its first pass that sees
-    each shape, so a queue serves one node group.  A pass leaves the tasks
-    it placed queued until `pop_placed`: until then `len()` and iteration
-    still show the queue as the pass read it, which is what the traced
-    benchmark counts as the tasks a pass tried.
+    Tasks are filed under their priority key, and feasibility is checked
+    against the nodes of its first pass that sees each shape, so a queue
+    serves one node group.  A pass leaves the tasks it placed queued until
+    `pop_placed`: until then `len()` and iteration still show the queue as
+    the pass read it, which is what the traced benchmark counts as the
+    tasks a pass tried.
     """
 
-    def __init__(self, cfg):
-        self._cfg = cfg
+    def __init__(self):
         self._arrivals = 0
         self._len = 0
         self._fifos = {}        # shape -> its FIFO, never empty
@@ -235,8 +232,7 @@ class TaskQueue:
             fifo = self._unchecked[0]
             task = fifo.items[0][1]
             check_feasible(task, nodes, capacity)
-            key = self._keys[fifo.shape] = -task.priority_hint(weight) \
-                if self._cfg.prioritize_large else 0
+            key = self._keys[fifo.shape] = -task.priority_hint(weight)
             self._unchecked.popleft()
             self._file(fifo, key)
 
@@ -294,21 +290,21 @@ class TaskQueue:
         self._placed.clear()
 
 
-def schedule(queue, nodes, cfg):
+def schedule(queue, nodes):
     """Place as many queued tasks as currently fit.
 
     `queue` is a TaskQueue or a list of tasks in arrival order.  Returns
     (placements, remaining) where placements is a list of (task_id,
     Placement).  For a list, remaining is the tasks left queued, in
     arrival order; a TaskQueue is its own remaining, its placed tasks
-    still in it until `pop_placed`.  With prioritize_large on, tasks are
-    tried largest-first by priority hint (GPUs weighted at their fair core
-    share); a task that does not fit is skipped, never blocking smaller
-    placeable ones.  Each task goes to the first nodes that fit it.
+    still in it until `pop_placed`.  Tasks are always tried largest-first
+    by priority hint (GPUs weighted at their fair core share), by arrival
+    within a hint; a task that does not fit is skipped, never blocking
+    smaller placeable ones.  Each task goes to the first nodes that fit it.
     """
     if isinstance(queue, TaskQueue):
         return queue.place(nodes), queue
-    transient = TaskQueue(cfg)
+    transient = TaskQueue()
     for task in queue:
         transient.push(task)
     placements = transient.place(nodes)

@@ -278,22 +278,22 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
     return runs, summaries, eng
 
 
-def esmacs_pipeline(index, duration=320.0, stages=4):
-    """GPU-resident pipeline: 1 GPU + 1 core per stage task."""
+def esmacs_pipeline(index, duration=320.0):
+    """GPU-resident pipeline: 4 stages of one 1-GPU + 1-core task."""
     return Pipeline('wf3-%04d' % index,
                     [Stage('s%d' % s,
                            [_task('wf3-%04d-s%d' % (index, s), cores=1,
                                   gpus=1, payload=duration)])
-                     for s in range(stages)])
+                     for s in range(4)])
 
 
-def ties_pipeline(index, duration=320.0, stages=3, ranks=36):
-    """CPU-resident MPI pipeline: one 36-rank task per stage."""
+def ties_pipeline(index, duration=320.0):
+    """CPU-resident MPI pipeline: 3 stages of one 36-rank task."""
     return Pipeline('wf4-%04d' % index,
                     [Stage('s%d' % s,
                            [_task('wf4-%04d-s%d' % (index, s), cores=1,
-                                  ranks=ranks, payload=duration)])
-                     for s in range(stages)])
+                                  ranks=36, payload=duration)])
+                     for s in range(3)])
 
 
 def run_hybrid(service, params):

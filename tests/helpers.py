@@ -103,13 +103,17 @@ def oracle_single_node(task, free_cores, free_gpus):
 def oracle_mpi(task, free_cores, free_gpus):
     """Dense-pack oracle for MPI tasks: fill nodes in ascending id order.
     Ranks of a GPU-only task hold no core, so all of them go to the first
-    node visited."""
+    node with a GPU to give; a node that gives no rank cores and no GPU
+    is not listed."""
     ranks, gpus_left = task.ranks, task.gpus
     slots = []
     for node_id in sorted(free_cores):
-        take_r = ranks if not task.cpu_cores_per_rank else \
-            min(len(free_cores[node_id]) // task.cpu_cores_per_rank, ranks)
         take_g = min(len(free_gpus[node_id]), gpus_left)
+        if task.cpu_cores_per_rank:
+            take_r = min(len(free_cores[node_id]) // task.cpu_cores_per_rank,
+                         ranks)
+        else:
+            take_r = ranks if take_g else 0
         if take_r == 0 and take_g == 0:
             continue
         cores = tuple(sorted(free_cores[node_id])[:take_r *
@@ -129,7 +133,7 @@ def free_ids(occupancy):
     return [i for i, owner in enumerate(occupancy) if owner is None]
 
 
-def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
+def oracle_schedule(tasks, nodes, gpu_weight):
     """Independent reimplementation of the continuous scheduler for small
     instances: priority order, then per task the enumerated lexicographic
     minimum placement."""
@@ -137,9 +141,7 @@ def oracle_schedule(tasks, nodes, gpu_weight, prioritize=True):
                   for n in nodes}
     free_gpus = {n.spec.node_id: set(free_ids(n.gpu_occupancy))
                  for n in nodes}
-    order = list(tasks)
-    if prioritize:
-        order.sort(key=lambda t: -t.priority_hint(gpu_weight))
+    order = sorted(tasks, key=lambda t: -t.priority_hint(gpu_weight))
     out = []
     for task in order:
         fit = (oracle_mpi if task.is_mpi else oracle_single_node)(
@@ -191,10 +193,12 @@ def _ref_fit_mpi(task, view):
     taken = []  # (node_id, n_cores, n_gpus) to commit on success
     for node_id in sorted(view.free_cores):
         cores_here = len(view.free_cores[node_id])
-        ranks_here = (cores_here // task.cpu_cores_per_rank
-                      if task.cpu_cores_per_rank else remaining_ranks)
-        ranks_here = min(ranks_here, remaining_ranks)
         gpus_here = min(len(view.free_gpus[node_id]), remaining_gpus)
+        if task.cpu_cores_per_rank:
+            ranks_here = min(cores_here // task.cpu_cores_per_rank,
+                             remaining_ranks)
+        else:   # a GPU-only task's ranks go with its first GPU
+            ranks_here = remaining_ranks if gpus_here else 0
         if ranks_here == 0 and gpus_here == 0:
             continue
         taken.append((node_id, ranks_here * task.cpu_cores_per_rank, gpus_here))
@@ -210,14 +214,13 @@ def _ref_fit_mpi(task, view):
     return tuple(chosen)
 
 
-def reference_schedule(queue, nodes, cfg):
+def reference_schedule(queue, nodes):
     for task in queue:
         check_feasible(task, nodes)
 
     weight = gpu_weight_for(nodes[0].spec)
-    order = list(queue)
-    if cfg.prioritize_large:
-        order.sort(key=lambda t: -t.priority_hint(weight))  # stable: FIFO ties
+    # stable: FIFO ties
+    order = sorted(queue, key=lambda t: -t.priority_hint(weight))
 
     view = _RefFreeView(nodes)
     placed = {}

@@ -17,7 +17,7 @@ from pilotsim.executors import (BulkBackendConfig, ExecutionService,
 from pilotsim.overlay import MasterConfig, OverlaySim, WorkItem, lpt_makespan
 from pilotsim.resources import (NodeSpec, NodeState, PilotDescription,
                                 ResourceSpec, acquire, us)
-from pilotsim.scheduler import SchedulerConfig, gpu_weight_for, schedule
+from pilotsim.scheduler import gpu_weight_for, schedule
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams,
                                StageDurations, deepdrive_pipeline,
@@ -57,7 +57,7 @@ def test_criterion_1_node_packing_exactness(capsys):
     nodes = [NodeState(NodeSpec(node_id=0, cpu_cores=42, gpus=6))]
     tasks = [TaskDescription(task_id='g%d' % i, gpus=1) for i in range(6)]
     tasks.append(TaskDescription(task_id='big', cpu_cores_per_rank=36))
-    placements, remaining = schedule(tasks, nodes, SchedulerConfig())
+    placements, remaining = schedule(tasks, nodes)
     for _, pl in placements:
         nodes[0].occupy(pl)
     ok = (not remaining and nodes[0].free_cores == 0
@@ -70,7 +70,6 @@ def test_criterion_1_node_packing_exactness(capsys):
 def test_criterion_2_scheduler_oracle_equivalence(capsys):
     """1000 random small instances vs the exhaustive enumeration oracle."""
     rng = np.random.default_rng(1234)
-    cfg = SchedulerConfig()
     checked = 0
     for _ in range(1000):
         n_nodes = int(rng.integers(1, 3))
@@ -95,7 +94,7 @@ def test_criterion_2_scheduler_oracle_equivalence(capsys):
             tasks.append(t)
         if not tasks:
             continue
-        placements, _ = schedule(tasks, nodes, cfg)
+        placements, _ = schedule(tasks, nodes)
         got = [(tid, pl.node_slots) for tid, pl in placements]
         want = oracle_schedule(tasks, nodes, gpu_weight_for(nodes[0].spec))
         assert got == want, 'mismatch on instance: %r' % (tasks,)
@@ -153,7 +152,7 @@ def test_criterion_4a_wf1_utilization_scaled(capsys):
 def test_criterion_4b_wf2_gpu_utilization(capsys):
     """4-stage MD/ML loop on 20 GPU nodes: GPU utilization 91 +/- 3."""
     pilot = _pilot('summit-node', 20, walltime=1e5, startup=30.0)
-    svc = ExecutionService(pilot, SchedulerConfig())
+    svc = ExecutionService(pilot)
     loop = AdaptiveLoopConfig(iterations=4, comm_latency=0.1, seed=42)
     iterate_adaptive(loop, svc,
                      lambda gen: deepdrive_pipeline(pilot, iteration=gen))
@@ -171,7 +170,7 @@ def test_criterion_5_overhead_decomposition_exact(capsys):
                          per_partition_start_cost=0.5, post_start_sleep=10.0,
                          per_launch_delay=0.1)
     pilot = _pilot('frontera-node', 32, walltime=1e5)
-    svc = ExecutionService(pilot, SchedulerConfig(), backend='partitioned',
+    svc = ExecutionService(pilot, backend='partitioned',
                            plan=plan)
     descs = [TaskDescription(task_id='t%05d' % i) for i in range(6000)]
     svc.submit(make_records(descs, [0.0] * 6000))
@@ -187,7 +186,7 @@ def test_criterion_5_overhead_decomposition_exact(capsys):
 
 def _adaptive_overhead(iterations, comm_latency):
     pilot = _pilot('summit-node', 4, walltime=1e5, startup=10.0)
-    svc = ExecutionService(pilot, SchedulerConfig())
+    svc = ExecutionService(pilot)
     loop = AdaptiveLoopConfig(iterations=iterations,
                               comm_latency=comm_latency, seed=42,
                               durations=StageDurations(md=6.0, aggregate=0.5,
@@ -222,7 +221,7 @@ def test_criterion_7_weak_scaling(capsys):
     fracs = []
     for nodes, wf3, wf4 in ((32, 1133, 376), (128, 4532, 1504)):
         pilot = _pilot('summit-node', nodes, walltime=1e5, startup=120.0)
-        svc = ExecutionService(pilot, SchedulerConfig())
+        svc = ExecutionService(pilot)
         run_hybrid(svc, HybridParams(wf3_count=wf3, wf4_count=wf4,
                                      wf3_duration=32.0, wf4_duration=32.0,
                                      comm_latency=0.1))
@@ -242,7 +241,7 @@ def test_criterion_8_bulk_backend_rate(capsys):
     """512 tasks admitted at 14.21/s over ~36 s, zero failures,
     utilization >= 0.85."""
     pilot = _pilot('lassen-node', 32, walltime=1e5)
-    svc = ExecutionService(pilot, SchedulerConfig(), backend='bulk',
+    svc = ExecutionService(pilot, backend='bulk',
                            bulk_cfg=BulkBackendConfig(scheduling_rate=14.21))
     preset = make_preset('wf3', item_count=512)
     descs = [TaskDescription(task_id='t%04d' % i, gpus=1)
@@ -321,7 +320,7 @@ def test_criterion_9_property_suites(capsys):
     # (v) seeded determinism: byte-identical logs
     def one_run():
         pilot = _pilot('summit-node', 2, walltime=1e4)
-        svc = ExecutionService(pilot, SchedulerConfig(), seed=9)
+        svc = ExecutionService(pilot, seed=9)
         model = make_preset('wf1-uc1').model.scaled(0.01)
         descs = [TaskDescription(task_id='t%04d' % i) for i in range(500)]
         svc.submit(make_records(descs, model.sample(500, seed=9)))
@@ -342,7 +341,7 @@ def test_criterion_10_real_backend_smoke(capsys):
     state sequence as the sim run of the same configuration."""
     def build(flavor):
         pilot = _pilot(None, 1, custom_cores=8, walltime=120.0)
-        svc = ExecutionService(pilot, SchedulerConfig(), flavor=flavor)
+        svc = ExecutionService(pilot, flavor=flavor)
         descs = [TaskDescription(task_id='t%04d' % i) for i in range(200)]
         svc.submit(make_records(descs, [0.1] * 200))
         svc.run()

@@ -202,8 +202,7 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig14-partitioned', 'pilot.partitions.max_tasks_per_partition', 0),
     ('fig14-partitioned', 'pilot.walltime', 0),
     ('fig14-partitioned', 'pilot.walltime', float('inf')),
-    ('fig14-partitioned', 'scheduler.algorithm', 'bogus'),
-    ('fig14-partitioned', 'scheduler.algorithm', 'noop'),   # key deleted
+    ('fig14-partitioned', 'scheduler', {'prioritize_large': False}),  # deleted
     ('fig14-partitioned', 'resource.cpu_cores', -1),
     ('fig14-partitioned', 'workload.items', 0),
     ('fig14-partitioned', 'workload.duration_scale', 0),

@@ -14,7 +14,7 @@ from pilotsim.executors import (BulkBackendConfig, ExecutionService,
                                 StabilityLimits, make_records)
 from pilotsim.resources import (PilotDescription, ResourceSpec, acquire,
                                 us)
-from pilotsim.scheduler import SchedulerConfig, UnschedulableError
+from pilotsim.scheduler import UnschedulableError
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import HybridParams, run_hybrid
 from pilotsim import metrics
@@ -36,7 +36,7 @@ def _tasks(n, duration=1.0, cores=1, gpus=0, prefix='t'):
 
 
 def test_direct_backend_runs_to_completion():
-    svc = ExecutionService(_pilot(), SchedulerConfig())
+    svc = ExecutionService(_pilot())
     records = _tasks(100, duration=2.0)
     svc.submit(records)
     svc.run()
@@ -47,7 +47,7 @@ def test_direct_backend_runs_to_completion():
 
 
 def test_startup_latency_gates_execution():
-    svc = ExecutionService(_pilot(startup=30.0), SchedulerConfig())
+    svc = ExecutionService(_pilot(startup=30.0))
     records = _tasks(1)
     svc.submit(records)
     svc.run()
@@ -55,7 +55,7 @@ def test_startup_latency_gates_execution():
 
 
 def test_walltime_expiry_marks_running_tasks_lost():
-    svc = ExecutionService(_pilot(walltime=10.0), SchedulerConfig())
+    svc = ExecutionService(_pilot(walltime=10.0))
     records = _tasks(1, duration=50.0)
     svc.submit(records)
     svc.run()
@@ -71,7 +71,7 @@ def test_a_duration_below_zero_or_not_finite_is_rejected(duration):
 
 
 def test_duplicate_task_id_rejected():
-    svc = ExecutionService(_pilot(), SchedulerConfig())
+    svc = ExecutionService(_pilot())
     svc.submit(_tasks(1))
     with pytest.raises(ValueError, match='duplicate'):
         svc.submit(_tasks(1))
@@ -79,19 +79,17 @@ def test_duplicate_task_id_rejected():
 
 def test_partitioned_requires_plan_and_enough_nodes():
     with pytest.raises(ValueError, match='PartitionPlan'):
-        ExecutionService(_pilot(), SchedulerConfig(), backend='partitioned')
+        ExecutionService(_pilot(), backend='partitioned')
     plan = PartitionPlan(count=4, nodes_per_partition=1)
     with pytest.raises(ExecutorError, match='wants 4 nodes'):
-        ExecutionService(_pilot(nodes=2), SchedulerConfig(),
-                         backend='partitioned', plan=plan)
+        ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan)
 
 
 def test_partition_startup_is_sequential_and_blocking():
     plan = PartitionPlan(count=4, nodes_per_partition=1,
                          per_partition_start_cost=0.5, post_start_sleep=10.0,
                          per_launch_delay=0.0)
-    svc = ExecutionService(_pilot(nodes=4), SchedulerConfig(),
-                           backend='partitioned', plan=plan)
+    svc = ExecutionService(_pilot(nodes=4), backend='partitioned', plan=plan)
     records = _tasks(8, duration=1.0)
     svc.submit(records)
     svc.run()
@@ -109,9 +107,8 @@ def test_partitions_start_work_when_the_last_one_dies_at_startup():
     plan = PartitionPlan(count=4, nodes_per_partition=1)
     limits = StabilityLimits(stable_max_nodes=0, startup_failure_p=0.5,
                              internal_failure_p=0.0, lost_connection_p=0.0)
-    svc = ExecutionService(_pilot(nodes=4), SchedulerConfig(),
-                           backend='partitioned', plan=plan, limits=limits,
-                           seed=4)
+    svc = ExecutionService(_pilot(nodes=4), backend='partitioned', plan=plan,
+                           limits=limits, seed=4)
     records = _tasks(8, duration=1.0)
     svc.submit(records)
     svc.run()
@@ -122,30 +119,42 @@ def test_partitions_start_work_when_the_last_one_dies_at_startup():
     assert [r.state for r in records] == ['done'] * 8
 
 
-def test_partition_round_robin_and_capacity_exhaustion():
-    plan = PartitionPlan(count=2, nodes_per_partition=1,
-                         max_tasks_per_partition=2, per_launch_delay=0.0,
+def test_partition_round_robin():
+    plan = PartitionPlan(count=2, nodes_per_partition=1, per_launch_delay=0.0,
                          per_partition_start_cost=0.0, post_start_sleep=0.0)
-    svc = ExecutionService(_pilot(nodes=2), SchedulerConfig(),
-                           backend='partitioned', plan=plan)
+    svc = ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan)
     records = _tasks(6, duration=1.0)
     svc.submit(records)
     svc.run()
-    by_state = {}
-    for r in records:
-        by_state.setdefault(r.state, []).append(r)
-    assert len(by_state['done']) == 4
-    assert len(by_state['failed']) == 2
-    assert all(r.error == 'no partition capacity' for r in by_state['failed'])
-    assert {r.partition_id for r in by_state['done']} == {0, 1}
+    assert [r.state for r in records] == ['done'] * 6
+    assert [r.partition_id for r in records] == [0, 1, 0, 1, 0, 1]
+
+
+def test_no_partition_capacity_once_every_partition_died():
+    """With every partition dead at startup, the tasks queued on them and
+    a task submitted later all fail for want of a partition; none runs."""
+    plan = PartitionPlan(count=2, nodes_per_partition=1)
+    limits = StabilityLimits(stable_max_nodes=0, startup_failure_p=1.0)
+    svc = ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan,
+                           limits=limits)
+    records = _tasks(4, duration=1.0)
+    late = _tasks(1, prefix='late')
+    svc.submit(records)
+    svc.submit_at(us(100.0), late)
+    svc.run()
+    assert [r['event'] for r in svc.log.rows
+            if r['event'].startswith('partition_')] == ['partition_dead'] * 2
+    assert [(r.state, r.error) for r in records + late] == \
+        [('failed', 'no partition capacity')] * 5
+    assert not [r for r in svc.log.rows
+                if r['event'] in ('scheduled', 'launching', 'running')]
 
 
 def test_launch_lane_delay_serializes_launches():
     plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.1)
-    svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
-                           backend='partitioned', plan=plan)
+    svc = ExecutionService(_pilot(nodes=1), backend='partitioned', plan=plan)
     records = _tasks(10, duration=0.0)
     svc.submit(records)
     svc.run()
@@ -173,7 +182,7 @@ def test_an_undelayed_launch_is_one_kernel_event(monkeypatch):
     event: a small hybrid campaign handles one event fewer per task than
     the 102 it took when each row had its own."""
     handled = _count_events(monkeypatch)
-    svc = ExecutionService(_pilot('summit-node', nodes=2), SchedulerConfig())
+    svc = ExecutionService(_pilot('summit-node', nodes=2))
     runs, _ = run_hybrid(svc, HybridParams(wf3_count=4, wf4_count=2,
                                            wf3_duration=5.0,
                                            wf4_duration=5.0))
@@ -190,8 +199,7 @@ def test_a_delayed_launch_keeps_its_two_events(monkeypatch):
     plan = PartitionPlan(count=2, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=1.0,
                          per_launch_delay=0.1)
-    svc = ExecutionService(_pilot(nodes=2), SchedulerConfig(),
-                           backend='partitioned', plan=plan)
+    svc = ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan)
     records = _tasks(40, duration=2.0, cores=4)
     svc.submit(records)
     svc.run()
@@ -208,9 +216,8 @@ def test_failure_injection_beyond_stability_envelope():
                          per_launch_delay=0.0)
     limits = StabilityLimits(stable_max_tasks=100, internal_failure_p=0.05,
                              lost_connection_p=0.05)
-    svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
-                           backend='partitioned', plan=plan, limits=limits,
-                           seed=11)
+    svc = ExecutionService(_pilot(nodes=1), backend='partitioned', plan=plan,
+                           limits=limits, seed=11)
     records = _tasks(2000, duration=0.0)
     svc.submit(records)
     svc.run()
@@ -228,8 +235,8 @@ def test_within_stability_envelope_no_failures():
     plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.0)
-    svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
-                           backend='partitioned', plan=plan, seed=11)
+    svc = ExecutionService(_pilot(nodes=1), backend='partitioned', plan=plan,
+                           seed=11)
     records = _tasks(200, duration=0.0)
     svc.submit(records)
     svc.run()
@@ -237,7 +244,7 @@ def test_within_stability_envelope_no_failures():
 
 
 def test_bulk_backend_paces_admissions():
-    svc = ExecutionService(_pilot(), SchedulerConfig(), backend='bulk',
+    svc = ExecutionService(_pilot(), backend='bulk',
                            bulk_cfg=BulkBackendConfig(scheduling_rate=10.0))
     records = _tasks(50, duration=0.1)
     svc.submit(records)
@@ -249,8 +256,7 @@ def test_bulk_backend_paces_admissions():
 
 def test_seeded_runs_are_byte_identical():
     def run_once():
-        svc = ExecutionService(_pilot(nodes=1), SchedulerConfig(),
-                               backend='partitioned',
+        svc = ExecutionService(_pilot(nodes=1), backend='partitioned',
                                plan=PartitionPlan(count=1,
                                                   nodes_per_partition=1,
                                                   per_partition_start_cost=0.0,
@@ -267,8 +273,7 @@ def test_seeded_runs_are_byte_identical():
 
 
 def test_real_flavor_single_task():
-    svc = ExecutionService(_pilot(nodes=1, walltime=30.0),
-                           SchedulerConfig(), flavor='real')
+    svc = ExecutionService(_pilot(nodes=1, walltime=30.0), flavor='real')
     records = _tasks(4, duration=0.05)
     svc.submit(records)
     svc.run()
@@ -282,8 +287,7 @@ def test_real_completion_is_stamped_at_the_wall_clock():
     """While a later event is pending (task b is submitted at 1 s), a
     payload that finishes is stamped when it is polled, not at the time
     of the last event run."""
-    svc = ExecutionService(_pilot(nodes=1, walltime=30.0),
-                           SchedulerConfig(), flavor='real')
+    svc = ExecutionService(_pilot(nodes=1, walltime=30.0), flavor='real')
     svc.submit(_tasks(1, duration=0.05, prefix='a'))
     svc.submit_at(us(1.0), _tasks(1, duration=0.05, prefix='b'))
     svc.run()
@@ -303,8 +307,7 @@ def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
         return spawned[-1]
 
     monkeypatch.setattr(subprocess, 'Popen', recording_popen)
-    svc = ExecutionService(_pilot(nodes=1, walltime=60.0),
-                           SchedulerConfig(), flavor='real')
+    svc = ExecutionService(_pilot(nodes=1, walltime=60.0), flavor='real')
     svc.submit(_tasks(1, duration=0.05, prefix='quick') +
                _tasks(3, duration=20.0, prefix='slow'))
 
@@ -332,8 +335,7 @@ def test_real_payload_is_lost_at_the_walltime(monkeypatch):
         return spawned[-1]
 
     monkeypatch.setattr(subprocess, 'Popen', recording_popen)
-    svc = ExecutionService(_pilot(nodes=1, walltime=1.0),
-                           SchedulerConfig(), flavor='real')
+    svc = ExecutionService(_pilot(nodes=1, walltime=1.0), flavor='real')
     records = _tasks(1, duration=3.0)
     svc.submit(records)
     svc.run()
@@ -345,7 +347,7 @@ def test_real_payload_is_lost_at_the_walltime(monkeypatch):
 
 
 def test_task_wider_than_a_node_raises_naming_it():
-    svc = ExecutionService(_pilot(nodes=2), SchedulerConfig())
+    svc = ExecutionService(_pilot(nodes=2))
     wide = make_records([TaskDescription(task_id='wide',
                                          cpu_cores_per_rank=35)], [1.0])
     svc.submit(_tasks(3) + wide)

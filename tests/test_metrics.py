@@ -11,7 +11,6 @@ from pilotsim.metrics import (MetricsError, intersect, merge_intervals,
                               overhead, rate, subtract, total_length,
                               utilization)
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
-from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TaskDescription
 
 from helpers import (reference_overhead, reference_rate_points,
@@ -340,8 +339,7 @@ class _CountedRows(list):
 def test_reports_read_the_rows_once(tmp_path):
     res = ResourceSpec.from_preset('frontera-node', 2)
     svc = ExecutionService(acquire(PilotDescription(resource=res,
-                                                    walltime=1000.0)),
-                           SchedulerConfig())
+                                                    walltime=1000.0)))
     descs = [TaskDescription(task_id='t%03d' % i, cpu_cores_per_rank=1 + i % 3)
              for i in range(150)]
     svc.submit(make_records(descs, [1.0 + i % 7 for i in range(150)]))

@@ -38,7 +38,7 @@ def test_resource_spec_rejects_heterogeneous_nodes():
 def test_from_preset_counts():
     res = ResourceSpec.from_preset('frontera-node', 4)
     assert len(res.nodes) == 4
-    assert res.total_usable_cores == 4 * 34
+    assert {n.usable_cpu_cores for n in res.nodes} == {34}
     assert res.total_gpus == 0
     with pytest.raises(KeyError):
         ResourceSpec.from_preset('no-such-node', 1)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotsim import scheduler
 from pilotsim.resources import NodeSpec, NodeState, Placement, ResourceSpec
-from pilotsim.scheduler import (SchedulerConfig, TaskQueue,
-                                UnschedulableError, check_feasible,
-                                gpu_weight_for, schedule)
+from pilotsim.scheduler import (TaskQueue, UnschedulableError,
+                                check_feasible, gpu_weight_for, schedule)
 from pilotsim.tasks import TaskDescription
 
 from helpers import oracle_schedule, reference_schedule
@@ -28,7 +28,7 @@ def test_node_packing_exactness():
     tasks = [TaskDescription(task_id='g%d' % i, cpu_cores_per_rank=1, gpus=1)
              for i in range(6)]
     tasks.append(TaskDescription(task_id='big', cpu_cores_per_rank=36))
-    placements, remaining = schedule(tasks, nodes, SchedulerConfig())
+    placements, remaining = schedule(tasks, nodes)
     assert not remaining
     for _, pl in placements:
         nodes[0].occupy(pl)
@@ -42,7 +42,7 @@ def test_large_task_priority_prevents_fragmentation():
     nodes = _nodes(1, 42, gpus=6)
     small = [TaskDescription(task_id='g%d' % i, gpus=1) for i in range(6)]
     big = TaskDescription(task_id='big', cpu_cores_per_rank=36)
-    placements, remaining = schedule(small + [big], nodes, SchedulerConfig())
+    placements, remaining = schedule(small + [big], nodes)
     assert not remaining
     assert placements[0][0] == 'big'    # scheduled first
 
@@ -54,7 +54,7 @@ def test_infeasible_task_raises():
         check_feasible(too_wide, nodes)
     too_many_gpus = TaskDescription(task_id='t', gpus=3)
     with pytest.raises(UnschedulableError):
-        schedule([too_many_gpus], nodes, SchedulerConfig())
+        schedule([too_many_gpus], nodes)
 
 
 @pytest.mark.parametrize('name, value', [
@@ -72,8 +72,7 @@ def test_transient_full_keeps_task_queued():
     nodes = _nodes(1, 4)
     first = TaskDescription(task_id='a', cpu_cores_per_rank=3)
     second = TaskDescription(task_id='b', cpu_cores_per_rank=3)
-    placements, remaining = schedule([first, second], nodes,
-                                     SchedulerConfig())
+    placements, remaining = schedule([first, second], nodes)
     assert len(placements) == 1
     assert [t.task_id for t in remaining] == ['b']
 
@@ -81,11 +80,52 @@ def test_transient_full_keeps_task_queued():
 def test_mpi_dense_packing_spills_nodes():
     nodes = _nodes(3, 4)
     task = TaskDescription(task_id='mpi', cpu_cores_per_rank=1, ranks=10)
-    placements, remaining = schedule([task], nodes, SchedulerConfig())
+    placements, remaining = schedule([task], nodes)
     assert not remaining
     pl = placements[0][1]
     per_node = {nid: len(cores) for nid, cores, _ in pl.node_slots}
     assert per_node == {0: 4, 1: 4, 2: 2}
+
+
+def test_a_gpu_only_mpi_task_takes_no_node_without_a_gpu_to_give():
+    """Its ranks hold no core, so they go with its first GPU: node 0, whose
+    GPUs are busy, gives it nothing and is not in the placement."""
+    nodes = _nodes(2, 4, gpus=2)
+    nodes[0].occupy(Placement(task_id='busy', node_slots=((0, (), (0, 1)),)))
+    task = TaskDescription(task_id='mpi', cpu_cores_per_rank=0, ranks=2,
+                           gpus=1)
+    placements, remaining = schedule([task], nodes)
+    assert not remaining
+    assert placements[0][1].node_slots == ((1, (), (0,)),)
+
+
+def test_a_failed_fit_is_not_scanned_again_in_its_pass(monkeypatch):
+    """Two shapes that share a fit key, (1 core, 1 GPU) and (0 cores,
+    1 GPU), on 8 nodes with no free GPU: the first fit reads each node's
+    free core and GPU count once and fails, and the second resumes past
+    the last node, reading none."""
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    class CountedView(scheduler._FreeView):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            self.cores, self.gpus = Counted(self.cores), Counted(self.gpus)
+
+    monkeypatch.setattr(scheduler, '_FreeView', CountedView)
+    nodes = _nodes(8, 4, gpus=2)
+    for node in nodes:
+        node.occupy(Placement(task_id='busy', node_slots=(
+            (node.spec.node_id, (), (0, 1)),)))
+    tasks = [TaskDescription(task_id='a', cpu_cores_per_rank=1, gpus=1),
+             TaskDescription(task_id='b', cpu_cores_per_rank=0, gpus=1)]
+    placements, remaining = schedule(tasks, nodes)
+    assert not placements and remaining == tasks
+    assert len(reads) == 2 * len(nodes)
 
 
 def _random_instance(rng):
@@ -116,12 +156,11 @@ def _random_instance(rng):
 
 def test_matches_exhaustive_oracle_on_random_instances():
     rng = np.random.default_rng(7)
-    cfg = SchedulerConfig()
     for _ in range(1000):
         nodes, tasks = _random_instance(rng)
         if not tasks:
             continue
-        placements, _ = schedule(tasks, nodes, cfg)
+        placements, _ = schedule(tasks, nodes)
         got = [(tid, pl.node_slots) for tid, pl in placements]
         want = oracle_schedule(tasks, nodes,
                                gpu_weight_for(nodes[0].spec))
@@ -135,7 +174,7 @@ def test_first_infeasible_task_in_queue_order_is_named():
     first = TaskDescription(task_id='first', cpu_cores_per_rank=9)
     second = TaskDescription(task_id='second', cpu_cores_per_rank=9)
     with pytest.raises(UnschedulableError, match='task first '):
-        schedule([ok, first, second], nodes, SchedulerConfig())
+        schedule([ok, first, second], nodes)
 
 
 @st.composite
@@ -173,7 +212,7 @@ def _busy_instances(draw):
         except UnschedulableError:
             continue
         tasks.append(task)
-    return nodes, tasks, draw(st.booleans())
+    return nodes, tasks
 
 
 @settings(max_examples=400, deadline=None)
@@ -181,15 +220,13 @@ def _busy_instances(draw):
 def test_memo_and_early_stop_keep_every_placement(instance):
     """One pass places what trying every task would, by the enumeration
     oracle."""
-    nodes, tasks, prioritize = instance
-    cfg = SchedulerConfig(prioritize_large=prioritize)
-    placements, remaining = schedule(tasks, nodes, cfg)
+    nodes, tasks = instance
+    placements, remaining = schedule(tasks, nodes)
     got = [(tid, pl.node_slots) for tid, pl in placements]
     placed = {tid for tid, _ in got}
     assert [t.task_id for t in remaining] == \
         [t.task_id for t in tasks if t.task_id not in placed]
-    assert got == oracle_schedule(tasks, nodes, gpu_weight_for(nodes[0].spec),
-                                  prioritize=prioritize)
+    assert got == oracle_schedule(tasks, nodes, gpu_weight_for(nodes[0].spec))
 
 
 # (cores per rank, ranks, GPUs) on 4-core, 2-GPU nodes, where a GPU weighs
@@ -221,7 +258,6 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
         if busy.n_cores or busy.n_gpus:
             node.occupy(busy)
             running.append(busy)
-    cfg = SchedulerConfig(prioritize_large=data.draw(st.booleans()))
     ops = data.draw(st.lists(st.one_of(
         st.tuples(st.just('push'), st.sampled_from(_QUEUE_SHAPES)),
         st.just(('pass',)),
@@ -233,7 +269,7 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
                      max_size=2))]
     ops.append(('pass',))
 
-    queue = TaskQueue(cfg)
+    queue = TaskQueue()
     waiting = []        # the queued tasks as a list, in arrival order
     first_bad = None
     for i, op in enumerate(ops):
@@ -255,15 +291,15 @@ def test_task_queue_matches_the_reference_pass_by_pass(data):
                     nodes[nid].release(pl)
         elif first_bad is not None:
             with pytest.raises(UnschedulableError) as ref_error:
-                reference_schedule(waiting, nodes, cfg)
+                reference_schedule(waiting, nodes)
             with pytest.raises(UnschedulableError,
                                match='task %s ' % first_bad.task_id) as error:
-                schedule(queue, nodes, cfg)
+                schedule(queue, nodes)
             assert str(error.value) == str(ref_error.value)
             return
         else:
-            ref_placements, waiting = reference_schedule(waiting, nodes, cfg)
-            placements, _ = schedule(queue, nodes, cfg)
+            ref_placements, waiting = reference_schedule(waiting, nodes)
+            placements, _ = schedule(queue, nodes)
             assert [(tid, pl.node_slots) for tid, pl in placements] == \
                 [(tid, pl.node_slots) for tid, pl in ref_placements]
             queue.pop_placed()

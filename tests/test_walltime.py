@@ -9,7 +9,6 @@ from pilotsim.executors import (BulkBackendConfig, ExecutionService,
 from pilotsim.overlay import MasterConfig, OverlaySim, WorkItem
 from pilotsim.resources import (NodeSpec, PilotDescription, ResourceSpec,
                                 acquire)
-from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TERMINAL, TaskDescription
 from pilotsim.workflow import Pipeline, Stage, run_pipeline
 
@@ -28,7 +27,7 @@ def _direct_pipeline():
     """Three 2 s stages, 0.5 s per engine action, on a 5 s pilot: the
     second stage runs into the deadline and the third would be submitted
     after it."""
-    svc = ExecutionService(_pilot(1, 5.0), SchedulerConfig())
+    svc = ExecutionService(_pilot(1, 5.0))
     stages = [Stage('s%d' % s, [TaskDescription(task_id='p-s%d' % s,
                                                 payload=2.0)])
               for s in range(3)]
@@ -39,8 +38,7 @@ def _direct_pipeline():
 def _partitioned():
     """Four one-node partitions start 10.5 s apart; the pilot ends at
     15 s, after the first one is up."""
-    svc = ExecutionService(_pilot(4, 15.0), SchedulerConfig(),
-                           backend='partitioned',
+    svc = ExecutionService(_pilot(4, 15.0), backend='partitioned',
                            plan=PartitionPlan(count=4, nodes_per_partition=1))
     svc.submit(_tasks(8, 1.0))
     svc.run()
@@ -50,8 +48,7 @@ def _partitioned():
 def _bulk():
     """Four tasks admitted at 4/s on a 0.5 s pilot: the third and fourth
     admissions would fall at and after the deadline."""
-    svc = ExecutionService(_pilot(1, 0.5), SchedulerConfig(),
-                           backend='bulk',
+    svc = ExecutionService(_pilot(1, 0.5), backend='bulk',
                            bulk_cfg=BulkBackendConfig(scheduling_rate=4.0))
     svc.submit(_tasks(4, 10.0))
     svc.run()

@@ -3,7 +3,6 @@ import pytest
 from pilotsim.executors import ExecutionService
 from pilotsim.metrics import overhead
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire, us
-from pilotsim.scheduler import SchedulerConfig
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams, Pipeline,
                                Stage, WorkflowEngine, WorkflowError,
@@ -20,7 +19,7 @@ def _pilot(preset='summit-node', nodes=2, walltime=1e6, startup=0.0):
 
 
 def _service(pilot):
-    return ExecutionService(pilot, SchedulerConfig())
+    return ExecutionService(pilot)
 
 
 def _stage(sid, n, dur, prefix):
