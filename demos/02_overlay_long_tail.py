@@ -8,7 +8,8 @@ core utilization above 0.99.
 
 from pilotsim import (MasterConfig, OverlaySim, PilotDescription,
                       ResourceSpec, WorkItem, acquire, lpt_makespan,
-                      make_preset, utilization)
+                      utilization)
+from pilotsim.workloads import make_preset
 
 model = make_preset('wf1-uc1').model.scaled(0.01)
 durations = model.sample(10_000, seed=42)

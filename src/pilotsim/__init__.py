@@ -4,6 +4,9 @@ A master/worker overlay, a CPU/GPU slot scheduler, partitioned and bulk
 execution backends, an adaptive pipeline workflow layer, and a metrics
 engine, all running on one discrete-event kernel in either virtual time
 (sim) or wall-clock time (real).
+
+The duration models and workload presets are in `pilotsim.workloads`, the
+one module that imports numpy at its top; the package root does not.
 """
 
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, NodeState, Pilot,
@@ -11,8 +14,6 @@ from .resources import (NODE_PRESETS, FieldError, NodeSpec, NodeState, Pilot,
                         acquire, secs, us)
 from .tasks import TaskDescription, TaskRecord
 from .scheduler import TaskQueue, UnschedulableError, check_feasible, schedule
-from .workloads import (DurationModel, WorkloadPreset, clipped_lognormal_mean,
-                        make_preset, preset_names)
 from .eventlog import EventLog, LogError, state_sequence
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .executors import (BulkBackendConfig, ExecutionService, ExecutorError,

@@ -20,7 +20,6 @@ from .overlay import MasterConfig
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
                         ResourceSpec)
 from .workflow import AdaptiveLoopConfig, EnsembleParams, HybridParams
-from .workloads import make_preset, preset_names
 
 SCHEMA_VERSION = 1
 
@@ -142,6 +141,9 @@ def _parse_resource(raw):
 
 
 def _parse_workload(raw):
+    # numpy comes with the presets: a config that names one pays its import
+    # here, before the run; a config without one never imports it
+    from .workloads import make_preset, preset_names
     _check_known(raw, {'preset', 'items', 'duration_scale'}, 'workload')
     preset = _get(raw, 'preset', 'workload', str, required=True)
     if preset not in preset_names():

@@ -24,11 +24,8 @@ partition is still starting, and none for a dead group.
 """
 
 import math
-import subprocess
 import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .eventlog import EventLog, row_kind
@@ -127,7 +124,11 @@ class ExecutionService:
         self.log = EventLog()
         self.records = {}
         self.on_terminal = []    # callbacks fn(record, t_us)
-        self._rng = np.random.default_rng(seed)
+        self._rng = None
+        if backend == 'partitioned':
+            # the one backend that draws: partition starts, injected failures
+            from numpy.random import default_rng
+            self._rng = default_rng(seed)
         self._round_robin = 0
         self._kick_flagged = set()
         self._next_admit_us = None
@@ -369,6 +370,7 @@ class ExecutionService:
     # real-flavor payloads
 
     def _spawn_payload(self, rec):
+        import subprocess
         code = 'import time; time.sleep(%f)' % ((rec.duration_us or 0) / 1e6)
         proc = subprocess.Popen([sys.executable, '-c', code],
                                 stdout=subprocess.DEVNULL,

@@ -1,10 +1,12 @@
 """Continuous scheduling over slot-level node state.
 
 The continuous algorithm maps task descriptions to concrete slot placements:
-large tasks first, always, first-fit by ascending node id, lowest slot ids,
-with one reserved CPU core per requested GPU.  It has no settings.  It
-never mutates the node states it is given, so it is safe to call from
-tests without any runtime.
+large tasks first, always, first-fit by ascending node id, lowest slot ids.
+A non-MPI task holds at least one CPU core per requested GPU
+(`TaskDescription.effective_cores`).  An MPI task holds its ranks' cores
+and no more, so a GPU-only MPI task holds its GPUs and no core.  It has no
+settings.  It never mutates the node states it is given, so it is safe to
+call from tests without any runtime.
 
 Queued tasks wait in a `TaskQueue`, which a node group keeps across passes.
 It files each task under its priority key, and within a key in one FIFO per

@@ -11,8 +11,6 @@ workflow engine and its message broker.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .resources import check_range, us
 from .scheduler import UnschedulableError
 from .tasks import TaskDescription, TaskRecord
@@ -249,7 +247,8 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
     Pipeline for a given generation, so the continue branch reuses the
     identical stage-1 task list.  Returns (runs, summaries, engine).
     """
-    rng = np.random.default_rng(loop_cfg.seed)
+    from numpy.random import default_rng
+    rng = default_rng(loop_cfg.seed)
     summaries = []
     generation = {'n': 0}
 

@@ -38,14 +38,22 @@ def _bisect(fn, lo, hi, tol=1e-12, iters=200):
     return 0.5 * (lo + hi)
 
 
-def solve_sigma(mean, lo, hi):
-    """Sigma such that the clipped mean hits `mean`, with mu fixed at the
-    geometric center of the clip window."""
+def _centered_mu(mean, lo, hi):
+    """mu at the geometric center of the clip window; ValueError unless
+    some sigma gives the clipped mean `mean`: it runs from the geometric
+    center (sigma -> 0) to the window's midpoint (sigma -> inf)."""
     mu = 0.5 * (math.log(lo) + math.log(hi))
     gm = math.exp(mu)
     if not gm <= mean <= 0.5 * (lo + hi):
         raise ValueError('target mean %.4g outside attainable range [%.4g, %.4g]'
                          % (mean, gm, 0.5 * (lo + hi)))
+    return mu
+
+
+def solve_sigma(mean, lo, hi):
+    """Sigma such that the clipped mean hits `mean`, with mu fixed at the
+    geometric center of the clip window."""
+    mu = _centered_mu(mean, lo, hi)
     err = lambda s: clipped_lognormal_mean(mu, s, lo, hi) - mean
     sigma = _bisect(err, 1e-9, 30.0, tol=1e-9)
     return mu, sigma
@@ -69,6 +77,7 @@ class DurationModel:
                 raise ValueError('lognormal model needs mean and clips')
             if not 0 < self.min_clip <= self.mean <= self.max_clip:
                 raise ValueError('need 0 < min_clip <= mean <= max_clip')
+            _centered_mu(self.mean, self.min_clip, self.max_clip)
         else:
             raise ValueError('unknown duration model kind: %s' % self.kind)
 
@@ -76,11 +85,11 @@ class DurationModel:
         """Draw n durations (seconds); deterministic per seed."""
         if n < 1:
             raise ValueError('n must be >= 1')
-        rng = np.random.default_rng(seed)
         if self.kind == 'constant':
             return np.full(n, float(self.constant))
         mu, sigma = solve_sigma(self.mean, self.min_clip, self.max_clip)
-        raw = rng.lognormal(mean=mu, sigma=sigma, size=n)
+        raw = np.random.default_rng(seed).lognormal(mean=mu, sigma=sigma,
+                                                    size=n)
         return np.clip(raw, self.min_clip, self.max_clip)
 
     def scaled(self, factor):

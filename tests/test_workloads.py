@@ -31,6 +31,24 @@ def test_solve_sigma_rejects_unattainable_mean():
         solve_sigma(10_000.0, 0.1, 3582.6)
 
 
+@pytest.mark.parametrize('mean', [1.0, 60.0])
+def test_an_unattainable_mean_fails_at_construction(mean):
+    """Both ends: below the window's geometric center, above its midpoint;
+    either is inside the clip window, so only the attainable range fails."""
+    with pytest.raises(ValueError, match=r'target mean %g outside attainable '
+                       r'range \[3\.162, 50\.05\]' % mean):
+        DurationModel(kind='lognormal-truncated', mean=mean, min_clip=0.1,
+                      max_clip=100.0)
+
+
+def test_a_constant_model_draws_no_random_number(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError('a constant model built a generator')
+    monkeypatch.setattr(np.random, 'default_rng', no_generator)
+    durations = DurationModel(kind='constant', constant=2.5).sample(3, seed=1)
+    assert durations.tolist() == [2.5, 2.5, 2.5]
+
+
 @pytest.mark.parametrize('name,mean,lo,hi', [
     ('wf1-uc1', 28.8, 0.1, 3582.6),
     ('wf1-uc2', 25.1, 0.1, 833.1),
