@@ -21,11 +21,10 @@ from .executors import (BulkBackendConfig, ExecutionService, ExecutorError,
 from .overlay import (Master, MasterConfig, Overlay, OverlayDrainedError,
                       OverlayError, OverlaySim, WorkItem, WorkerState,
                       lpt_makespan, partition_items, spawn_overlay)
-from .workflow import (AdaptiveLoopConfig, EnsembleParams, HybridParams,
-                       Pipeline, Stage, StageDurations, WorkflowEngine,
-                       WorkflowError, deepdrive_pipeline, esmacs_pipeline,
-                       iterate_adaptive, run_hybrid, run_pipeline,
-                       ties_pipeline)
+from .workflow import (AdaptiveLoopConfig, HybridParams, Pipeline, Stage,
+                       StageDurations, WorkflowEngine, WorkflowError,
+                       deepdrive_pipeline, esmacs_pipeline, iterate_adaptive,
+                       run_hybrid, run_pipeline, ties_pipeline)
 from .metrics import (OverheadReport, RateSeries, UtilizationReport,
                       overhead, rate, utilization)
 

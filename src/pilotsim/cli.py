@@ -34,66 +34,55 @@ from .overlay import OverlaySim, WorkItem
 from .resources import acquire
 from .tasks import TaskDescription
 from .scheduler import UnschedulableError
-from .workflow import (WorkflowEngine, deepdrive_pipeline, esmacs_pipeline,
-                       iterate_adaptive, run_hybrid, ties_pipeline)
+from .workflow import deepdrive_pipeline, iterate_adaptive, run_hybrid
 
 log = logging.getLogger('pilotsim')
 
 
-def _run_flat(cfg, service):
+def _service(cfg, pilot):
+    return ExecutionService(pilot, backend=cfg.backend, flavor=cfg.flavor,
+                            plan=cfg.plan, limits=cfg.limits,
+                            bulk_cfg=cfg.bulk, seed=cfg.seed)
+
+
+def _run_flat(cfg, pilot):
+    """The workload's bundles, as work items through the overlay backend
+    or as tasks through the others; returns the event log and the work
+    total."""
     preset = cfg.workload
     ids, durations, credits = preset.bundles(cfg.seed)
+    if cfg.backend == 'overlay':
+        items = [WorkItem(item_id, float(d), credit=credit)
+                 for item_id, d, credit in zip(ids, durations, credits)]
+        sim = OverlaySim(pilot, cfg.overlay, items, slot_kind=preset.slot_kind)
+        sim.run()
+        log.info('overlay: %d bundles done, %d messages',
+                 sum(m.completed for m in sim.overlay.masters),
+                 sim.message_count)
+        return sim.log, preset.item_count
     descs = [TaskDescription(task_id=task_id, cpu_cores_per_rank=preset.cores,
                              ranks=preset.ranks, gpus=preset.gpus)
              for task_id in ids]
     records = make_records(descs, durations)
     for rec, credit in zip(records, credits):
         rec.credit = credit
+    service = _service(cfg, pilot)
     service.submit(records)
     service.run()
+    return service.log, preset.item_count
 
 
-def _run_overlay(cfg, pilot):
-    preset = cfg.workload
-    ids, durations, credits = preset.bundles(cfg.seed)
-    items = [WorkItem(item_id, float(d), credit=credit)
-             for item_id, d, credit in zip(ids, durations, credits)]
-    sim = OverlaySim(pilot, cfg.overlay, items, slot_kind=preset.slot_kind)
-    sim.run()
-    log.info('overlay: %d bundles done, %d messages',
-             sum(m.completed for m in sim.overlay.masters), sim.message_count)
-    return sim.log, preset.item_count
-
-
-def _run_deepdrive(cfg, service):
-    loop = cfg.template_params
-    iterate_adaptive(loop, service, lambda generation: deepdrive_pipeline(
-        service.pilot, iteration=generation, durations=loop.durations))
-
-
-def _run_ensemble(cfg, service, make_pipeline):
-    p = cfg.template_params
-    pipelines = [make_pipeline(i, duration=p.duration) for i in range(p.count)]
-    engine = WorkflowEngine(service, comm_latency_s=p.comm_latency)
-    engine.run_pipelines(pipelines)
-
-
-_TEMPLATE_RUNNERS = {
-    'flat': _run_flat,
-    'wf2-deepdrive': _run_deepdrive,
-    'wf3-esmacs': lambda cfg, svc: _run_ensemble(cfg, svc, esmacs_pipeline),
-    'wf4-ties': lambda cfg, svc: _run_ensemble(cfg, svc, ties_pipeline),
-    'hybrid-lb': lambda cfg, svc: run_hybrid(svc, cfg.template_params),
-}
-
-
-def _run_service(cfg, pilot):
-    """Run the config's template on the direct, partitioned or bulk
-    backend; returns the event log and the work total."""
-    service = ExecutionService(pilot, backend=cfg.backend, flavor=cfg.flavor,
-                               plan=cfg.plan, limits=cfg.limits,
-                               bulk_cfg=cfg.bulk, seed=cfg.seed)
-    _TEMPLATE_RUNNERS[cfg.template](cfg, service)
+def _run_workflow(cfg, pilot):
+    """Run the config's workflow template on the direct, partitioned or
+    bulk backend; returns the event log and the work total."""
+    service = _service(cfg, pilot)
+    params = cfg.template_params
+    if cfg.template == 'hybrid-lb':
+        run_hybrid(service, params)
+    else:
+        iterate_adaptive(params, service, lambda generation:
+                         deepdrive_pipeline(pilot, iteration=generation,
+                                            durations=params.durations))
     return service.log, sum(r.credit for r in service.records.values())
 
 
@@ -198,7 +187,7 @@ def run_campaign(cfg):
     gc.disable()
     try:
         pilot = acquire(cfg.pilot)
-        runner = _run_overlay if cfg.backend == 'overlay' else _run_service
+        runner = _run_flat if cfg.template == 'flat' else _run_workflow
         try:
             event_log, total = runner(cfg, pilot)
         except UnschedulableError:

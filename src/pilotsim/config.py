@@ -12,14 +12,12 @@ import dataclasses
 import typing
 from contextlib import contextmanager
 
-import yaml
-
 from .executors import BulkBackendConfig, PartitionPlan, StabilityLimits
 from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
                         ResourceSpec)
-from .workflow import AdaptiveLoopConfig, EnsembleParams, HybridParams
+from .workflow import AdaptiveLoopConfig, HybridParams
 
 SCHEMA_VERSION = 1
 
@@ -27,10 +25,8 @@ BACKENDS = ('direct', 'partitioned', 'bulk', 'overlay')
 FLAVORS = ('sim', 'real')
 
 # template -> the dataclass its workflow.params build (None: it takes none)
-_TEMPLATE_PARAMS = {
-    'flat': None, 'wf1-overlay': None, 'wf2-deepdrive': AdaptiveLoopConfig,
-    'wf3-esmacs': EnsembleParams, 'wf4-ties': EnsembleParams,
-    'hybrid-lb': HybridParams}
+_TEMPLATE_PARAMS = {'flat': None, 'wf2-deepdrive': AdaptiveLoopConfig,
+                    'hybrid-lb': HybridParams}
 TEMPLATES = tuple(_TEMPLATE_PARAMS)
 
 
@@ -219,16 +215,11 @@ def parse_config(raw):
 
     raw_wl = _get(raw, 'workload', '', dict)
     workload = None if raw_wl is None else _parse_workload(raw_wl)
-    if template in ('flat', 'wf1-overlay') and workload is None:
-        raise ConfigError('workload',
-                          'template %r needs a workload section' % template)
-    if backend == 'overlay' and template not in ('flat', 'wf1-overlay'):
+    if template == 'flat' and workload is None:
+        raise ConfigError('workload', 'template flat needs a workload section')
+    if backend == 'overlay' and template != 'flat':
         raise ConfigError('backend',
                           'overlay backend only runs flat workloads')
-    if template == 'wf1-overlay' and backend != 'overlay':
-        raise ConfigError('workflow.template',
-                          'template wf1-overlay runs only on the overlay '
-                          'backend, not %r' % backend)
 
     bulk = _section(_get(raw, 'bulk', '', dict, default={}), 'bulk',
                     BulkBackendConfig)
@@ -264,6 +255,8 @@ def parse_config(raw):
 
 def read_config(path):
     """The mapping of a campaign YAML file, before validation."""
+    # only a campaign file is YAML: `pilotsim report` never imports it
+    import yaml
     with open(path) as fh:
         try:
             return yaml.safe_load(fh)

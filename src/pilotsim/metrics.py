@@ -47,40 +47,6 @@ def merge_intervals(intervals):
     return merged
 
 
-def total_length(intervals):
-    return sum(b - a for a, b in intervals)
-
-
-def subtract(intervals, cut):
-    """Set difference of two disjoint sorted interval lists."""
-    out = []
-    for a, b in intervals:
-        segs = [(a, b)]
-        for ca, cb in cut:
-            nxt = []
-            for sa, sb in segs:
-                if cb <= sa or ca >= sb:
-                    nxt.append((sa, sb))
-                    continue
-                if sa < ca:
-                    nxt.append((sa, ca))
-                if cb < sb:
-                    nxt.append((cb, sb))
-            segs = nxt
-        out.extend(segs)
-    return [iv for iv in out if iv[1] > iv[0]]
-
-
-def intersect(intervals, other):
-    out = []
-    for a, b in intervals:
-        for ca, cb in other:
-            lo, hi = max(a, ca), min(b, cb)
-            if hi > lo:
-                out.append((lo, hi))
-    return merge_intervals(out)
-
-
 def _running_intervals(tasks):
     """(start, end, cores, gpus) of every task that started running, from
     the task records; the busy interval ends at exec_end for completed
@@ -283,16 +249,16 @@ class OverheadReport:
                 'decomposition': dict(self.decomposition)}
 
 
+_PHASES = ('startup', 'scheduling', 'launch-delay', 'teardown', 'idle-gaps')
+
+
 def overhead(log):
     """TTX minus the union of running intervals, with the non-busy time
     attributed to the phase active at each instant."""
     tasks = log.task_records()
     if not tasks:
         return OverheadReport(ttx=0.0, busy_union=0.0, overhead=0.0,
-                              decomposition={k: 0.0 for k in
-                                             ('startup', 'scheduling',
-                                              'launch-delay', 'teardown',
-                                              'idle-gaps')})
+                              decomposition=dict.fromkeys(_PHASES, 0.0))
     recs = tasks.values()
     first_queued = min(_column(recs, QUEUED), default=None)
     last_terminal = max(chain(_column(recs, DONE), _column(recs, FAILED),
@@ -303,13 +269,10 @@ def overhead(log):
     ttx_us = last_terminal - first_queued
 
     running = log.from_records(_running_intervals)
-    busy = merge_intervals(running)
-    busy = intersect(busy, [(first_queued, last_terminal)])
-    busy_us = total_length(busy)
-    non_busy = subtract([(first_queued, last_terminal)], busy)
-
     first_launch = min(_column(recs, LAUNCH_START), default=last_terminal)
     last_exec_end = max(map(_END, running), default=first_launch)
+    startup_end = min(first_launch, last_terminal)
+    teardown_start = min(last_exec_end, last_terminal)
 
     # a task without a launching row has no lane and a zero-length
     # scheduling interval, which the merge drops
@@ -321,25 +284,29 @@ def overhead(log):
         [(rec[SCHEDULED], rec[LAUNCH_START]) for rec in launched
          if rec[SCHEDULED] is not None])
 
-    parts = {'startup': 0, 'scheduling': 0, 'launch-delay': 0,
-             'teardown': 0, 'idle-gaps': 0}
-    startup_cut = [(first_queued, min(first_launch, last_terminal))]
-    teardown_cut = [(min(last_exec_end, last_terminal), last_terminal)]
-
-    seg = non_busy
-    take = intersect(seg, startup_cut)
-    parts['startup'] = total_length(take)
-    seg = subtract(seg, take)
-    take = intersect(seg, teardown_cut)
-    parts['teardown'] = total_length(take)
-    seg = subtract(seg, take)
-    take = intersect(seg, lane)
-    parts['launch-delay'] = total_length(take)
-    seg = subtract(seg, take)
-    take = intersect(seg, sched)
-    parts['scheduling'] = total_length(take)
-    seg = subtract(seg, take)
-    parts['idle-gaps'] = total_length(seg)
+    # each instant of [first_queued, last_terminal) goes to the first
+    # phase that holds, in the order of the chain below.  One sweep over
+    # the sorted bounds of the merged busy, lane and sched lists (0, 1, 2)
+    # and of the four cut points (3): as a merged list is disjoint, each of
+    # its bounds toggles whether the sweep is inside it
+    bounds = [(t, 3) for t in (first_queued, startup_end, teardown_start,
+                               last_terminal)]
+    for which, ivs in enumerate((merge_intervals(running), lane, sched)):
+        bounds += [(t, which) for iv in ivs for t in iv]
+    bounds.sort()
+    inside = [False] * 4
+    parts = dict.fromkeys(('busy',) + _PHASES, 0)
+    prev = first_queued
+    for t, which in bounds:
+        # the cut points are bounds: [prev, t) lies in each cut or outside
+        if prev < t and first_queued <= prev and t <= last_terminal:
+            parts['busy' if inside[0] else 'startup' if t <= startup_end
+                  else 'teardown' if prev >= teardown_start
+                  else 'launch-delay' if inside[1]
+                  else 'scheduling' if inside[2] else 'idle-gaps'] += t - prev
+        prev = t
+        inside[which] = not inside[which]
+    busy_us = parts.pop('busy')
 
     return OverheadReport(
         ttx=ttx_us / US_PER_S,

@@ -71,17 +71,6 @@ class AdaptiveLoopConfig:
 
 
 @dataclass(frozen=True)
-class EnsembleParams:
-    """`count` pipelines of one template; each stage task runs `duration`."""
-    count: int = 1
-    duration: float = 320.0          # seconds
-    comm_latency: float = 0.0
-
-    def __post_init__(self):
-        check_range(self, 0, None, 'count', 'duration', 'comm_latency')
-
-
-@dataclass(frozen=True)
 class HybridParams:
     """GPU-resident (wf3) and CPU-resident (wf4) pipelines on one pilot."""
     wf3_count: int = 1

@@ -142,7 +142,6 @@ def test_backend_and_flavor_overrides(tmp_path):
     ('fig10-wf2-utilization', ['--backend', 'partitioned'], 'pilot.partitions'),
     ('fig10-wf2-utilization', ['--backend', 'overlay'], 'backend'),
     ('fig5-7-wf1-rates', ['--flavor', 'real'], 'flavor'),
-    ('fig5-7-wf1-rates', ['--backend', 'direct'], 'workflow.template'),
 ])
 def test_invalid_override_exits_2_naming_key(tmp_path, capsys, recipe, args,
                                              key):
@@ -156,7 +155,6 @@ def test_invalid_override_exits_2_naming_key(tmp_path, capsys, recipe, args,
 
 @pytest.mark.parametrize('section, key', [
     ({'backend': 'overlay', 'flavor': 'real'}, 'flavor'),
-    ({'workflow': {'template': 'wf1-overlay'}}, 'workflow.template'),
 ])
 def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
                                                 key):
@@ -247,7 +245,7 @@ def test_gpu_overlay_on_a_cpu_node_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize('workflow', [
-    {'template': 'wf3-esmacs', 'params': {'count': 1}},
+    {'template': 'hybrid-lb', 'params': {'wf3_count': 1, 'wf4_count': 0}},
     {'template': 'hybrid-lb', 'params': {'wf3_count': 1, 'wf4_count': 1}},
     {'template': 'wf2-deepdrive', 'params': {'iterations': 1}},
 ])
@@ -262,27 +260,16 @@ def test_gpu_template_on_a_cpu_node_exits_2(tmp_path, capsys, workflow):
     assert not (tmp_path / 'out').exists()
 
 
-@pytest.mark.parametrize('template', ['wf3-esmacs', 'wf4-ties'])
-def test_negative_ensemble_count_exits_2_naming_key(tmp_path, capsys,
-                                                    template):
+@pytest.mark.parametrize('template', ['wf3-esmacs', 'wf4-ties',
+                                      'wf1-overlay'])
+def test_deleted_template_exits_2_as_unknown(tmp_path, capsys, template):
+    """The single-kind ensembles are `hybrid-lb` with the other count at
+    0, and the overlay docking run is `flat` on the overlay backend."""
     cfg = _base_config(output={'dir': str(tmp_path / 'out')},
-                       workflow={'template': template,
-                                 'params': {'count': -1}})
+                       workflow={'template': template})
     assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(
-        'config error: workflow.params.count:')
-    assert not (tmp_path / 'out').exists()
-
-
-@pytest.mark.parametrize('template', ['wf3-esmacs', 'wf4-ties'])
-def test_negative_ensemble_duration_exits_2_naming_key(tmp_path, capsys,
-                                                       template):
-    cfg = _base_config(output={'dir': str(tmp_path / 'out')},
-                       workflow={'template': template,
-                                 'params': {'duration': -1.0}})
-    assert main(['run', '--config', _write(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith(
-        'config error: workflow.params.duration:')
+        'config error: workflow.template: unknown template')
     assert not (tmp_path / 'out').exists()
 
 
@@ -382,7 +369,7 @@ def test_uc3_bundled_campaign_gpu_utilization(tmp_path):
         'resource': {'preset': 'summit-node', 'nodes': 4},
         'pilot': {'walltime': 36000.0},
         'backend': 'overlay',
-        'workflow': {'template': 'wf1-overlay'},
+        'workflow': {'template': 'flat'},
         'workload': {'preset': 'wf1-uc3', 'items': 10000},
         'overlay': {'bulk_size': 4, 'latency': 0.001},
         'output': {'dir': str(tmp_path / 'out')},

@@ -1,8 +1,10 @@
-"""Who imports numpy: only a run that draws a random number.
+"""Who imports numpy: only a run that draws a random number.  Who
+imports yaml: only a reader of a campaign file.
 
 Each probe runs in a fresh interpreter, so what an earlier test imported
 does not count."""
 
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +57,25 @@ def test_a_config_naming_a_preset_imports_numpy_before_the_run(tmp_path):
         "print(before, 'numpy' in sys.modules)",
     ))
     assert _probe(code, tmp_path) == 'False True\n'
+
+
+def test_a_report_never_imports_yaml(tmp_path):
+    """`pilotsim report` reads an event log, never a campaign file."""
+    rows = [{'t': 0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 4,
+             'gpus_per_node': 0},
+            {'t': 1, 'event': 'queued', 'task': 'a'},
+            {'t': 1, 'event': 'scheduled', 'task': 'a', 'cores': 2,
+             'gpus': 0},
+            {'t': 2, 'event': 'running', 'task': 'a'},
+            {'t': 30, 'event': 'done', 'task': 'a', 'exec_end': 30,
+             'credit': 1}]
+    (tmp_path / 'events.jsonl').write_text(
+        ''.join(json.dumps(row) + '\n' for row in rows))
+    code = '\n'.join((
+        'import sys',
+        'from pilotsim import cli',
+        "code = cli.main(['report', '--log', 'events.jsonl'])",
+        "print(code, 'yaml' in sys.modules)",
+    ))
+    assert _probe(code, tmp_path).splitlines()[-1] == '0 False'
+    assert (tmp_path / 'overhead.json').exists()

@@ -7,8 +7,7 @@ from pilotsim import metrics
 from pilotsim.cli import write_reports
 from pilotsim.eventlog import EventLog
 from pilotsim.executors import ExecutionService, make_records
-from pilotsim.metrics import (MetricsError, intersect, merge_intervals,
-                              overhead, rate, subtract, total_length,
+from pilotsim.metrics import (MetricsError, merge_intervals, overhead, rate,
                               utilization)
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
 from pilotsim.tasks import TaskDescription
@@ -21,9 +20,6 @@ from helpers import (reference_overhead, reference_rate_points,
 def test_interval_algebra():
     assert merge_intervals([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
     assert merge_intervals([(2, 2)]) == []
-    assert total_length([(0, 3), (5, 6)]) == 4
-    assert subtract([(0, 10)], [(2, 4), (6, 7)]) == [(0, 2), (4, 6), (7, 10)]
-    assert intersect([(0, 5)], [(3, 8)]) == [(3, 5)]
 
 
 def _make_log(tasks, nodes=1, cores=4, gpus=2):

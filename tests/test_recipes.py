@@ -34,7 +34,7 @@ GOLDEN = {
         'c9ceaeba61cfab25899f23c1b9d296af6a9a8d742a41f55ffb446219bd88d252'),
     'fig5-7-wf1-rates': (
         'edda43b7ae00d5822c9c68b5733d84a0eb2c379a3a570ac68cf0c2db41a4f756',
-        '2873af89f3d3e242e5b48cb95c4f7a37a26e10a7c422fef97e396d2a7864278d',
+        '50c701e18e866389e4dd70a5cb4c4975e6ab77b8aff74d306e84b227879f8525',
         '56d66579ab7d46036ecb2bb0ec4d0454092caf8d04a28eae586afabed960beb2'),
     'fig9-overhead-vs-iterations': (
         '48fbcec879899de8966ea9813cd30aa900cdee6499004c0ad391cf87fef0a8cb',
@@ -46,7 +46,7 @@ GOLDEN = {
         'c5da1f79faf467399d3f05d7f1893fa2e3397d846d19757dbf5486cb809c6ea4'),
     'wf1-uc3-bundled': (
         'add5eaec3d8e07eaab164904b29d1a86ef95f295845a26f3a7b2e680aba0a39f',
-        '1e627709cdcf9d618ddbb9477c2eeb4149c2b115b67ef0870cb275bb2bc7cbc2',
+        '797943b16e4766d1d1ebfd8bf02ecd5067fb6052d77486227667a740162bb171',
         '4af5ae5f49afa5d2c598e39314fe5dd607e1e07a29be79359729f9da38f59cce'),
 }
 
@@ -63,3 +63,36 @@ def test_recipe_output_is_golden(recipe, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ARTIFACTS)
     assert digests == GOLDEN[recipe]
+
+
+# (backend, pipeline kind) -> sha256 of events.jsonl as the deleted
+# single-kind templates wrote it: `wf3-esmacs` or `wf4-ties`, count 30,
+# duration 5, comm_latency 0.2, on 4 summit nodes with seed 7
+ENSEMBLES = {
+    ('direct', 'wf3'):
+        'fb8633a1a38e6cbaf2723013aac7171b8700c05433daff032b7babe0d585395e',
+    ('direct', 'wf4'):
+        '7c3caa1e5b3cb9506d820dbe55d176a31108d099268f91d4273085a30e76780a',
+    ('bulk', 'wf3'):
+        '00886d8e65543a6d154e02d8062c1e435b467825b57efd5dc393f3bcd98c7e80',
+    ('bulk', 'wf4'):
+        '2bb7b4544c7b4167942233f821935d5a3f5a5a74aafd26e6b4899048e5696fbe',
+}
+
+
+@pytest.mark.parametrize('backend, kind', sorted(ENSEMBLES))
+def test_hybrid_with_one_kind_is_that_kinds_ensemble(backend, kind,
+                                                      tmp_path):
+    """`hybrid-lb` with the other pipeline count at 0 writes the log of
+    an ensemble of one kind, byte for byte."""
+    other = 'wf4' if kind == 'wf3' else 'wf3'
+    raw = {'schema_version': 1, 'seed': 7,
+           'resource': {'preset': 'summit-node', 'nodes': 4},
+           'pilot': {'walltime': 36000.0}, 'backend': backend,
+           'workflow': {'template': 'hybrid-lb', 'params': {
+               kind + '_count': 30, other + '_count': 0,
+               kind + '_duration': 5.0, 'comm_latency': 0.2}},
+           'output': {'dir': str(tmp_path)}}
+    run_campaign(parse_config(raw))
+    digest = hashlib.sha256((tmp_path / 'events.jsonl').read_bytes())
+    assert digest.hexdigest() == ENSEMBLES[backend, kind]
