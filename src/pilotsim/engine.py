@@ -42,16 +42,18 @@ class SimEngine:
         until the next event lies past `until_us`; returns whether events
         remain.  A drained run leaves `now` at its last event; a run cut
         at `until_us` leaves `now` there, with the later events unrun."""
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
+        now = self.now
         while heap:
-            t, seq, fn = heap[0]
+            t, seq, fn = event = pop(heap)
             if until_us is not None and t > until_us:
-                self.now = max(self.now, until_us)
+                heapq.heappush(heap, event)
+                self.now = max(now, until_us)
                 return True
-            heapq.heappop(heap)
-            # max keeps `now` one int object across the events at one
+            # `now` stays one int object across the events at one
             # timestamp, so the rows they write share it
-            self.now = max(self.now, t)
+            if t > now:
+                self.now = now = t
             self.running_seq = seq
             fn()
         return False

@@ -12,11 +12,11 @@ RowKind itself, so a row of ints and strs holds no object the cyclic
 garbage collector tracks, and the collector stops visiting it, as it never
 visited the dict rows it replaces.  The id also indexes `_ENCODERS`: one
 function per kind that encodes its rows, compiled on the kind's first
-`dumps` (so importing, appending and reading compile nothing).  That
-format is known only to this module: callers append through
-`EventLog.append`, or on hot paths through `EventLog.add` with a kind
-declared once by `row_kind`, and they read through the `EventLog` methods
-or through `rows`, a view that builds one dict per row.
+`dumps` (so importing, appending and reading compile nothing).  Callers
+append through `EventLog.append`, or on hot paths build the tuple, the
+kind declared once by `row_kind`, and store it through `EventLog.add_row`,
+the bound `append` of the row list, which runs no Python frame.  They read
+through the `EventLog` methods or through `rows`, a dict per row.
 
 The digest holds one fixed-slot list per task (its record; the slots are
 the `QUEUED` ... `STATE` indices below), the `(t, credit)` of every done
@@ -338,6 +338,9 @@ def _interval_dicts(tasks):
 class EventLog:
     def __init__(self, rows=None):
         self._rows = [_from_dict(r) for r in rows or ()]
+        # add_row((kind.id, t_us, task, *values)): t_us an int, values in
+        # the kind's key order
+        self.add_row = self._rows.append
         self._digest = None
 
     @property
@@ -347,11 +350,6 @@ class EventLog:
     def append(self, t_us, event, task=None, **extra):
         kind = row_kind(event, *extra, task=task is not None)
         self._rows.append((kind.id, int(t_us), task, *extra.values()))
-
-    def add(self, kind, t_us, task, *values):
-        """Append a row of a declared kind: `t_us` an int, `values` in the
-        kind's key order.  The positional path for hot callers."""
-        self._rows.append((kind.id, t_us, task, *values))
 
     def dumps(self, start=0, stop=None):
         """Rows [start:stop] as JSON lines, each byte for byte a
@@ -372,7 +370,7 @@ class EventLog:
         """Parse, check and store each line as its row tuple, one line at
         a time; LogError naming the first bad row."""
         log = cls()
-        add = log._rows.append
+        add = log.add_row
         with open(path) as fh:
             for i, line in enumerate(fh):
                 line = line.strip()

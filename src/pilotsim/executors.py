@@ -38,14 +38,14 @@ class ExecutorError(Exception):
     pass
 
 
-# a task's rows, declared once for the positional EventLog.add
-_QUEUED = row_kind('queued')
-_ADMITTED = row_kind('admitted')
-_SCHEDULED = row_kind('scheduled', 'cores', 'gpus', 'placement')
-_LAUNCHING = row_kind('launching')
-_RUNNING = row_kind('running')
-_DONE = row_kind('done', 'exec_end', 'credit')
-_ENDED = {state: row_kind(state) for state in ('failed', 'lost')}
+# the kind ids of a task's rows, for the row tuples of EventLog.add_row
+_QUEUED = row_kind('queued').id
+_ADMITTED = row_kind('admitted').id
+_SCHEDULED = row_kind('scheduled', 'cores', 'gpus', 'placement').id
+_LAUNCHING = row_kind('launching').id
+_RUNNING = row_kind('running').id
+_DONE = row_kind('done', 'exec_end', 'credit').id
+_ENDED = {state: row_kind(state).id for state in ('failed', 'lost')}
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,19 @@ class ExecutionService:
 
     def submit(self, records):
         now = self.engine.now
-        add = self.log.add
+        add_row = self.log.add_row
         for rec in records:
+            # the log must hold only rows that EventLog.read accepts
+            if not isinstance(rec.task_id, str):
+                raise ValueError('task %r: id is not a str' % (rec.task_id,))
+            if not (type(rec.credit) is int and rec.credit >= 0):
+                raise ValueError('task %s: credit %r is not an int >= 0'
+                                 % (rec.task_id, rec.credit))
             if rec.task_id in self.records:
                 raise ValueError('duplicate task id: %s' % rec.task_id)
             self.records[rec.task_id] = rec
             rec.stamp('queued', now)
-            add(_QUEUED, now, rec.task_id)
+            add_row((_QUEUED, now, rec.task_id))
         if self.backend == 'bulk' and self.bulk_cfg.scheduling_rate is not None:
             interval = us(1.0 / self.bulk_cfg.scheduling_rate)
             for rec in records:
@@ -238,7 +244,7 @@ class ExecutionService:
 
     def _admit(self, rec):
         if self.backend == 'bulk':
-            self.log.add(_ADMITTED, self.engine.now, rec.task_id)
+            self.log.add_row((_ADMITTED, self.engine.now, rec.task_id))
         self._assign(rec)
 
     def _assign(self, rec):
@@ -293,8 +299,8 @@ class ExecutionService:
             self.pilot.occupy(placement)
             rec.placement = placement
             rec.stamp('scheduled', now)
-            self.log.add(_SCHEDULED, now, task_id, placement.n_cores,
-                         placement.n_gpus, placement.to_json())
+            self.log.add_row((_SCHEDULED, now, task_id, placement.n_cores,
+                              placement.n_gpus, placement.to_json()))
             self._to_lane(rec, group)
 
     def _to_lane(self, rec, group):
@@ -333,7 +339,7 @@ class ExecutionService:
     def _on_launch(self, rec):
         t = self.engine.now
         rec.stamp('launching', t)
-        self.log.add(_LAUNCHING, t, rec.task_id)
+        self.log.add_row((_LAUNCHING, t, rec.task_id))
 
     def _on_exec_start(self, rec, injected):
         if injected is not None:
@@ -341,7 +347,7 @@ class ExecutionService:
             return
         t = self.engine.now
         rec.stamp('running', t)
-        self.log.add(_RUNNING, t, rec.task_id)
+        self.log.add_row((_RUNNING, t, rec.task_id))
         if self.flavor == 'real':
             self._spawn_payload(rec)
         else:
@@ -354,9 +360,9 @@ class ExecutionService:
         rec.error = error
         rec.stamp(state, t)
         if state == 'done':
-            self.log.add(_DONE, t, rec.task_id, t, rec.credit)
+            self.log.add_row((_DONE, t, rec.task_id, t, rec.credit))
         else:
-            self.log.add(_ENDED[state], t, rec.task_id)
+            self.log.add_row((_ENDED[state], t, rec.task_id))
         if rec.placement is not None:
             self.pilot.release(rec.placement)
         for cb in self.on_terminal:

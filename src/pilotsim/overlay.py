@@ -31,10 +31,11 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .engine import SimEngine
 from .eventlog import STATE, EventLog, row_kind
-from .resources import FieldError, check_range, us
+from .resources import US_PER_S, FieldError, check_range, us
 from .tasks import TERMINAL
 
 
@@ -49,12 +50,12 @@ class OverlayDrainedError(OverlayError):
 # a worker's dispatch buffer, in multiples of its slot count
 BUFFER_FACTOR = 2
 
-# an item's rows, declared once for the positional EventLog.add
-_QUEUED = row_kind('queued')
-_SCHEDULED = row_kind('scheduled', 'cores', 'gpus')
-_RUNNING = row_kind('running')
-_DONE = row_kind('done', 'exec_end', 'credit')
-_LOST = row_kind('lost')
+# the kind ids of an item's rows, for the row tuples of EventLog.add_row
+_QUEUED = row_kind('queued').id
+_SCHEDULED = row_kind('scheduled', 'cores', 'gpus').id
+_RUNNING = row_kind('running').id
+_DONE = row_kind('done', 'exec_end', 'credit').id
+_LOST = row_kind('lost').id
 
 
 def worker_slots(spec, slot_kind):
@@ -94,7 +95,7 @@ class MasterConfig:
                                               BUFFER_FACTOR, slots, slot_kind))
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkItem:
     item_id: str
     duration_s: float
@@ -102,7 +103,7 @@ class WorkItem:
     attempts: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkerState:
     worker_id: int
     node_id: int
@@ -112,7 +113,7 @@ class WorkerState:
     running: int = 0
     completed: int = 0
     alive: bool = True
-    buffer: deque = field(default_factory=deque)
+    buffer: deque = field(default_factory=deque)   # items not yet started
     # pending acks, (arrival time, kernel sequence number), in that order
     acks: deque = field(default_factory=deque)
 
@@ -149,7 +150,7 @@ class Master:
         """Queue items longest first (a stable sort: ties keep their
         order)."""
         self.queue = deque(sorted([*self.queue, *items],
-                                  key=lambda i: -i.duration_s))
+                                  key=attrgetter('duration_s'), reverse=True))
 
     def has_items(self):
         return bool(self.queue)
@@ -164,25 +165,22 @@ class Master:
             self.in_flight[item.item_id] = (item, worker_id)
             self.dispatched += 1
 
-    def report_completion(self, worker, item_ids):
-        """Mark items done; duplicate or unknown ids and wrong-owner
-        reports are protocol errors (logged, otherwise ignored), making
+    def report_done(self, worker, item_id):
+        """Mark an item done and return it.  A duplicate or unknown id, or
+        a report by a worker the item was not dispatched to, is a protocol
+        error (logged, otherwise ignored; returns None), which makes
         completion idempotent under at-least-once redelivery."""
-        completed = []
-        for item_id in item_ids:
-            entry = self.in_flight.pop(item_id, None)
-            if entry is None:
-                self.protocol_errors.append(item_id)
-                continue
-            item, owner = entry
-            if owner != worker.worker_id:
-                self.protocol_errors.append(item_id)
-                self.in_flight[item_id] = entry
-                continue
-            self.completed += 1
-            worker.completed += 1
-            completed.append(item)
-        return completed
+        entry = self.in_flight.pop(item_id, None)
+        if entry is None:
+            self.protocol_errors.append(item_id)
+            return None
+        if entry[1] != worker.worker_id:
+            self.protocol_errors.append(item_id)
+            self.in_flight[item_id] = entry
+            return None
+        self.completed += 1
+        worker.completed += 1
+        return entry[0]
 
     def report_lost(self, item_ids):
         """Worker death: re-queue each lost item once, then mark it failed.
@@ -235,6 +233,32 @@ def spawn_overlay(pilot, cfg, slot_kind='cores'):
     return Overlay(masters=masters, workers=workers)
 
 
+def _check_items(items):
+    """OverlayError naming the first item whose id is not a str or repeats
+    an earlier one, whose credit is not an int >= 0 (a bool is none), or
+    whose duration is not >= 0 and finite: the log would hold rows
+    `EventLog.read` refuses, or two lifecycles of one task.  One pass
+    while every item is good."""
+    good = {i.item_id for i in items
+            if isinstance(i.item_id, str) and type(i.credit) is int
+            and i.credit >= 0 and 0.0 <= i.duration_s < math.inf}
+    if len(good) == len(items):
+        return
+    seen = set()
+    for item in items:
+        if not isinstance(item.item_id, str):
+            raise OverlayError('item %r: id is not a str' % (item.item_id,))
+        if item.item_id in seen:
+            raise OverlayError('item %s: id given twice' % item.item_id)
+        seen.add(item.item_id)
+        if not (type(item.credit) is int and item.credit >= 0):
+            raise OverlayError('item %s: credit %r is not an int >= 0'
+                               % (item.item_id, item.credit))
+        if not 0.0 <= item.duration_s < math.inf:
+            raise OverlayError('item %s: duration is not >= 0 and finite'
+                               % item.item_id)
+
+
 def partition_items(items, n_masters):
     """Offset-partition of the item database: master i iterates the
     database starting at offset i with stride n_masters."""
@@ -250,20 +274,17 @@ class OverlaySim:
         self.cfg = cfg
         self.overlay = spawn_overlay(pilot, cfg, slot_kind=slot_kind)
         self.latency_us = us(cfg.latency)
-        self.slot_kind = slot_kind
         self.log = EventLog()
         self.engine = SimEngine(start_us=pilot.clock_us)
         self.invariant_hook = invariant_hook
         self.message_count = 0
         self.dispatch_message_count = 0
         self._refill_flagged = set()     # worker ids with a refill due
+        self._slots = (0, 1) if slot_kind == 'gpus' else (1, 0)  # cores, gpus
 
-        parts = partition_items(list(items), len(self.overlay.masters))
-        bad = [i.item_id for part in parts for i in part
-               if not 0.0 <= i.duration_s < math.inf]
-        if bad:
-            raise OverlayError('item %s: duration is not >= 0 and finite'
-                               % ', '.join(bad))
+        items = list(items)
+        _check_items(items)
+        parts = partition_items(items, len(self.overlay.masters))
         for master, part in zip(self.overlay.masters, parts):
             master.add_items(part)
 
@@ -283,9 +304,8 @@ class OverlaySim:
     # ------------------------------------------------------------------
 
     def _check(self):
-        if self.invariant_hook is not None:
-            for master in self.overlay.masters:
-                self.invariant_hook(master, self.overlay.workers)
+        for master in self.overlay.masters:
+            self.invariant_hook(master, self.overlay.workers)
 
     def dispatch_bulk(self, master):
         """Greedy bulk dispatch: full bulks to the worker of the master's
@@ -298,8 +318,8 @@ class OverlaySim:
             if not master.workers:
                 raise OverlayDrainedError('no live workers for master %d'
                                           % master.master_id)
-            worker = max(master.workers,
-                         key=lambda w: (w.free(), -w.worker_id))
+            # ties: max keeps the first of the pool, in ascending id order
+            worker = max(master.workers, key=WorkerState.free)
             want = min(self.cfg.bulk_size, len(master.queue))  # tail partial
             if worker.free() < want:
                 return                     # wait for a watermark refill
@@ -311,31 +331,31 @@ class OverlaySim:
             self.engine.at(self.engine.now + self.latency_us,
                            lambda m=master, w=worker, b=bulk:
                            self._worker_receive(m, w, b))
-            self._check()
+            if self.invariant_hook is not None:
+                self._check()
 
     def _worker_receive(self, master, worker, bulk):
         if not worker.alive:
             return
-        t = self.engine.now
-        add = self.log.add
+        t, add_row = self.engine.now, self.log.add_row
         for item in bulk:
-            add(_QUEUED, t, item.item_id)
-            worker.buffer.append((master, item))
-        self._worker_start(worker)
+            add_row((_QUEUED, t, item.item_id))
+        worker.buffer.extend(bulk)
+        self._worker_start(master, worker)
 
-    def _worker_start(self, worker):
-        t = self.engine.now
-        gpus = int(self.slot_kind == 'gpus')
-        cores = 1 - gpus
-        add = self.log.add
-        while worker.buffer and worker.running < worker.capacity:
-            master, item = worker.buffer.popleft()
-            worker.running += 1
-            add(_SCHEDULED, t, item.item_id, cores, gpus)
-            add(_RUNNING, t, item.item_id)
-            end = t + us(item.duration_s)
-            self.engine.at(end, lambda m=master, w=worker, i=item:
-                           self._item_done(m, w, i))
+    def _worker_start(self, master, worker):
+        """Start as many buffered items as the worker has free slots."""
+        n = min(len(worker.buffer), worker.capacity - worker.running)
+        worker.running += n
+        t, at, add_row = self.engine.now, self.engine.at, self.log.add_row
+        cores, gpus = self._slots
+        for _ in range(n):
+            item = worker.buffer.popleft()
+            add_row((_SCHEDULED, t, item.item_id, cores, gpus))
+            add_row((_RUNNING, t, item.item_id))
+            # us(item.duration_s), without its frame
+            at(t + round(item.duration_s * US_PER_S),
+               lambda m=master, w=worker, i=item: self._item_done(m, w, i))
 
     def _item_done(self, master, worker, item):
         if not worker.alive:
@@ -344,9 +364,10 @@ class OverlaySim:
         worker.running -= 1
         # booked with the master as the done row is written, so a worker
         # that dies with this ack in flight does not get the item re-run
-        master.report_completion(worker, [item.item_id])
-        self.log.add(_DONE, t, item.item_id, t, item.credit)
-        self._worker_start(worker)
+        master.report_done(worker, item.item_id)
+        self.log.add_row((_DONE, t, item.item_id, t, item.credit))
+        if worker.buffer:
+            self._worker_start(master, worker)
         self.message_count += 1
         # the ack is pending until read; it gets an event of its own only
         # if it can bring the worker under the watermark, as dispatches
@@ -357,7 +378,8 @@ class OverlaySim:
         if worker.in_flight - len(acks) < worker.capacity:
             engine.at(arrival,
                       lambda m=master, w=worker: self._master_ack(m, w))
-        self._check()
+        if self.invariant_hook is not None:
+            self._check()
 
     def _master_ack(self, master, worker):
         if not worker.alive:
@@ -393,7 +415,7 @@ class OverlaySim:
             lost = [iid for iid, (_, wid) in master.in_flight.items()
                     if wid == worker_id]
             for item in master.report_lost(lost):
-                self.log.add(_LOST, self.engine.now, item.item_id)
+                self.log.add_row((_LOST, self.engine.now, item.item_id))
             worker.in_flight = 0
             worker.running = 0
             if master.has_items():
@@ -421,7 +443,7 @@ class OverlaySim:
             if cut:
                 for item_id, rec in self.log.task_records().items():
                     if rec[STATE] not in TERMINAL:
-                        self.log.add(_LOST, deadline, item_id)
+                        self.log.add_row((_LOST, deadline, item_id))
         finally:
             self.engine.close()
         # a drained run would have run every ack event, a cut run those
@@ -429,7 +451,8 @@ class OverlaySim:
         last = self.engine.now if cut else math.inf
         for worker in self.overlay.workers:
             worker.settle(last, math.inf)
-        self._check()
+        if self.invariant_hook is not None:
+            self._check()
         return self.log
 
     @property

@@ -16,6 +16,20 @@ def test_events_fire_in_time_then_insertion_order():
     assert eng.now == 10
 
 
+def test_now_stays_one_int_object_across_one_timestamp():
+    """Equal timestamps are distinct int objects above the small-int
+    cache; `now` keeps the first, so the rows of one instant share it."""
+    first, second = 10**6 + 1, int('1000001')
+    assert first == second and first is not second
+    eng = SimEngine()
+    seen = []
+    eng.at(first, lambda: seen.append(eng.now))
+    eng.at(second, lambda: seen.append(eng.now))
+    eng.run()
+    assert len(seen) == 2 and all(t is first for t in seen)
+    assert eng.now is first
+
+
 def test_events_can_spawn_events():
     eng = SimEngine()
     seen = []

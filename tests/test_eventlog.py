@@ -103,15 +103,15 @@ _values = st.one_of(_tricky, st.text(), st.integers(),
     st.dictionaries(_keys, _values, max_size=4), st.booleans()),
     max_size=8))
 def test_appended_rows_dump_as_one_json_dumps_per_row(steps):
-    """Rows added through append(**extra) and through declared kinds dump
-    exactly as a per-row json.dumps of their dicts, and the rows view
-    returns those dicts."""
+    """Rows added through append(**extra) and as row tuples of declared
+    kinds through add_row dump exactly as a per-row json.dumps of their
+    dicts, and the rows view returns those dicts."""
     log = EventLog()
     expected = []
     for t, event, task, extra, positional in steps:
         if positional:
             kind = row_kind(event, *extra, task=task is not None)
-            log.add(kind, t, task, *extra.values())
+            log.add_row((kind.id, t, task, *extra.values()))
         else:
             log.append(t, event, task=task, **extra)
         row = {'t': t, 'event': event}
@@ -181,7 +181,7 @@ def _stub(kind):
 def test_a_kind_compiled_after_its_rows_were_appended_encodes_them(tmp_path):
     kind = row_kind('late-kind', 'v0', 'row', 'T')
     log = EventLog()
-    log.add(kind, 1, 'a', 7, 'x', _Level.HIGH)
+    log.add_row((kind.id, 1, 'a', 7, 'x', _Level.HIGH))
     log.append(2, 'late-kind', task='b', v0=True, row=None, T=(1, 'y'))
     path = tmp_path / 'events.jsonl'
     path.write_text('{"T":3,"event":"late-read","t":4}\n')
@@ -195,7 +195,7 @@ def test_a_kind_compiled_after_its_rows_were_appended_encodes_them(tmp_path):
         json.dumps(r, sort_keys=True, separators=(',', ':')) + '\n'
         for r in expected)
     assert not _stub(kind)
-    log.add(kind, 3, 'c', -1, _Name('n'), float('inf'))
+    log.add_row((kind.id, 3, 'c', -1, _Name('n'), float('inf')))
     assert log.dumps(2) == '{"T":Infinity,"event":"late-kind","row":"n",' \
         '"t":3,"task":"c","v0":-1}\n'
     assert read.dumps() == path.read_text()

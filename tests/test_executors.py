@@ -77,6 +77,24 @@ def test_duplicate_task_id_rejected():
         svc.submit(_tasks(1))
 
 
+@pytest.mark.parametrize('task_id, credit, match', [
+    (7, 1, 'task 7: id is not a str'),
+    ('a', 2.5, 'task a: credit 2.5 is not an int >= 0'),
+    ('a', -3, 'task a: credit -3 is not'),
+    ('a', True, 'task a: credit True is not'),
+])
+def test_submit_refuses_a_task_whose_rows_the_log_could_not_read(
+        task_id, credit, match):
+    """A task id must be a str and a credit an int >= 0, as
+    EventLog.read wants them; the refused task is not booked."""
+    rec = make_records([TaskDescription(task_id=task_id)], [1.0])[0]
+    rec.credit = credit
+    svc = ExecutionService(_pilot())
+    with pytest.raises(ValueError, match=match):
+        svc.submit([rec])
+    assert not svc.records and len(svc.log.rows) == 1
+
+
 def test_partitioned_requires_plan_and_enough_nodes():
     with pytest.raises(ValueError, match='PartitionPlan'):
         ExecutionService(_pilot(), backend='partitioned')

@@ -175,13 +175,19 @@ def test_report_completion_is_idempotent():
     item = WorkItem('x', 1.0)
     master.add_items([item])
     master.note_dispatched(master.next_bulk(1), worker.worker_id)
-    # wrong worker reporting is a protocol error and changes nothing
-    assert master.report_completion(other, ['x']) == []
-    assert master.protocol_errors == ['x']
-    assert master.report_completion(worker, ['x']) == [item]
+    # an unknown id is a protocol error and changes nothing
+    assert master.report_done(worker, 'y') is None
+    assert master.protocol_errors == ['y']
+    # wrong worker reporting is a protocol error and keeps the entry
+    assert master.report_done(other, 'x') is None
+    assert master.protocol_errors == ['y', 'x']
+    assert master.in_flight == {'x': (item, worker.worker_id)}
+    assert master.report_done(worker, 'x') is item
     # duplicate ack: a protocol error, otherwise ignored
-    assert master.report_completion(worker, ['x']) == []
-    assert master.completed == 1 and master.lost == 0
+    assert master.report_done(worker, 'x') is None
+    assert master.protocol_errors == ['y', 'x', 'x']
+    assert master.completed == worker.completed == 1 and master.lost == 0
+    assert other.completed == 0
     assert master.conservation_ok()
 
 
@@ -476,6 +482,21 @@ def test_an_item_duration_below_zero_or_not_finite_is_rejected(duration):
     items = _items([1.0] * 3) + [WorkItem('a', duration)]
     with pytest.raises(OverlayError, match='item a: duration'):
         OverlaySim(_pilot(3), MasterConfig(), items)
+
+
+@pytest.mark.parametrize('item, match', [
+    (WorkItem(7, 1.0), 'item 7: id is not a str'),
+    (WorkItem('a', 1.0, credit=2.5), 'item a: credit 2.5 is not an int >= 0'),
+    (WorkItem('a', 1.0, credit=-3), 'item a: credit -3 is not'),
+    (WorkItem('a', 1.0, credit=True), 'item a: credit True is not'),
+    (WorkItem('it00001', 1.0), 'item it00001: id given twice'),
+])
+def test_an_item_whose_rows_the_log_could_not_read_is_refused(item, match):
+    """An item id must be a str and unique, and a credit an int >= 0: else
+    the log holds rows EventLog.read refuses, or two lifecycles of one
+    task."""
+    with pytest.raises(OverlayError, match=match):
+        OverlaySim(_pilot(3), MasterConfig(), _items([1.0] * 3) + [item])
 
 
 def test_a_worker_killed_in_the_past_is_refused():

@@ -5,7 +5,11 @@ only in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import yaml
+
 from pilotsim import engine, eventlog, executors, workflow
+from pilotsim.cli import run_campaign
+from pilotsim.config import parse_config
 
 TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
 
@@ -34,3 +38,30 @@ def test_tracer_installs_and_uninstalls_cleanly():
             (eventlog.EventLog, 'task_intervals')} <= names
     assert all(owner.__dict__[attr] is original
                for owner, attr, original in patched)
+
+
+def test_every_kernel_callback_names_its_layer(tmp_path, monkeypatch):
+    """The tracer files each kernel event under the module of its callback:
+    a callback of a campaign that names no layer (a functools.partial names
+    `functools`) would move its time into the kernel's own."""
+    modules = []
+    at = engine.SimEngine.at
+
+    def recorded_at(eng, t_us, fn):
+        modules.append(getattr(fn, '__module__', None))
+        at(eng, t_us, fn)
+
+    monkeypatch.setattr(engine.SimEngine, 'at', recorded_at)
+    recipes = Path(__file__).resolve().parent.parent / 'recipes'
+    for recipe, section, edit in (
+            ('fig5-7-wf1-rates.yaml', 'workload', {'items': 400}),
+            ('fig11-13-hybrid.yaml', 'workflow',
+             {'params': {'wf3_count': 8, 'wf4_count': 2}})):
+        raw = yaml.safe_load((recipes / recipe).read_text())
+        raw[section].update(edit)
+        raw['output']['dir'] = str(tmp_path / recipe)
+        before = len(modules)
+        run_campaign(parse_config(raw))
+        assert len(modules) > before
+    assert set(modules) <= {'pilotsim.overlay', 'pilotsim.executors',
+                            'pilotsim.workflow'}
