@@ -215,17 +215,22 @@ class ExecutionService:
     # submission and admission
 
     def submit(self, records):
-        now = self.engine.now
-        add_row = self.log.add_row
+        """Queue `records`; ValueError before any of them is booked when
+        one would give the log a row EventLog.read refuses or repeats a
+        task id."""
+        batch = set()
         for rec in records:
-            # the log must hold only rows that EventLog.read accepts
             if not isinstance(rec.task_id, str):
                 raise ValueError('task %r: id is not a str' % (rec.task_id,))
             if not (type(rec.credit) is int and rec.credit >= 0):
                 raise ValueError('task %s: credit %r is not an int >= 0'
                                  % (rec.task_id, rec.credit))
-            if rec.task_id in self.records:
+            if rec.task_id in self.records or rec.task_id in batch:
                 raise ValueError('duplicate task id: %s' % rec.task_id)
+            batch.add(rec.task_id)
+        now = self.engine.now
+        add_row = self.log.add_row
+        for rec in records:
             self.records[rec.task_id] = rec
             rec.stamp('queued', now)
             add_row((_QUEUED, now, rec.task_id))

@@ -1,14 +1,21 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import eventlog
+from pilotsim.cli import run_campaign
+from pilotsim.config import parse_config
 from pilotsim.eventlog import (TASK_EVENTS, EventLog, LogError, row_kind,
                                state_sequence)
 
@@ -281,7 +288,11 @@ def test_task_intervals_lifecycle():
 def test_task_intervals_requires_task_id():
     log = EventLog()
     log.append(0, 'queued')
-    with pytest.raises(LogError, match='without task id'):
+    with pytest.raises(LogError, match='row 1: task event without task id'):
+        log.task_intervals()
+    log = _sample_log()
+    log.append(40, 'running')
+    with pytest.raises(LogError, match='row 7: task event without task id'):
         log.task_intervals()
 
 
@@ -345,3 +356,164 @@ def test_state_sequence_detects_order_change():
 def test_pilot_info():
     assert _sample_log().pilot_info()['nodes'] == 1
     assert EventLog().pilot_info() is None
+
+
+_PAST_END = 'row 7: misaligned stream: the row runs past the end'
+
+
+@pytest.mark.parametrize('keys, more, match', [
+    (('exec_end', 'credit'), False, _PAST_END),
+    (('exec_end', 'credit'), True,
+     'row 8: misaligned stream: 1000000 is not a row kind id'),
+    ((), False, _PAST_END),
+    (('exec_end', 'credit', 'note'), False, _PAST_END),
+    (('exec_end', 'credit', 'note', 'more'), False, _PAST_END),
+])
+def test_a_row_one_value_short_fails_every_walk(tmp_path, keys, more,
+                                                match):
+    """A row tuple one value short shifts every row after it; each reader
+    of the stream raises LogError naming the row where its walk failed,
+    whether the short row is the last one or not, whatever its number of
+    extra values."""
+    log = _sample_log()
+    kind = row_kind('done', *keys)
+    log.add_row((kind.id, 40, 'b', *range(len(keys)))[:-1])
+    if more:
+        log.append(10**6, 'queued', task='c')
+    for walk in (log.dumps, lambda: log.dumps(6), lambda: len(log.rows),
+                 lambda: list(log.rows), lambda: log.rows[-1],
+                 log.task_records, log.pilot_info, lambda: state_sequence(log),
+                 lambda: log.write(tmp_path / 'events.jsonl')):
+        with pytest.raises(LogError, match=match):
+            walk()
+
+
+# the views' test rows: task events and one event that is not, extra keys
+# the reports read (whose values EventLog.read checks) and two they do not
+_VIEW_EVENTS = ('queued', 'scheduled', 'done', 'lost', 'note')
+_KEY_VALUES = {'cores': st.integers(0, 8), 'credit': st.integers(0, 8),
+               'exec_end': st.integers(0, 10**9), 'x': _values, 'y': _values}
+
+
+@st.composite
+def _view_steps(draw):
+    """(how the row is added, t, event, task, extra)."""
+    how = draw(st.sampled_from(('append', 'add_row', 'rows.append')))
+    event = draw(st.sampled_from(_VIEW_EVENTS))
+    keys = draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), unique=True,
+                         max_size=3))
+    extra = {key: draw(_KEY_VALUES[key]) for key in keys}
+    task = draw(st.sampled_from('abc')) \
+        if event in TASK_EVENTS or draw(st.booleans()) else None
+    return how, draw(st.integers(0, 10**12)), event, task, extra
+
+
+def _reference_state_sequence(rows):
+    scheduled = [r['task'] for r in rows if r['event'] == 'scheduled']
+    paths = {}
+    for r in rows:
+        if r['event'] in TASK_EVENTS:
+            paths.setdefault(r['task'], []).append(r['event'])
+    return tuple(scheduled), {k: tuple(v) for k, v in paths.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_view_steps(), st.booleans()), max_size=12),
+       st.lists(st.tuples(st.integers(-14, 14), st.integers(-14, 14)),
+                max_size=4),
+       st.integers(1, 4))
+def test_stream_views_equal_a_list_of_row_tuples(steps, spans, chunk):
+    """Rows added every way, of kinds with 0-3 extra keys and values of any
+    type, read back through every view of the stream as from a list of
+    row tuples: the row count, rows by index and slice, dumps of the whole
+    log and of consecutive and scattered ranges (also while rows are being
+    added), a write and read round trip, the task records and the state
+    sequence."""
+    log = EventLog()
+    ref = []            # (t, event, task, extra) per row
+    dumped = 0          # rows already checked through dumps(dumped)
+    for (how, t, event, task, extra), check in steps:
+        if how == 'append':
+            log.append(t, event, task=task, **extra)
+        else:
+            row = {'t': t, 'event': event, **extra}
+            if task is not None:
+                row['task'] = task
+            if how == 'rows.append':
+                log.rows.append(row)
+            else:
+                kind = row_kind(event, *extra, task=task is not None)
+                log.add_row((kind.id, t, task, *extra.values()))
+        ref.append((t, event, task, extra))
+        if check:
+            assert log.dumps(dumped) == ''.join(
+                _line(_ref_dict(r)) for r in ref[dumped:])
+            dumped = len(ref)
+    rows = [_ref_dict(r) for r in ref]
+    lines = [_line(r) for r in rows]
+    n = len(rows)
+    assert len(log.rows) == n
+    for i in range(-n, n):
+        assert log.rows[i] == rows[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log.rows[i]
+    assert log.rows[::-2] == rows[::-2]
+    assert log.dumps() == ''.join(lines)
+    assert ''.join(log.dumps(i, i + chunk)
+                   for i in range(0, n + chunk, chunk)) == ''.join(lines)
+    for a, b in spans:
+        assert log.rows[a:b] == rows[a:b]
+        assert log.dumps(a, b) == ''.join(lines[a:b])
+        assert log.dumps(a) == ''.join(lines[a:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / 'events.jsonl'
+        log.write(path)
+        assert path.read_text() == ''.join(lines)
+        again = EventLog.read(path)
+    assert again.dumps() == ''.join(lines)
+    assert again.rows == [json.loads(line) for line in lines]
+    assert log.task_intervals() == reference_task_intervals(rows)
+    assert list(log.task_records()) == list(reference_task_intervals(rows))
+    assert state_sequence(log) == _reference_state_sequence(rows)
+
+
+def _ref_dict(step):
+    t, event, task, extra = step
+    row = {'t': t, 'event': event}
+    if task is not None:
+        row['task'] = task
+    row.update(extra)
+    return row
+
+
+def test_a_row_holds_at_most_40_bytes_beyond_its_values(tmp_path):
+    """The log of a 2,000-item fig5-7 campaign, read back from its
+    events.jsonl under tracemalloc, holds at most 40 B per row beyond the
+    objects its rows' values are (task-id strs and timestamps, which any
+    layout holds): no object per row, only its values' slots."""
+    recipe = Path(__file__).resolve().parent.parent / 'recipes' / \
+        'fig5-7-wf1-rates.yaml'
+    raw = yaml.safe_load(recipe.read_text())
+    raw['workload']['items'] = 2000
+    raw['output']['dir'] = str(tmp_path)
+    run_campaign(parse_config(raw))
+    path = tmp_path / 'events.jsonl'
+    EventLog.read(path)         # interns every row kind of the log first
+    # a full collection empties the free lists, where objects freed after
+    # tracing starts would stay counted as traced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = EventLog.read(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        values = {id(v): v for row in log.rows for v in row.values()}
+        made = sum(sys.getsizeof(v) for v in values.values()
+                   if tracemalloc.get_object_traceback(v) is not None)
+    finally:
+        tracemalloc.stop()
+    rows = len(log.rows)
+    assert rows == 8001
+    assert (held - made) / rows <= 40, (held - made) / rows

@@ -95,6 +95,28 @@ def test_submit_refuses_a_task_whose_rows_the_log_could_not_read(
     assert not svc.records and len(svc.log.rows) == 1
 
 
+@pytest.mark.parametrize('ids, credits, match', [
+    (['a', 'a'], [1, 1], 'duplicate task id: a'),
+    (['a', 'b'], [1, -1], 'task b: credit -1 is not'),
+    (['a', 7], [1, 1], 'task 7: id is not a str'),
+])
+def test_a_refused_batch_books_none_of_its_tasks(ids, credits, match):
+    """Every record of a batch is checked before any is booked: after the
+    refusal the log holds only the pilot row, and a run then writes no row
+    for a task of the batch (no `lost` row at the deadline)."""
+    records = make_records([TaskDescription(task_id=i) for i in ids],
+                           [1.0] * len(ids))
+    for rec, credit in zip(records, credits):
+        rec.credit = credit
+    svc = ExecutionService(_pilot(walltime=10.0))
+    with pytest.raises(ValueError, match=match):
+        svc.submit(records)
+    assert not svc.records
+    assert [r['event'] for r in svc.log.rows] == ['pilot']
+    svc.run()
+    assert [r['event'] for r in svc.log.rows] == ['pilot']
+
+
 def test_partitioned_requires_plan_and_enough_nodes():
     with pytest.raises(ValueError, match='PartitionPlan'):
         ExecutionService(_pilot(), backend='partitioned')

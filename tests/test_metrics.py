@@ -320,7 +320,7 @@ def test_overhead_and_utilization_equal_reference(log):
 
 
 class _CountedRows(list):
-    """A row list that counts the iterators made over it; a slice is a
+    """A log's stream that counts the iterators made over it; a slice is a
     plain list and is not counted."""
 
     def __init__(self, rows):
@@ -341,8 +341,9 @@ def test_reports_read_the_rows_once(tmp_path):
     svc.submit(make_records(descs, [1.0 + i % 7 for i in range(150)]))
     svc.run()
     log = svc.log
-    log._rows = rows = _CountedRows(log._rows)
     log.write(tmp_path / 'events.jsonl')
+    # counted from here: writing walks the stream once more, chunk by chunk
+    log._values = rows = _CountedRows(log._values)
     write_reports(log, str(tmp_path), 1.0)
     log.terminal_counts()
     log.completions()
