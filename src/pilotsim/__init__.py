@@ -17,7 +17,7 @@ from .scheduler import TaskQueue, UnschedulableError, check_feasible, schedule
 from .eventlog import EventLog, LogError, state_sequence
 from .engine import LaunchLane, RealtimeEngine, SimEngine
 from .executors import (BulkBackendConfig, ExecutionService, ExecutorError,
-                        PartitionPlan, StabilityLimits, make_records)
+                        PartitionPlan, make_records)
 from .overlay import (Master, MasterConfig, Overlay, OverlayDrainedError,
                       OverlayError, OverlaySim, WorkItem, WorkerState,
                       lpt_makespan, partition_items, spawn_overlay)

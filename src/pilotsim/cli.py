@@ -41,8 +41,7 @@ log = logging.getLogger('pilotsim')
 
 def _service(cfg, pilot):
     return ExecutionService(pilot, backend=cfg.backend, flavor=cfg.flavor,
-                            plan=cfg.plan, limits=cfg.limits,
-                            bulk_cfg=cfg.bulk, seed=cfg.seed)
+                            plan=cfg.plan, bulk_cfg=cfg.bulk, seed=cfg.seed)
 
 
 def _run_flat(cfg, pilot):

@@ -12,7 +12,7 @@ import dataclasses
 import typing
 from contextlib import contextmanager
 
-from .executors import BulkBackendConfig, PartitionPlan, StabilityLimits
+from .executors import BulkBackendConfig, PartitionPlan
 from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
@@ -110,7 +110,6 @@ class CampaignConfig:
     template_params: object          # _TEMPLATE_PARAMS[template] or None
     workload: object                 # WorkloadPreset or None
     plan: PartitionPlan              # or None
-    limits: StabilityLimits
     bulk: BulkBackendConfig
     overlay: MasterConfig
     output_dir: str
@@ -161,13 +160,15 @@ def parse_config(raw):
         raise ConfigError('<root>', 'config must be a mapping')
     _check_known(raw, {'schema_version', 'seed', 'resource', 'pilot',
                        'backend', 'flavor', 'workflow', 'workload', 'bulk',
-                       'overlay', 'stability', 'output'}, '')
+                       'overlay', 'output'}, '')
     version = _get(raw, 'schema_version', '', int, default=SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError('schema_version',
                           'unsupported version %d (supported: %d)'
                           % (version, SCHEMA_VERSION))
     seed = _get(raw, 'seed', '', int, required=True)
+    if seed < 0:
+        raise ConfigError('seed', 'must be >= 0')
 
     resource = _parse_resource(_get(raw, 'resource', '', dict,
                                     required=True))
@@ -229,8 +230,6 @@ def parse_config(raw):
         with _named('overlay', nodes='resource'):
             overlay.check_buffer(resource.node_type, workload.slot_kind)
             overlay.pool_bounds(len(resource.nodes))
-    limits = _section(_get(raw, 'stability', '', dict, default={}),
-                      'stability', StabilityLimits)
 
     raw_out = _get(raw, 'output', '', dict, default={})
     _check_known(raw_out, {'dir', 'completion_threshold', 'rate_window'},
@@ -248,7 +247,7 @@ def parse_config(raw):
     return CampaignConfig(
         seed=seed, pilot=pilot, backend=backend, flavor=flavor,
         template=template, template_params=params, workload=workload,
-        plan=plan, limits=limits, bulk=bulk, overlay=overlay,
+        plan=plan, bulk=bulk, overlay=overlay,
         output_dir=_get(raw_out, 'dir', 'output', str, default='out'),
         completion_threshold=threshold, rate_window=rate_window)
 

@@ -12,15 +12,15 @@ import time
 
 
 class SimEngine:
-    """Single-threaded event heap over the pilot clock.
+    """Single-threaded event heap over the pilot clock, which starts at 0.
 
     Events at one timestamp run in the order they were pushed: each gets
     the next sequence number.  Read-only outside the kernel:
     `running_seq` is the sequence number of the event running now (or last
     run), and `next_seq` the one `at` assigns next."""
 
-    def __init__(self, start_us=0):
-        self.now = start_us
+    def __init__(self):
+        self.now = 0
         self._heap = []
         self.running_seq = -1
         self.next_seq = 0
@@ -64,9 +64,9 @@ class RealtimeEngine(SimEngine):
 
     POLL_INTERVAL = 0.002  # seconds
 
-    def __init__(self, start_us=0):
-        super().__init__(start_us)
-        self._wall0 = time.monotonic() - start_us / 1e6
+    def __init__(self):
+        super().__init__()
+        self._wall0 = time.monotonic()
         self._pollers = []
 
     def add_poller(self, poll_fn):

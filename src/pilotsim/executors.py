@@ -69,25 +69,19 @@ class PartitionPlan:
                              'has %d' % (needed, n_nodes))
 
 
-@dataclass(frozen=True)
-class StabilityLimits:
-    """Envelope within which the partitioned runtime behaves; beyond it the
-    listed failure modes are injected with these probabilities."""
-    stable_max_nodes: int = 50
-    stable_max_tasks: int = 200
-    startup_failure_p: float = 0.03
-    internal_failure_p: float = 0.01
-    lost_connection_p: float = 0.01
-
-    def __post_init__(self):
-        check_range(self, 0, None, 'stable_max_nodes', 'stable_max_tasks')
-        check_range(self, 0.0, 1.0, 'startup_failure_p',
-                    'internal_failure_p', 'lost_connection_p')
+# The envelope within which the partitioned runtime behaves: beyond it a
+# partition may fail to start, and a task may fail or lose its connection,
+# with these probabilities.
+STABLE_MAX_NODES = 50       # nodes per partition
+STABLE_MAX_TASKS = 200      # launches per partition
+STARTUP_FAILURE_P = 0.03
+INTERNAL_FAILURE_P = 0.01
+LOST_CONNECTION_P = 0.01
 
 
 @dataclass(frozen=True)
 class BulkBackendConfig:
-    scheduling_rate: float | None = 14.21  # tasks/second; None: no cap
+    scheduling_rate: float = 14.21  # tasks/second
 
     def __post_init__(self):
         check_range(self, 0.0, None, 'scheduling_rate', strict=True)
@@ -110,7 +104,7 @@ class ExecutionService:
     execution on one pilot, emitting the event log."""
 
     def __init__(self, pilot, backend='direct', flavor='sim', plan=None,
-                 limits=None, bulk_cfg=None, seed=0):
+                 bulk_cfg=None, seed=0):
         if backend not in ('direct', 'partitioned', 'bulk'):
             raise ValueError('unknown backend: %s' % backend)
         if flavor not in ('sim', 'real'):
@@ -119,7 +113,6 @@ class ExecutionService:
         self.backend = backend
         self.flavor = flavor
         self.plan = plan
-        self.limits = limits or StabilityLimits()
         self.bulk_cfg = bulk_cfg or BulkBackendConfig()
         self.log = EventLog()
         self.records = {}
@@ -135,7 +128,7 @@ class ExecutionService:
         self._procs = {}         # task_id -> (Popen, record)
 
         engine_cls = RealtimeEngine if flavor == 'real' else SimEngine
-        self.engine = engine_cls(start_us=pilot.clock_us)
+        self.engine = engine_cls()
         if flavor == 'real':
             self.engine.add_poller(self._poll_payloads)
         self.deadline_us = pilot.deadline_us
@@ -190,8 +183,8 @@ class ExecutionService:
             self.engine.at(t, lambda g=g: self._partition_up(g))
 
     def _partition_up(self, group):
-        unstable = self.plan.nodes_per_partition > self.limits.stable_max_nodes
-        if unstable and self._rng.random() < self.limits.startup_failure_p:
+        unstable = self.plan.nodes_per_partition > STABLE_MAX_NODES
+        if unstable and self._rng.random() < STARTUP_FAILURE_P:
             group.alive = False
             self.log.append(self.engine.now, 'partition_dead', pid=group.gid,
                             reason='startup_failure')
@@ -234,7 +227,7 @@ class ExecutionService:
             self.records[rec.task_id] = rec
             rec.stamp('queued', now)
             add_row((_QUEUED, now, rec.task_id))
-        if self.backend == 'bulk' and self.bulk_cfg.scheduling_rate is not None:
+        if self.backend == 'bulk':
             interval = us(1.0 / self.bulk_cfg.scheduling_rate)
             for rec in records:
                 t = max(now, self._next_admit_us)
@@ -326,14 +319,14 @@ class ExecutionService:
         with when its execution would start, or None."""
         if self.backend != 'partitioned':
             return None
-        beyond = (group.launched > self.limits.stable_max_tasks or
-                  self.plan.nodes_per_partition > self.limits.stable_max_nodes)
+        beyond = (group.launched > STABLE_MAX_TASKS or
+                  self.plan.nodes_per_partition > STABLE_MAX_NODES)
         if not beyond:
             return None
         draw = self._rng.random()
-        if draw < self.limits.internal_failure_p:
+        if draw < INTERNAL_FAILURE_P:
             return 'failed', 'internal failure'
-        if draw < self.limits.internal_failure_p + self.limits.lost_connection_p:
+        if draw < INTERNAL_FAILURE_P + LOST_CONNECTION_P:
             return 'lost', 'lost connection'
         return None
 

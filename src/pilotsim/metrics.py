@@ -94,12 +94,9 @@ class UtilizationReport:
         }
 
 
-def utilization(log, span_us=None, bucket_s=1.0):
-    """Busy versus allocated slot-seconds over the pilot span.
-
-    The span defaults to [pilot acquisition, last event]; pass an explicit
-    (t0_us, t1_us) to account a fixed allocation window instead.
-    """
+def utilization(log):
+    """Busy versus allocated slot-seconds over the span from the pilot row
+    to the last row, with a timeline of the span's 1-s buckets."""
     info = log.pilot_info()
     if info is None:
         raise MetricsError('log carries no pilot row')
@@ -108,18 +105,15 @@ def utilization(log, span_us=None, bucket_s=1.0):
     gpus = n_nodes * info['gpus_per_node']
 
     per_task = log.from_records(_running_intervals)
-    if span_us is None:
-        t0 = info['t']
-        t1 = log.last_t(default=t0)
-    else:
-        t0, t1 = span_us
+    t0 = info['t']
+    t1 = log.last_t(default=t0)
     span = max(t1 - t0, 0)
 
     # with span 0 no interval overlaps [t0, t1), so nothing is busy
     busy_c = busy_g = 0
     timeline = []
     if span > 0:
-        bucket = max(int(round(bucket_s * US_PER_S)), 1)
+        bucket = US_PER_S
         n_buckets = (span + bucket - 1) // bucket
         # partial first and last buckets are added directly; the buckets
         # in between are counted in run_c/run_g (+n at b0+1, -n at b1) and
@@ -184,11 +178,11 @@ def utilization(log, span_us=None, bucket_s=1.0):
 @dataclass
 class RateSeries:
     window: float                  # seconds
-    credit: int
     points: list                   # (t_seconds, completions_per_hour)
 
     def to_json(self):
-        return {'window': self.window, 'credit': self.credit,
+        # 'credit': each completion counts its own bundle's work items
+        return {'window': self.window, 'credit': 1,
                 'points': [list(p) for p in self.points]}
 
 
@@ -202,8 +196,12 @@ def window_us(window_s):
     return window
 
 
-def rate(log, window_s, credit=None):
-    """Completion rate per hour in tiled windows, credited per bundle."""
+def rate(log, window_s):
+    """Completion rate per hour in tiled windows from t0, the pilot row (or
+    the first completion), each completion credited with its bundle's work
+    items.  Window k holds the completions in (t0 + k*window, t0 +
+    (k+1)*window], those exactly at t0 the first one; the last window holds
+    the last completion."""
     window = window_us(window_s)
     completions = log.completions()
     info = log.pilot_info()
@@ -211,21 +209,15 @@ def rate(log, window_s, credit=None):
     points = []
     if completions:
         t_last = max(t for t, _ in completions)
-        n_windows = max((t_last - t0) // window + 1, 1)
-        # window k holds the completions in (t0 + k*window, t0 + (k+1)*window];
-        # those exactly at t0 belong to the first window
-        credited = [0] * n_windows
+        credited = [0] * max((t_last - t0 - 1) // window + 1, 1)
         for t, c in completions:
-            if t < t0:
-                continue
-            k = (t - t0 - 1) // window if t > t0 else 0
-            if k < n_windows:
-                credited[k] += c if credit is None else credit
+            if t > t0:
+                credited[(t - t0 - 1) // window] += c
+            elif t == t0:
+                credited[0] += c
         points = [(secs(t0 + (k + 1) * window), n * 3600.0 / window_s)
                   for k, n in enumerate(credited)]
-    return RateSeries(window=window_s,
-                      credit=credit if credit is not None else 1,
-                      points=points)
+    return RateSeries(window=window_s, points=points)
 
 
 _END = itemgetter(1)    # a running interval's end

@@ -36,12 +36,13 @@ class FieldError(ValueError):
 
 
 def check_range(obj, lo, hi, *names, strict=False):
-    """FieldError naming the first of `names` whose value on `obj` is below
-    `lo` (at or below it if `strict`), above `hi` (None: only finite), or
-    NaN.  A None value passes: the field's own default stands for it."""
+    """FieldError naming the first of `names` whose value on `obj` is None,
+    below `lo` (at or below it if `strict`), above `hi` (None: only
+    finite), or NaN."""
     for name in names:
         value = getattr(obj, name)
-        if value is None or (lo < value if strict else lo <= value) and \
+        if value is not None and \
+                (lo < value if strict else lo <= value) and \
                 (value < math.inf if hi is None else value <= hi):
             continue
         bound = ('> %s' if strict else '>= %s') % lo
@@ -145,12 +146,6 @@ class Placement:
         return [[nid, list(cores), list(gpus)]
                 for nid, cores, gpus in self.node_slots]
 
-    @classmethod
-    def from_json(cls, task_id, data):
-        return cls(task_id=task_id,
-                   node_slots=tuple((nid, tuple(c), tuple(g))
-                                    for nid, c, g in data))
-
 
 class NodeState:
     """Per-slot occupancy of one node: who holds each slot, and the free
@@ -251,9 +246,9 @@ class Pilot:
         self.resource = description.resource
         self.nodes = [NodeState(spec) for spec in self.resource.nodes]
         self._by_id = {n.spec.node_id: n for n in self.nodes}
-        # the clock origin is pilot submission; the pilot is ready to place
-        # work once the startup latency has elapsed
-        self.clock_us = 0
+        # the clock starts at 0 at pilot submission, where every engine
+        # starts; the pilot is ready to place work once the startup latency
+        # has elapsed
         self.ready_us = us(description.startup_latency)
         self.walltime_us = us(description.walltime)
 
@@ -287,7 +282,8 @@ class Pilot:
 
 
 def acquire(description):
-    """Acquire a pilot: every slot free, clock advanced by startup latency."""
+    """Acquire a pilot: every slot free, ready once its startup latency has
+    elapsed."""
     if not isinstance(description, PilotDescription):
         raise TypeError('expected a PilotDescription')
     return Pilot(description)

@@ -174,17 +174,17 @@ class TaskQueue:
 
     Tasks are filed under their priority key, and feasibility is checked
     against the nodes of its first pass that sees each shape, so a queue
-    serves one node group.  A pass leaves the tasks it placed queued until
-    `pop_placed`: until then `len()` and iteration still show the queue as
-    the pass read it, which is what the traced benchmark counts as the
-    tasks a pass tried.
+    serves one node group.  A shape's FIFO, once made, stays for the
+    queue's life, empty or not, and holds its checked key.  A pass leaves
+    the tasks it placed queued until `pop_placed`: until then `len()` and
+    iteration still show the queue as the pass read it, which is what the
+    traced benchmark counts as the tasks a pass tried.
     """
 
     def __init__(self):
         self._arrivals = 0
         self._len = 0
-        self._fifos = {}        # shape -> its FIFO, never empty
-        self._keys = {}         # shape -> priority key, once checked
+        self._fifos = {}        # shape -> its FIFO
         self._unchecked = deque()   # FIFOs of unchecked shapes, first seen first
         self._by_key = {}       # priority key -> its FIFOs
         self._placed = []       # FIFOs the last pass placed from
@@ -202,11 +202,7 @@ class TaskQueue:
         fifo = self._fifos.get(shape)
         if fifo is None:
             fifo = self._fifos[shape] = _Fifo(shape)
-            key = self._keys.get(shape)
-            if key is None:
-                self._unchecked.append(fifo)
-            else:
-                self._file(fifo, key)
+            self._unchecked.append(fifo)
         fifo.items.append((self._arrivals, task))
         self._arrivals += 1
         self._len += 1
@@ -221,10 +217,6 @@ class TaskQueue:
         self._placed.clear()
         return tasks
 
-    def _file(self, fifo, key):
-        fifo.key = key
-        self._by_key.setdefault(key, []).append(fifo)
-
     def _check_shapes(self, nodes):
         """Check each new shape on the first task of its FIFO, in arrival
         order, and file the FIFO under its priority key."""
@@ -234,9 +226,9 @@ class TaskQueue:
             fifo = self._unchecked[0]
             task = fifo.items[0][1]
             check_feasible(task, nodes, capacity)
-            key = self._keys[fifo.shape] = -task.priority_hint(weight)
+            fifo.key = -task.priority_hint(weight)
             self._unchecked.popleft()
-            self._file(fifo, key)
+            self._by_key.setdefault(fifo.key, []).append(fifo)
 
     def place(self, nodes):
         """One pass: place as many queued tasks as fit in the free slots of
@@ -251,8 +243,9 @@ class TaskQueue:
         for key in sorted(self._by_key):
             heads = []      # (arrival, task, FIFO, rest of the FIFO)
             for fifo in self._by_key[key]:
-                rest = iter(fifo.items)
-                heads.append((*next(rest), fifo, rest))
+                if fifo.items:
+                    rest = iter(fifo.items)
+                    heads.append((*next(rest), fifo, rest))
             heapify(heads)
             while heads:
                 if not view.free_slots:
@@ -283,12 +276,6 @@ class TaskQueue:
                 popleft()
             self._len -= fifo.placed
             fifo.placed = 0
-            if not fifo.items:
-                del self._fifos[fifo.shape]
-                fifos = self._by_key[fifo.key]
-                fifos.remove(fifo)
-                if not fifos:
-                    del self._by_key[fifo.key]
         self._placed.clear()
 
 

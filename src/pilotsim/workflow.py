@@ -11,13 +11,17 @@ workflow engine and its message broker.
 import math
 from dataclasses import dataclass
 
-from .resources import check_range, us
+from .resources import FieldError, check_range, us
 from .scheduler import UnschedulableError
 from .tasks import TaskDescription, TaskRecord
 
 
 class WorkflowError(Exception):
     pass
+
+
+# the adaptive loop's train stage runs one GPU task per this many nodes
+TRAIN_NODES_PER_TASK = 20
 
 
 @dataclass
@@ -49,11 +53,9 @@ class StageDurations:
     aggregate: float = 15.0
     train: float = 30.0
     infer: float = 10.0
-    train_nodes_per_task: int = 20
 
     def __post_init__(self):
         check_range(self, 0.0, None, 'md', 'aggregate', 'train', 'infer')
-        check_range(self, 1, None, 'train_nodes_per_task')
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,9 @@ class HybridParams:
     def __post_init__(self):
         check_range(self, 0, None, 'wf3_count', 'wf4_count', 'wf3_duration',
                     'wf4_duration', 'comm_latency')
+        if not self.wf3_count + self.wf4_count:
+            raise FieldError('wf3_count', 'must be >= 1 when wf4_count is 0: '
+                             'the ensemble would be empty')
 
 
 class _PipelineRun:
@@ -207,14 +212,14 @@ def _task(tid, cores=1, gpus=0, ranks=1, payload=0.0):
 
 def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations()):
     """4-stage adaptive loop: MD ensemble (one task per GPU) -> aggregate
-    -> train (one GPU task per ~20 nodes) -> infer."""
+    -> train (one GPU task per TRAIN_NODES_PER_TASK nodes) -> infer."""
     d = durations
     n_nodes = len(pilot.nodes)
     n_gpus = pilot.resource.total_gpus
     if not n_gpus:
         raise UnschedulableError('the md stage runs one task per GPU; the '
                                  'pilot has no GPUs')
-    n_train = max(n_nodes // d.train_nodes_per_task, 1)
+    n_train = max(n_nodes // TRAIN_NODES_PER_TASK, 1)
     pre = 'wf2-i%d' % iteration
     md = Stage('md', [_task('%s-md%04d' % (pre, i), gpus=1, payload=d.md)
                       for i in range(n_gpus)])

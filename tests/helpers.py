@@ -301,21 +301,18 @@ def _reference_running(tasks):
     return out
 
 
-def _reference_span(log, span_us):
+def _reference_span(log):
     """(pilot row, t0, t1, span) of a utilization report."""
     info = next(r for r in log.rows if r['event'] == 'pilot')
-    if span_us is None:
-        t0 = info['t']
-        t1 = max((r['t'] for r in log.rows), default=t0)
-    else:
-        t0, t1 = span_us
+    t0 = info['t']
+    t1 = max((r['t'] for r in log.rows), default=t0)
     return info, t0, t1, max(t1 - t0, 0)
 
 
-def reference_utilization(log, span_us=None):
-    """utilization(log, span_us).to_json(), summing each running task's
-    clipped busy time in its own loop."""
-    info, t0, t1, span = _reference_span(log, span_us)
+def reference_utilization(log):
+    """utilization(log).to_json(), summing each running task's clipped
+    busy time in its own loop."""
+    info, t0, t1, span = _reference_span(log)
     cores = info['nodes'] * info['cores_per_node']
     gpus = info['nodes'] * info['gpus_per_node']
     busy_c = busy_g = 0
@@ -339,16 +336,16 @@ def reference_utilization(log, span_us=None):
     }
 
 
-def reference_timeline(log, span_us=None, bucket_s=1.0):
-    """The utilization timeline [(t, cpu_frac, gpu_frac)], visiting every
-    bucket each running task overlaps."""
-    info, t0, t1, span = _reference_span(log, span_us)
+def reference_timeline(log):
+    """The utilization timeline [(t, cpu_frac, gpu_frac)] of 1-s buckets,
+    visiting every bucket each running task overlaps."""
+    info, t0, t1, span = _reference_span(log)
     cores = info['nodes'] * info['cores_per_node']
     gpus = info['nodes'] * info['gpus_per_node']
     per_task = _reference_running(reference_task_intervals(log.rows))
     timeline = []
     if span > 0:
-        bucket = max(int(round(bucket_s * US_PER_S)), 1)
+        bucket = US_PER_S
         n_buckets = (span + bucket - 1) // bucket
         acc_c = [0] * n_buckets
         acc_g = [0] * n_buckets
@@ -475,9 +472,9 @@ def reference_overhead(log):
             'decomposition': {k: parts[k] / US_PER_S for k in phases}}
 
 
-def reference_rate_points(log, window_s, credit=None):
+def reference_rate_points(log, window_s):
     """Rate series points [(t, per hour)], summing every completion for
-    every window."""
+    every window, up to the window of the last completion."""
     window = int(round(window_s * US_PER_S))
     completions = [(r['t'], r.get('credit', 1)) for r in log.rows
                    if r['event'] == 'done']
@@ -486,16 +483,14 @@ def reference_rate_points(log, window_s, credit=None):
     points = []
     if completions:
         t_last = max(t for t, _ in completions)
-        n_windows = max((t_last - t0) // window + 1, 1)
+        n_windows = max((t_last - t0 - 1) // window + 1, 1)
         for k in range(n_windows):
             lo = t0 + k * window
             hi = lo + window
-            credited = sum((credit if credit is not None else c)
-                           for t, c in completions if lo < t <= hi)
+            credited = sum(c for t, c in completions if lo < t <= hi)
             # completions exactly at t0 belong to the first window
             if k == 0:
-                credited += sum((credit if credit is not None else c)
-                                for t, c in completions if t == t0)
+                credited += sum(c for t, c in completions if t == t0)
             points.append((secs(hi), credited * 3600.0 / window_s))
     return points
 

@@ -37,6 +37,21 @@ def _write(tmp_path, cfg, name='campaign.yaml'):
     return str(path)
 
 
+def _recipe(name):
+    with open(os.path.join(RECIPES, name + '.yaml')) as fh:
+        return yaml.safe_load(fh)
+
+
+def _set(raw, key, value):
+    """Set the dotted `key` of `raw` to `value`, making its sections."""
+    *parents, last = key.split('.')
+    section = raw
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[last] = value
+    return raw
+
+
 def test_parse_valid_config():
     cfg = parse_config(_base_config())
     assert cfg.seed == 7
@@ -164,8 +179,6 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
 
 
 @pytest.mark.parametrize('recipe, key, value', [
-    ('fig14-partitioned', 'stability.stable_max_nodes', 'x'),
-    ('fig14-partitioned', 'stability.lost_connection_p', 'often'),
     ('fig9-overhead-vs-iterations', 'workflow.params.iterations', 'four'),
     ('fig9-overhead-vs-iterations', 'workflow.params.iteration', 2),
     ('fig9-overhead-vs-iterations', 'workflow.params.durations.mdd', 6.0),
@@ -181,8 +194,6 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig11-13-hybrid', 'workflow.params.wf4_count', -1),
     ('fig9-overhead-vs-iterations', 'workflow.params.comm_latency', -5.0),
     ('fig9-overhead-vs-iterations', 'workflow.params.durations.md', -1.0),
-    ('fig9-overhead-vs-iterations',
-     'workflow.params.durations.train_nodes_per_task', 0),
     ('fig11-13-hybrid', 'workflow.params.wf3_duration', -1.0),
     ('fig11-13-hybrid', 'workflow.params.wf4_duration', -1.0),
     ('fig11-13-hybrid', 'workflow.params.comm_latency', -0.1),
@@ -191,9 +202,6 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig5-7-wf1-rates', 'overlay.bulk_size', 100),   # > 2 x 34 cores
     ('fig5-7-wf1-rates', 'resource.nodes', 1),        # no worker node
     ('fig5-7-wf1-rates', 'overlay.nodes_per_master', 1),  # pools of 1 node
-    ('fig14-partitioned', 'stability.startup_failure_p', 2.0),
-    ('fig14-partitioned', 'stability.stable_max_nodes', -3),
-    ('fig14-partitioned', 'stability.stable_max_nodes', True),
     ('fig14-partitioned', 'pilot.partitions.count', 0),
     ('fig14-partitioned', 'pilot.partitions.count', 64),  # 32 nodes
     ('fig14-partitioned', 'pilot.partitions.per_launch_delay', -1.0),
@@ -207,35 +215,124 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig14-partitioned', 'workload.duration_scale', -1),
     ('fig14-partitioned', 'seed', True),
     ('table2-bulk', 'bulk.scheduling_rate', 0),
+    ('table2-bulk', 'bulk.scheduling_rate', None),    # no uncapped rate
     ('table2-bulk', 'bulk.startup_cost', -5.0),
 ])
 def test_bad_recipe_value_exits_2_naming_key(tmp_path, capsys, recipe, key,
                                              value):
     """Bad values are named by their full key before the run starts,
     instead of failing inside it or being ignored."""
-    with open(os.path.join(RECIPES, recipe + '.yaml')) as fh:
-        raw = yaml.safe_load(fh)
+    raw = _recipe(recipe)
     raw['output']['dir'] = str(tmp_path / 'out')
     if key.startswith('resource.'):
         # node-shape keys are read on a resource without a preset
         raw['resource'] = {'nodes': raw['resource']['nodes'], 'cpu_cores': 34}
-    *parents, last = key.split('.')
-    section = raw
-    for name in parents:
-        section = section.setdefault(name, {})
-    section[last] = value
-    status = main(['run', '--config', _write(tmp_path, raw)])
+    status = main(['run', '--config', _write(tmp_path, _set(raw, key, value))])
     err = capsys.readouterr().err
     assert status == 2
     assert err.startswith('config error: %s:' % key), err
     assert not (tmp_path / 'out').exists()
 
 
+@pytest.mark.parametrize('recipe, key, value, named', [
+    ('fig14-partitioned', 'stability.stable_max_nodes', 50, 'stability'),
+    ('fig14-partitioned', 'stability.stable_max_tasks', 200, 'stability'),
+    ('fig14-partitioned', 'stability.startup_failure_p', 0.03, 'stability'),
+    ('fig14-partitioned', 'stability.internal_failure_p', 0.01, 'stability'),
+    ('fig14-partitioned', 'stability.lost_connection_p', 0.01, 'stability'),
+    ('fig9-overhead-vs-iterations',
+     'workflow.params.durations.train_nodes_per_task', 20,
+     'workflow.params.durations.train_nodes_per_task'),
+])
+def test_constant_setting_exits_2_as_unknown_key(tmp_path, capsys, recipe,
+                                                 key, value, named):
+    """The stability envelope and the train stage's nodes per task are
+    constants: setting one, even to its value, is an unknown key."""
+    raw = _set(_recipe(recipe), key, value)
+    raw['output']['dir'] = str(tmp_path / 'out')
+    assert main(['run', '--config', _write(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(
+        'config error: %s: unknown key' % named)
+    assert not (tmp_path / 'out').exists()
+
+
+@pytest.mark.parametrize('recipe, seed', [
+    ('fig5-7-wf1-rates', '-1'),
+    ('fig14-partitioned', '-2'),
+    ('fig9-overhead-vs-iterations', '-3'),
+])
+def test_negative_seed_exits_2_before_the_run(tmp_path, capsys, recipe, seed):
+    out = tmp_path / 'out'
+    status = main(['run', '--config', os.path.join(RECIPES, recipe + '.yaml'),
+                   '--out', str(out), '--seed', seed])
+    assert status == 2
+    assert capsys.readouterr().err == 'config error: seed: must be >= 0\n'
+    assert not out.exists()
+
+
+def test_empty_hybrid_ensemble_exits_2(tmp_path, capsys):
+    """One kind of pipeline at 0 is a one-kind ensemble; both at 0 is no
+    campaign at all."""
+    raw = _recipe('fig11-13-hybrid')
+    raw['workflow']['params'].update(wf3_count=0, wf4_count=0)
+    raw['output']['dir'] = str(tmp_path / 'out')
+    assert main(['run', '--config', _write(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith(
+        'config error: workflow.params.wf3_count: must be >= 1 when '
+        'wf4_count is 0')
+    assert not (tmp_path / 'out').exists()
+
+
+@pytest.mark.parametrize('recipe, path, edits, accepted', [
+    ('fig14-partitioned', '', {}, [
+        'backend', 'bulk', 'flavor', 'output', 'overlay', 'pilot',
+        'resource', 'schema_version', 'seed', 'workflow', 'workload']),
+    ('fig14-partitioned', 'resource', {}, ['nodes', 'preset']),
+    pytest.param('fig14-partitioned', 'resource',
+                 {'resource': {'nodes': 32, 'cpu_cores': 34}},
+                 ['cpu_cores', 'gpus', 'nodes', 'preset', 'usable_cpu_cores'],
+                 id='resource-without-preset'),
+    ('fig14-partitioned', 'pilot', {}, [
+        'partitions', 'startup_latency', 'walltime']),
+    ('fig14-partitioned', 'pilot.partitions', {}, [
+        'count', 'nodes_per_partition', 'per_launch_delay',
+        'per_partition_start_cost', 'post_start_sleep']),
+    ('fig14-partitioned', 'workflow', {}, ['params', 'template']),
+    ('fig14-partitioned', 'workflow.params', {}, []),
+    ('fig9-overhead-vs-iterations', 'workflow.params', {}, [
+        'comm_latency', 'durations', 'iterations', 'outlier_probability']),
+    ('fig11-13-hybrid', 'workflow.params', {}, [
+        'comm_latency', 'wf3_count', 'wf3_duration', 'wf4_count',
+        'wf4_duration']),
+    ('fig9-overhead-vs-iterations', 'workflow.params.durations', {}, [
+        'aggregate', 'infer', 'md', 'train']),
+    ('fig14-partitioned', 'workload', {}, [
+        'duration_scale', 'items', 'preset']),
+    ('table2-bulk', 'bulk', {}, ['scheduling_rate']),
+    ('fig5-7-wf1-rates', 'overlay', {}, [
+        'bulk_size', 'latency', 'nodes_per_master']),
+    ('fig5-7-wf1-rates', 'output', {}, [
+        'completion_threshold', 'dir', 'rate_window']),
+])
+def test_accepted_keys_are_pinned(recipe, path, edits, accepted):
+    """Each section's accepted keys, as the unknown-key error lists them:
+    adding or deleting a setting edits this table.  The flat template's
+    params accept none."""
+    bogus = path + '.bogus' if path else 'bogus'
+    raw = _set(dict(_recipe(recipe), **edits), bogus, 1)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    message = str(exc.value)
+    prefix = bogus + ': unknown key (known: '
+    assert message.startswith(prefix) and message.endswith(')'), message
+    known = message[len(prefix):-1]
+    assert (known.split(', ') if known != 'none' else []) == accepted
+
+
 def test_gpu_overlay_on_a_cpu_node_exits_2(tmp_path, capsys):
     """GPU bundles on GPU-less workers have no slot to run in: the overlay
     would dispatch nothing."""
-    with open(os.path.join(RECIPES, 'wf1-uc3-bundled.yaml')) as fh:
-        raw = yaml.safe_load(fh)
+    raw = _recipe('wf1-uc3-bundled')
     raw['resource']['preset'] = 'frontera-node'
     raw['output']['dir'] = str(tmp_path / 'out')
     assert main(['run', '--config', _write(tmp_path, raw)]) == 2

@@ -40,7 +40,10 @@ def test_events_can_spawn_events():
 
 
 def test_an_event_in_the_past_is_refused():
-    eng = SimEngine(start_us=100)
+    eng = SimEngine()
+    eng.at(100, lambda: None)
+    eng.run()
+    assert eng.now == 100
     with pytest.raises(ValueError, match='before now'):
         eng.at(10, lambda: None)
     assert not eng._heap

@@ -10,10 +10,9 @@ from pilotsim import cli, executors, scheduler
 from pilotsim.config import parse_config
 from pilotsim.engine import SimEngine
 from pilotsim.executors import (BulkBackendConfig, ExecutionService,
-                                ExecutorError, PartitionPlan,
-                                StabilityLimits, make_records)
-from pilotsim.resources import (PilotDescription, ResourceSpec, acquire,
-                                us)
+                                ExecutorError, PartitionPlan, make_records)
+from pilotsim.resources import (FieldError, PilotDescription, ResourceSpec,
+                                acquire, us)
 from pilotsim.scheduler import UnschedulableError
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import HybridParams, run_hybrid
@@ -140,15 +139,21 @@ def test_partition_startup_is_sequential_and_blocking():
                svc.log.task_intervals().values()) == us(42.0)
 
 
-def test_partitions_start_work_when_the_last_one_dies_at_startup():
+def _envelope(monkeypatch, **limits):
+    """Set the stability envelope's constants, named in lower case."""
+    for name, value in limits.items():
+        monkeypatch.setattr(executors, name.upper(), value)
+
+
+def test_partitions_start_work_when_the_last_one_dies_at_startup(monkeypatch):
     """With seed 4 partitions 0-2 start and partition 3 fails to: its
     tasks move to the others, and every partition still queues tasks of
     its own, which must run once startup ends, not wait for teardown."""
     plan = PartitionPlan(count=4, nodes_per_partition=1)
-    limits = StabilityLimits(stable_max_nodes=0, startup_failure_p=0.5,
-                             internal_failure_p=0.0, lost_connection_p=0.0)
+    _envelope(monkeypatch, stable_max_nodes=0, startup_failure_p=0.5,
+              internal_failure_p=0.0, lost_connection_p=0.0)
     svc = ExecutionService(_pilot(nodes=4), backend='partitioned', plan=plan,
-                           limits=limits, seed=4)
+                           seed=4)
     records = _tasks(8, duration=1.0)
     svc.submit(records)
     svc.run()
@@ -170,13 +175,12 @@ def test_partition_round_robin():
     assert [r.partition_id for r in records] == [0, 1, 0, 1, 0, 1]
 
 
-def test_no_partition_capacity_once_every_partition_died():
+def test_no_partition_capacity_once_every_partition_died(monkeypatch):
     """With every partition dead at startup, the tasks queued on them and
     a task submitted later all fail for want of a partition; none runs."""
     plan = PartitionPlan(count=2, nodes_per_partition=1)
-    limits = StabilityLimits(stable_max_nodes=0, startup_failure_p=1.0)
-    svc = ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan,
-                           limits=limits)
+    _envelope(monkeypatch, stable_max_nodes=0, startup_failure_p=1.0)
+    svc = ExecutionService(_pilot(nodes=2), backend='partitioned', plan=plan)
     records = _tasks(4, duration=1.0)
     late = _tasks(1, prefix='late')
     svc.submit(records)
@@ -250,14 +254,14 @@ def test_a_delayed_launch_keeps_its_two_events(monkeypatch):
                for iv in starts.values())
 
 
-def test_failure_injection_beyond_stability_envelope():
+def test_failure_injection_beyond_stability_envelope(monkeypatch):
     plan = PartitionPlan(count=1, nodes_per_partition=1,
                          per_partition_start_cost=0.0, post_start_sleep=0.0,
                          per_launch_delay=0.0)
-    limits = StabilityLimits(stable_max_tasks=100, internal_failure_p=0.05,
-                             lost_connection_p=0.05)
+    _envelope(monkeypatch, stable_max_tasks=100, internal_failure_p=0.05,
+              lost_connection_p=0.05)
     svc = ExecutionService(_pilot(nodes=1), backend='partitioned', plan=plan,
-                           limits=limits, seed=11)
+                           seed=11)
     records = _tasks(2000, duration=0.0)
     svc.submit(records)
     svc.run()
@@ -294,7 +298,14 @@ def test_bulk_backend_paces_admissions():
     assert admits[-1] - admits[0] == us(4.9)   # 50 admissions at 10/s
 
 
-def test_seeded_runs_are_byte_identical():
+def test_bulk_backend_has_no_uncapped_rate():
+    with pytest.raises(FieldError, match='scheduling_rate must be > 0.0'):
+        BulkBackendConfig(scheduling_rate=None)
+
+
+def test_seeded_runs_are_byte_identical(monkeypatch):
+    _envelope(monkeypatch, stable_max_tasks=50)
+
     def run_once():
         svc = ExecutionService(_pilot(nodes=1), backend='partitioned',
                                plan=PartitionPlan(count=1,
@@ -302,7 +313,6 @@ def test_seeded_runs_are_byte_identical():
                                                   per_partition_start_cost=0.0,
                                                   post_start_sleep=0.0,
                                                   per_launch_delay=0.0),
-                               limits=StabilityLimits(stable_max_tasks=50),
                                seed=3)
         records = _tasks(300, duration=0.5)
         svc.submit(records)

@@ -93,7 +93,7 @@ def test_utilization_matches_tick_oracle_random_traces():
 
 def test_utilization_timeline_buckets():
     log = _make_log([('a', 0, 0, 1_500_000, 4, 0)])
-    rep = utilization(log, bucket_s=1.0)
+    rep = utilization(log)
     assert rep.timeline[0][1] == pytest.approx(1.0)
     assert rep.timeline[1][1] == pytest.approx(1.0)   # half-bucket, full slots
 
@@ -120,15 +120,16 @@ def test_rate_conservation():
     assert integrated == pytest.approx(total)
 
 
-def test_rate_fixed_credit_override():
+def test_rate_ends_with_the_window_of_the_last_completion():
+    """A completion on a window's upper edge closes that window: no empty
+    window follows it."""
     log = EventLog()
     log.append(0, 'pilot', nodes=1, cores_per_node=1, gpus_per_node=0,
                walltime_us=10**9, backend='direct', flavor='sim')
-    for i in range(10):
-        log.append((i + 1) * 1_000_000, 'done', task='t%d' % i,
-                   exec_end=(i + 1) * 1_000_000, credit=1)
-    series = rate(log, 10.0, credit=16)
-    assert sum(r for _, r in series.points) * 10.0 / 3600.0 == pytest.approx(160)
+    for i, t in enumerate((10_000_000, 20_000_000)):
+        log.append(t, 'done', task='t%d' % i, exec_end=t, credit=1)
+    assert rate(log, 10.0).points == [(10.0, 360.0), (20.0, 360.0)]
+    assert rate(log, 10.0).to_json()['credit'] == 1
 
 
 def test_overhead_decomposition_sums_exactly():
@@ -220,22 +221,19 @@ def _rate_logs(draw):
         pilot = {'t': t0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 1,
                  'gpus_per_node': 0}
         rows.insert(draw(st.integers(0, len(rows))), pilot)
-    credit = draw(st.sampled_from((None, 1, 3)))
-    return EventLog(rows), window_s, credit
+    return EventLog(rows), window_s
 
 
 @settings(max_examples=300, deadline=None)
 @given(_rate_logs())
 def test_one_pass_rate_equals_reference(case):
-    log, window_s, credit = case
-    assert rate(log, window_s, credit=credit).points == \
-        reference_rate_points(log, window_s, credit=credit)
+    log, window_s = case
+    assert rate(log, window_s).points == reference_rate_points(log, window_s)
 
 
 @st.composite
 def _utilization_logs(draw):
-    bucket_s = draw(st.sampled_from(_WINDOWS_S))
-    step = int(round(bucket_s * 1e6))
+    step = 1_000_000        # the timeline's bucket
     t0 = draw(st.integers(0, 2 * step))
     log = EventLog()
     log.append(t0, 'pilot', nodes=draw(st.integers(1, 3)),
@@ -253,18 +251,13 @@ def _utilization_logs(draw):
         end = draw(st.sampled_from(('done', 'failed', 'lost')))
         log.append(b, end, task=tid, **({'exec_end': b, 'credit': 1}
                                         if end == 'done' else {}))
-    span_us = None
-    if draw(st.booleans()):                # clipped, t1 inside a bucket
-        span_us = (draw(_near_edges(t0, step)), draw(_near_edges(t0, step)))
-    return log, span_us, bucket_s
+    return log
 
 
 @settings(max_examples=300, deadline=None)
 @given(_utilization_logs())
-def test_difference_array_timeline_equals_reference(case):
-    log, span_us, bucket_s = case
-    assert utilization(log, span_us=span_us, bucket_s=bucket_s).timeline == \
-        reference_timeline(log, span_us=span_us, bucket_s=bucket_s)
+def test_difference_array_timeline_equals_reference(log):
+    assert utilization(log).timeline == reference_timeline(log)
 
 
 @st.composite

@@ -48,7 +48,6 @@ def test_pilot_clock_and_deadline():
     res = ResourceSpec.from_preset('summit-node', 2)
     pilot = acquire(PilotDescription(resource=res, walltime=100.0,
                                      startup_latency=7.0))
-    assert pilot.clock_us == 0
     assert pilot.ready_us == us(7.0)
     assert pilot.deadline_us == us(107.0)
 
@@ -124,12 +123,6 @@ def test_free_lists_are_the_free_slots_in_ascending_order(ops):
                     node.free_core_ids, node.free_gpu_ids) == before
         assert node.free_core_ids == free_ids(node.core_occupancy)
         assert node.free_gpu_ids == free_ids(node.gpu_occupancy)
-
-
-def test_placement_json_round_trip():
-    pl = Placement(task_id='t', node_slots=((0, (1, 2), (0,)), (1, (3,), ())))
-    again = Placement.from_json('t', pl.to_json())
-    assert again == pl
 
 
 def test_occupy_conflict_and_release_ownership():

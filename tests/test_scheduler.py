@@ -77,6 +77,26 @@ def test_transient_full_keeps_task_queued():
     assert [t.task_id for t in remaining] == ['b']
 
 
+def test_an_emptied_shape_keeps_its_fifo(monkeypatch):
+    """A shape's FIFO outlives the pass that empties it: its later tasks
+    join the same FIFO, and the shape is checked once for the queue's
+    life."""
+    checked = []
+    monkeypatch.setattr(scheduler, 'check_feasible',
+                        lambda task, *args: checked.append(task.task_id))
+    nodes = _nodes(1, 4)
+    queue = TaskQueue()
+    queue.push(TaskDescription(task_id='a', cpu_cores_per_rank=2))
+    assert [tid for tid, _ in schedule(queue, nodes)[0]] == ['a']
+    fifo = queue._fifos[(2, 1, 0)]
+    queue.pop_placed()
+    assert len(queue) == 0
+    queue.push(TaskDescription(task_id='b', cpu_cores_per_rank=2))
+    assert queue._fifos[(2, 1, 0)] is fifo
+    assert [tid for tid, _ in schedule(queue, nodes)[0]] == ['b']
+    assert checked == ['a']
+
+
 def test_mpi_dense_packing_spills_nodes():
     nodes = _nodes(3, 4)
     task = TaskDescription(task_id='mpi', cpu_cores_per_rank=1, ranks=10)
