@@ -7,8 +7,7 @@ count; with 1 ms it is flat.
 
 from pilotsim import (AdaptiveLoopConfig, ExecutionService,
                       PilotDescription, ResourceSpec, StageDurations,
-                      acquire, deepdrive_pipeline, iterate_adaptive,
-                      overhead)
+                      acquire, iterate_adaptive, overhead)
 
 DURATIONS = StageDurations(md=6.0, aggregate=0.5, train=0.5, infer=0.2)
 
@@ -20,9 +19,7 @@ def loop_overhead(iterations, comm_latency):
     service = ExecutionService(pilot)
     cfg = AdaptiveLoopConfig(iterations=iterations, comm_latency=comm_latency,
                              durations=DURATIONS, seed=42)
-    iterate_adaptive(cfg, service,
-                     lambda gen: deepdrive_pipeline(pilot, iteration=gen,
-                                                    durations=cfg.durations))
+    iterate_adaptive(cfg, service)
     return overhead(service.log).overhead
 
 

@@ -26,7 +26,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .config import BACKENDS, FLAVORS, ConfigError, parse_config, read_config
+from .config import (BACKENDS, FLAVORS, RATE_WINDOW_S, ConfigError,
+                     parse_config, read_config)
 from .eventlog import EventLog, LogError
 from .executors import ExecutionService, make_records
 from .metrics import MetricsError, overhead, rate, utilization, window_us
@@ -34,7 +35,7 @@ from .overlay import OverlaySim, WorkItem
 from .resources import acquire
 from .tasks import TaskDescription
 from .scheduler import UnschedulableError
-from .workflow import deepdrive_pipeline, iterate_adaptive, run_hybrid
+from .workflow import iterate_adaptive, run_hybrid
 
 log = logging.getLogger('pilotsim')
 
@@ -79,9 +80,7 @@ def _run_workflow(cfg, pilot):
     if cfg.template == 'hybrid-lb':
         run_hybrid(service, params)
     else:
-        iterate_adaptive(params, service, lambda generation:
-                         deepdrive_pipeline(pilot, iteration=generation,
-                                            durations=params.durations))
+        iterate_adaptive(params, service)
     return service.log, sum(r.credit for r in service.records.values())
 
 
@@ -301,7 +300,7 @@ def main(argv=None):
 
     p_rep = sub.add_parser('report', help='recompute reports from a log')
     p_rep.add_argument('--log', required=True, help='events.jsonl path')
-    p_rep.add_argument('--window', type=_window_arg, default=60.0,
+    p_rep.add_argument('--window', type=_window_arg, default=RATE_WINDOW_S,
                        help='rate window in seconds')
     p_rep.add_argument('--out', help='report output directory')
     p_rep.set_defaults(fn=_cmd_report)

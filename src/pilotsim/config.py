@@ -12,7 +12,8 @@ import dataclasses
 import typing
 from contextlib import contextmanager
 
-from .executors import BulkBackendConfig, PartitionPlan
+from .executors import (BACKENDS as _TASK_BACKENDS, FLAVORS,
+                        BulkBackendConfig, PartitionPlan)
 from .metrics import MetricsError, window_us
 from .overlay import MasterConfig
 from .resources import (NODE_PRESETS, FieldError, NodeSpec, PilotDescription,
@@ -21,8 +22,9 @@ from .workflow import AdaptiveLoopConfig, HybridParams
 
 SCHEMA_VERSION = 1
 
-BACKENDS = ('direct', 'partitioned', 'bulk', 'overlay')
-FLAVORS = ('sim', 'real')
+BACKENDS = _TASK_BACKENDS + ('overlay',)
+# output.rate_window's default, and `pilotsim report --window`'s
+RATE_WINDOW_S = 60.0
 
 # template -> the dataclass its workflow.params build (None: it takes none)
 _TEMPLATE_PARAMS = {'flat': None, 'wf2-deepdrive': AdaptiveLoopConfig,
@@ -151,7 +153,11 @@ def _parse_workload(raw):
     if not 0 < scale < float('inf'):
         raise ConfigError('workload.duration_scale', 'must be > 0 and finite')
     workload = make_preset(preset, item_count=items)
-    return dataclasses.replace(workload, model=workload.model.scaled(scale))
+    try:
+        model = workload.model.scaled(scale)
+    except ValueError as exc:
+        raise ConfigError('workload.duration_scale', str(exc)) from None
+    return dataclasses.replace(workload, model=model)
 
 
 def parse_config(raw):
@@ -238,7 +244,7 @@ def parse_config(raw):
                      default=0.95)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError('output.completion_threshold', 'must be in [0, 1]')
-    rate_window = _get(raw_out, 'rate_window', 'output', float, default=60.0)
+    rate_window = _get(raw_out, 'rate_window', 'output', float, RATE_WINDOW_S)
     try:
         window_us(rate_window)
     except MetricsError as exc:

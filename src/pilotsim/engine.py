@@ -60,38 +60,28 @@ class SimEngine:
 
 
 class RealtimeEngine(SimEngine):
-    """Event loop paced by the wall clock; pollers feed in completions."""
+    """Event loop paced by the wall clock; poll() feeds in the completions
+    that have arrived and returns True while more may still come."""
 
     POLL_INTERVAL = 0.002  # seconds
 
-    def __init__(self):
+    def __init__(self, poll):
         super().__init__()
         self._wall0 = time.monotonic()
-        self._pollers = []
-
-    def add_poller(self, poll_fn):
-        """poll_fn() -> True while it may still produce events."""
-        self._pollers.append(poll_fn)
+        self._poll = poll
 
     def close(self):
-        """As SimEngine.close, and drop the pollers too."""
+        """As SimEngine.close, and drop the poller too."""
         super().close()
-        self._pollers.clear()
+        self._poll = lambda: False
 
     def wall_now_us(self):
         return int((time.monotonic() - self._wall0) * 1e6)
 
-    def _poll(self):
-        pending = False
-        for poll_fn in self._pollers:
-            if poll_fn():
-                pending = True
-        return pending
-
     def run(self, until_us=None):
         """As SimEngine.run, paced by the wall clock.  Between events the
         pilot clock follows the wall clock, up to the next event; while no
-        event is due by `until_us` but a poller is pending, the run is cut
+        event is due by `until_us` but the poller is pending, the run is cut
         once the wall clock passes `until_us`."""
         while True:
             pending = self._poll()

@@ -28,12 +28,14 @@ a campaign, take them off one list iterator: each row's kind id, t and
 task three at a time, and its extra values after them; `dumps` passes
 each row to its kind's encoder (`_ENCODERS`, indexed by kind id and
 compiled on the kind's first `dumps`, so importing, appending and
-reading compile nothing).  The row tuples that the `rows` view (a dict
-per row), `pilot_info` and `state_sequence` read are sliced off the
-stream one row at a time.  A walk fails when a value where a kind id
-belongs is not one, or when the stream ends inside a row.  The log
-remembers the row start where the last walk stopped, so each chunk of
-`write` starts where the one before it ended.
+reading compile nothing).  The `rows` view (a dict per row) and
+`state_sequence` read the rows in log order, each row tuple sliced off the
+stream from its start one row at a time; a row index or slice of the view
+reads them all first.  `pilot_info` slices its one row at the offset the
+digest found.  A walk fails when a value where a kind id belongs is not
+one, or when the stream ends inside a row.  The log remembers the row
+start where the last count or `dumps` stopped, so each chunk of `write`
+starts where the one before it ended.
 
 The digest holds one fixed-slot list per task (its record; the slots are
 the `QUEUED` ... `STATE` indices below), the `(t, credit)` of every done
@@ -45,7 +47,6 @@ asked for; the metrics read the records themselves.
 
 import json
 import math
-from collections.abc import Sequence
 from itertools import count, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import length_hint
@@ -248,12 +249,12 @@ def _walk(values, row, off, stop, end=None):
     return row, off
 
 
-class Rows(Sequence):
-    """A log's rows as dicts, built on each access: a copy, so editing
-    one changes nothing in the log.  `append` adds a dict row."""
+class Rows:
+    """A log's rows as dicts, built on each read: a copy, so editing one
+    changes nothing in the log.  Read in log order; an index or a slice
+    reads every row first."""
 
     __slots__ = ('_log',)
-    __hash__ = None
 
     def __init__(self, log):
         self._log = log
@@ -261,30 +262,11 @@ class Rows(Sequence):
     def __len__(self):
         return self._log._count()
 
-    def __getitem__(self, i):
-        span = range(len(self))[i]
-        if isinstance(span, int):
-            return _as_dict(next(self._log._tuples(span)))
-        if not span:
-            return []
-        lo = min(span)
-        rows = list(map(_as_dict, self._log._tuples(lo, max(span) + 1)))
-        return [rows[j - lo] for j in span]
-
     def __iter__(self):
         return map(_as_dict, self._log._tuples())
 
-    def __eq__(self, other):
-        if isinstance(other, Rows):
-            other = list(other)
-        return list(self) == other if isinstance(other, list) \
-            else NotImplemented
-
-    def __repr__(self):
-        return 'Rows(%r)' % list(self)
-
-    def append(self, row):
-        self._log.add_row(_from_dict(row))
+    def __getitem__(self, i):
+        return list(self)[i]
 
 
 def _plan(kind):
@@ -408,7 +390,7 @@ def _interval_dicts(tasks):
 
 
 class EventLog:
-    def __init__(self, rows=None):
+    def __init__(self):
         self._values = []
         # add_row((kind.id, t_us, task, *values)): t_us an int, values in
         # the kind's key order, exactly 3 + len(kind.keys) values in all
@@ -417,8 +399,6 @@ class EventLog:
         # walk stopped; rows are only appended, so it stays a row start
         self._mark = (0, 0)
         self._digest = None
-        for row in rows or ():
-            self.add_row(_from_dict(row))
 
     @property
     def rows(self):
@@ -442,12 +422,12 @@ class EventLog:
         """The number of rows; LogError if the stream is misaligned."""
         return self._seek(math.inf)[0]
 
-    def _tuples(self, start=0, stop=math.inf):
-        """The row tuples (kind id, t, task, *values) of rows
-        [start:stop], each checked whole before it is read."""
-        row, off = self._seek(start)
+    def _tuples(self):
+        """The row tuples (kind id, t, task, *values) in log order, each
+        checked whole before it is read."""
         values = self._values
-        while row < stop:
+        row = off = 0
+        while True:
             row, end = _walk(values, row, off, row + 1)
             if end == off:
                 return

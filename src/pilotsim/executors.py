@@ -38,6 +38,10 @@ class ExecutorError(Exception):
     pass
 
 
+BACKENDS = ('direct', 'partitioned', 'bulk')
+FLAVORS = ('sim', 'real')
+
+
 # the kind ids of a task's rows, for the row tuples of EventLog.add_row
 _QUEUED = row_kind('queued').id
 _ADMITTED = row_kind('admitted').id
@@ -105,10 +109,12 @@ class ExecutionService:
 
     def __init__(self, pilot, backend='direct', flavor='sim', plan=None,
                  bulk_cfg=None, seed=0):
-        if backend not in ('direct', 'partitioned', 'bulk'):
+        if backend not in BACKENDS:
             raise ValueError('unknown backend: %s' % backend)
-        if flavor not in ('sim', 'real'):
+        if flavor not in FLAVORS:
             raise ValueError('unknown flavor: %s' % flavor)
+        if not seed >= 0:
+            raise FieldError('seed', 'must be >= 0, got %r' % (seed,))
         self.pilot = pilot
         self.backend = backend
         self.flavor = flavor
@@ -127,10 +133,8 @@ class ExecutionService:
         self._next_admit_us = None
         self._procs = {}         # task_id -> (Popen, record)
 
-        engine_cls = RealtimeEngine if flavor == 'real' else SimEngine
-        self.engine = engine_cls()
-        if flavor == 'real':
-            self.engine.add_poller(self._poll_payloads)
+        self.engine = RealtimeEngine(self._poll_payloads) \
+            if flavor == 'real' else SimEngine()
         self.deadline_us = pilot.deadline_us
 
         res = pilot.resource
@@ -209,8 +213,8 @@ class ExecutionService:
 
     def submit(self, records):
         """Queue `records`; ValueError before any of them is booked when
-        one would give the log a row EventLog.read refuses or repeats a
-        task id."""
+        one would give the log a row EventLog.read refuses, repeats a task
+        id or has a duration the kernel cannot run (None runs as 0)."""
         batch = set()
         for rec in records:
             if not isinstance(rec.task_id, str):
@@ -218,6 +222,10 @@ class ExecutionService:
             if not (type(rec.credit) is int and rec.credit >= 0):
                 raise ValueError('task %s: credit %r is not an int >= 0'
                                  % (rec.task_id, rec.credit))
+            if not (rec.duration_us is None or
+                    type(rec.duration_us) is int and rec.duration_us >= 0):
+                raise ValueError('task %s: duration_us %r is not an int >= 0'
+                                 % (rec.task_id, rec.duration_us))
             if rec.task_id in self.records or rec.task_id in batch:
                 raise ValueError('duplicate task id: %s' % rec.task_id)
             batch.add(rec.task_id)

@@ -111,7 +111,6 @@ class WorkerState:
     master_id: int = 0             # the master whose pool it is in
     in_flight: int = 0             # dispatched, not yet completed
     running: int = 0
-    completed: int = 0
     alive: bool = True
     buffer: deque = field(default_factory=deque)   # items not yet started
     # pending acks, (arrival time, kernel sequence number), in that order
@@ -143,7 +142,6 @@ class Master:
         self.dispatched = 0
         self.completed = 0
         self.lost = 0
-        self.failed_items = []
         self.protocol_errors = []
 
     def add_items(self, items):
@@ -179,7 +177,6 @@ class Master:
             self.in_flight[item_id] = entry
             return None
         self.completed += 1
-        worker.completed += 1
         return entry[0]
 
     def report_lost(self, item_ids):
@@ -195,7 +192,6 @@ class Master:
             item, _ = entry
             if item.attempts > 1:
                 self.lost += 1
-                self.failed_items.append(item)
                 failed.append(item)
             else:
                 self.dispatched -= 1
@@ -239,9 +235,12 @@ def _check_items(items):
     whose duration is not >= 0 and finite: the log would hold rows
     `EventLog.read` refuses, or two lifecycles of one task.  One pass
     while every item is good."""
-    good = {i.item_id for i in items
-            if isinstance(i.item_id, str) and type(i.credit) is int
-            and i.credit >= 0 and 0.0 <= i.duration_s < math.inf}
+    try:
+        good = {i.item_id for i in items
+                if isinstance(i.item_id, str) and type(i.credit) is int
+                and i.credit >= 0 and 0.0 <= i.duration_s < math.inf}
+    except TypeError:           # a duration that does not compare
+        good = ()
     if len(good) == len(items):
         return
     seen = set()
@@ -254,7 +253,11 @@ def _check_items(items):
         if not (type(item.credit) is int and item.credit >= 0):
             raise OverlayError('item %s: credit %r is not an int >= 0'
                                % (item.item_id, item.credit))
-        if not 0.0 <= item.duration_s < math.inf:
+        try:
+            finite = 0.0 <= item.duration_s < math.inf
+        except TypeError:
+            finite = False
+        if not finite:
             raise OverlayError('item %s: duration is not >= 0 and finite'
                                % item.item_id)
 

@@ -114,6 +114,9 @@ class PilotDescription:
 
     def __post_init__(self):
         check_range(self, 0.0, None, 'walltime', strict=True)
+        if us(self.walltime) < 1:
+            raise FieldError('walltime', 'must be at least 1e-6 s, got %r'
+                             % self.walltime)
         check_range(self, 0.0, None, 'startup_latency')
 
 

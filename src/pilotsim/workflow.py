@@ -10,6 +10,7 @@ workflow engine and its message broker.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .resources import FieldError, check_range, us
 from .scheduler import UnschedulableError
@@ -70,6 +71,7 @@ class AdaptiveLoopConfig:
         check_range(self, 1, None, 'iterations')
         check_range(self, 0.0, 1.0, 'outlier_probability')
         check_range(self, 0.0, None, 'comm_latency')
+        check_range(self, 0, None, 'seed')
 
 
 @dataclass(frozen=True)
@@ -232,23 +234,22 @@ def deepdrive_pipeline(pilot, iteration=0, durations=StageDurations()):
     return Pipeline(pre, [md, agg, train, infer])
 
 
-def iterate_adaptive(loop_cfg, service, pipeline_factory):
-    """Run a 4-stage loop loop_cfg.iterations times; after each
+def iterate_adaptive(loop_cfg, service):
+    """Run the 4-stage `deepdrive_pipeline` on `service.pilot`
+    loop_cfg.iterations times, with loop_cfg.durations; after each
     iteration the outlier draw decides whether stage 1 is regenerated
-    (outliers found, generation counter advances) or repeated as-is.
-
-    pipeline_factory(generation) must return a deterministic 4-stage
-    Pipeline for a given generation, so the continue branch reuses the
-    identical stage-1 task list.  Returns (runs, summaries, engine).
+    (outliers found, generation counter advances) or repeated as-is.  A
+    generation's pipeline is deterministic, so the continue branch reuses
+    the identical stage-1 task list.  Returns (runs, summaries, engine).
     """
     from numpy.random import default_rng
     rng = default_rng(loop_cfg.seed)
     summaries = []
     generation = {'n': 0}
 
-    pipeline = pipeline_factory(0)
-    if len(pipeline.stages) != 4:
-        raise WorkflowError('adaptive loop template must have 4 stages')
+    make = partial(deepdrive_pipeline, service.pilot,
+                   durations=loop_cfg.durations)      # make(generation)
+    pipeline = make(0)
 
     def hook(iteration, records):
         if iteration + 1 >= loop_cfg.iterations:
@@ -263,7 +264,7 @@ def iterate_adaptive(loop_cfg, service, pipeline_factory):
             branch = 'repeat-continue'
         summaries.append({'iteration': iteration, 'branch': branch,
                           'generation': generation['n']})
-        return pipeline_factory(generation['n']).stages
+        return make(generation['n']).stages
 
     pipeline.adaptivity = hook
     eng = WorkflowEngine(service, comm_latency_s=loop_cfg.comm_latency)

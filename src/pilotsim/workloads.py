@@ -70,14 +70,20 @@ class DurationModel:
 
     def __post_init__(self):
         if self.kind == 'constant':
-            if self.constant is None or self.constant < 0:
-                raise ValueError('constant duration must be >= 0')
+            if self.constant is None or not 0 <= self.constant < math.inf:
+                raise ValueError('constant duration must be >= 0 and finite')
         elif self.kind == 'lognormal-truncated':
             if None in (self.mean, self.min_clip, self.max_clip):
                 raise ValueError('lognormal model needs mean and clips')
-            if not 0 < self.min_clip <= self.mean <= self.max_clip:
-                raise ValueError('need 0 < min_clip <= mean <= max_clip')
-            _centered_mu(self.mean, self.min_clip, self.max_clip)
+            if not 0 < self.min_clip <= self.mean <= self.max_clip < math.inf:
+                raise ValueError('need 0 < min_clip <= mean <= max_clip, '
+                                 'all finite')
+            try:    # what `sample` solves, so that it cannot fail there
+                solve_sigma(self.mean, self.min_clip, self.max_clip)
+            except OverflowError:
+                raise ValueError('clip window [%.4g, %.4g] too wide: the '
+                                 'clipped mean overflows' % (
+                                     self.min_clip, self.max_clip)) from None
         else:
             raise ValueError('unknown duration model kind: %s' % self.kind)
 

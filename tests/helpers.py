@@ -1,15 +1,24 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
 the reference continuous scheduler, the reference per-task table,
 utilization report and timeline, overhead report and rate series, and the
-reference overlay master."""
+reference overlay master; and `add_rows`, which fills a log with dict
+rows."""
 
 import itertools
 
-from pilotsim.eventlog import LogError, TASK_EVENTS
+from pilotsim.eventlog import LogError, TASK_EVENTS, _from_dict
 from pilotsim.metrics import MetricsError
 from pilotsim.resources import US_PER_S, Placement, secs
 from pilotsim.scheduler import check_feasible, gpu_weight_for
 from pilotsim.tasks import TERMINAL
+
+
+def add_rows(log, rows):
+    """Add the dict `rows` to `log`, each stored as EventLog.read stores a
+    parsed line; returns the log."""
+    for row in rows:
+        log.add_row(_from_dict(row))
+    return log
 
 
 def replay_slots(log):

@@ -20,8 +20,7 @@ from pilotsim.resources import (NodeSpec, NodeState, PilotDescription,
 from pilotsim.scheduler import gpu_weight_for, schedule
 from pilotsim.tasks import TaskDescription
 from pilotsim.workflow import (AdaptiveLoopConfig, HybridParams,
-                               StageDurations, deepdrive_pipeline,
-                               iterate_adaptive, run_hybrid)
+                               StageDurations, iterate_adaptive, run_hybrid)
 from pilotsim.workloads import make_preset
 
 from helpers import oracle_schedule, replay_slots, tick_busy_slot_seconds
@@ -154,8 +153,7 @@ def test_criterion_4b_wf2_gpu_utilization(capsys):
     pilot = _pilot('summit-node', 20, walltime=1e5, startup=30.0)
     svc = ExecutionService(pilot)
     loop = AdaptiveLoopConfig(iterations=4, comm_latency=0.1, seed=42)
-    iterate_adaptive(loop, svc,
-                     lambda gen: deepdrive_pipeline(pilot, iteration=gen))
+    iterate_adaptive(loop, svc)
     util = metrics.utilization(svc.log).gpu_utilization
     ok = 0.88 <= util <= 0.94
     _REPLAY_LOGS.append(svc.log)
@@ -191,10 +189,7 @@ def _adaptive_overhead(iterations, comm_latency):
                               comm_latency=comm_latency, seed=42,
                               durations=StageDurations(md=6.0, aggregate=0.5,
                                                        train=0.5, infer=0.2))
-    iterate_adaptive(
-        loop, svc,
-        lambda gen: deepdrive_pipeline(pilot, iteration=gen,
-                                       durations=loop.durations))
+    iterate_adaptive(loop, svc)
     return metrics.overhead(svc.log).overhead
 
 

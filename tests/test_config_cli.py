@@ -213,6 +213,11 @@ def test_invalid_combination_exits_2_naming_key(tmp_path, capsys, section,
     ('fig14-partitioned', 'workload.items', 0),
     ('fig14-partitioned', 'workload.duration_scale', 0),
     ('fig14-partitioned', 'workload.duration_scale', -1),
+    ('fig14-partitioned', 'workload.duration_scale', 1.0e300),   # sigma
+    ('fig5-7-wf1-rates', 'workload.duration_scale', 1.0e300),
+    ('fig5-7-wf1-rates', 'workload.duration_scale', 1.0e308),    # inf clip
+    ('table2-bulk', 'workload.duration_scale', 1.0e308),         # inf
+    ('fig5-7-wf1-rates', 'pilot.walltime', 1.0e-7),              # 0 us
     ('fig14-partitioned', 'seed', True),
     ('table2-bulk', 'bulk.scheduling_rate', 0),
     ('table2-bulk', 'bulk.scheduling_rate', None),    # no uncapped rate

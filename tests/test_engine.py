@@ -62,11 +62,10 @@ def test_close_drops_the_events_left_unrun():
 
 
 def test_realtime_close_drops_the_pollers_too():
-    eng = RealtimeEngine()
-    eng.add_poller(lambda: True)
+    eng = RealtimeEngine(lambda: True)
     eng.at(50_000, lambda: None)
     eng.close()
-    assert not eng._heap and not eng._pollers
+    assert not eng._heap and not eng._poll()
     assert eng.run() is False
 
 
@@ -82,7 +81,7 @@ def test_run_until_pauses_and_resumes():
 
 
 def test_realtime_engine_paces_wall_clock():
-    eng = RealtimeEngine()
+    eng = RealtimeEngine(lambda: False)
     seen = []
     eng.at(30_000, lambda: seen.append(eng.wall_now_us()))
     t0 = time.monotonic()
@@ -93,7 +92,6 @@ def test_realtime_engine_paces_wall_clock():
 
 
 def test_realtime_poller_keeps_loop_alive():
-    eng = RealtimeEngine()
     state = {'poll_count': 0}
 
     def poller():
@@ -103,7 +101,7 @@ def test_realtime_poller_keeps_loop_alive():
             return False
         return state['poll_count'] < 3
 
-    eng.add_poller(poller)
+    eng = RealtimeEngine(poller)
     eng.run()
     assert state['poll_count'] >= 3
 
@@ -131,8 +129,7 @@ def test_drained_run_leaves_now_at_the_last_event():
 
 def test_realtime_run_is_cut_while_only_a_poller_is_pending():
     t0 = time.monotonic()
-    eng = RealtimeEngine()
-    eng.add_poller(lambda: True)
+    eng = RealtimeEngine(lambda: True)
     eng.at(50_000, lambda: None)     # past the cut: never run
     assert eng.run(until_us=20_000) is True
     assert eng.now == 20_000

@@ -69,6 +69,15 @@ def test_a_duration_below_zero_or_not_finite_is_rejected(duration):
         make_records(descs, [duration])
 
 
+@pytest.mark.parametrize('backend', ['direct', 'partitioned', 'bulk'])
+def test_a_negative_seed_is_refused_at_construction(backend):
+    """Every backend names the seed, not only the one that draws from it,
+    before numpy would see it."""
+    plan = PartitionPlan(count=1, nodes_per_partition=1)
+    with pytest.raises(FieldError, match='seed must be >= 0, got -1'):
+        ExecutionService(_pilot(), backend=backend, plan=plan, seed=-1)
+
+
 def test_duplicate_task_id_rejected():
     svc = ExecutionService(_pilot())
     svc.submit(_tasks(1))
@@ -76,18 +85,24 @@ def test_duplicate_task_id_rejected():
         svc.submit(_tasks(1))
 
 
-@pytest.mark.parametrize('task_id, credit, match', [
-    (7, 1, 'task 7: id is not a str'),
-    ('a', 2.5, 'task a: credit 2.5 is not an int >= 0'),
-    ('a', -3, 'task a: credit -3 is not'),
-    ('a', True, 'task a: credit True is not'),
+@pytest.mark.parametrize('task_id, credit, duration_us, match', [
+    (7, 1, 10**6, 'task 7: id is not a str'),
+    ('a', 2.5, 10**6, 'task a: credit 2.5 is not an int >= 0'),
+    ('a', -3, 10**6, 'task a: credit -3 is not'),
+    ('a', True, 10**6, 'task a: credit True is not'),
+    ('b', 1, -7, 'task b: duration_us -7 is not an int >= 0'),
+    ('b', 1, 1.5, 'task b: duration_us 1.5 is not'),
+    ('b', 1, True, 'task b: duration_us True is not'),
+    ('b', 1, '5', "task b: duration_us '5' is not"),
 ])
 def test_submit_refuses_a_task_whose_rows_the_log_could_not_read(
-        task_id, credit, match):
+        task_id, credit, duration_us, match):
     """A task id must be a str and a credit an int >= 0, as
-    EventLog.read wants them; the refused task is not booked."""
+    EventLog.read wants them, and a duration None or an int >= 0, which
+    the kernel can run; the refused task is not booked."""
     rec = make_records([TaskDescription(task_id=task_id)], [1.0])[0]
     rec.credit = credit
+    rec.duration_us = duration_us
     svc = ExecutionService(_pilot())
     with pytest.raises(ValueError, match=match):
         svc.submit([rec])
@@ -371,7 +386,7 @@ def test_real_flavor_reaps_payloads_when_a_callback_raises(monkeypatch):
     assert all(proc.returncode is not None for proc in spawned)
     # the raise still ends the run: nothing is left to call the service
     assert svc.on_terminal == []
-    assert svc.engine._heap == [] and svc.engine._pollers == []
+    assert svc.engine._heap == [] and svc.engine._poll != svc._poll_payloads
 
 
 def test_real_payload_is_lost_at_the_walltime(monkeypatch):

@@ -12,7 +12,7 @@ from pilotsim.metrics import (MetricsError, merge_intervals, overhead, rate,
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
 from pilotsim.tasks import TaskDescription
 
-from helpers import (reference_overhead, reference_rate_points,
+from helpers import (add_rows, reference_overhead, reference_rate_points,
                      reference_timeline, reference_utilization,
                      tick_busy_slot_seconds)
 
@@ -64,7 +64,7 @@ def test_utilization_invariant_under_row_permutation():
     rng = np.random.default_rng(1)
     rows = list(log.rows)
     rng.shuffle(rows)
-    shuffled = EventLog(rows)
+    shuffled = add_rows(EventLog(), rows)
     assert utilization(shuffled).to_json() == utilization(log).to_json()
 
 
@@ -221,7 +221,7 @@ def _rate_logs(draw):
         pilot = {'t': t0, 'event': 'pilot', 'nodes': 1, 'cores_per_node': 1,
                  'gpus_per_node': 0}
         rows.insert(draw(st.integers(0, len(rows))), pilot)
-    return EventLog(rows), window_s
+    return add_rows(EventLog(), rows), window_s
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +292,7 @@ def _report_logs(draw):
             if draw(st.booleans()):
                 row['credit'] = draw(st.integers(0, 16))
             rows.append(row)
-    return EventLog(draw(st.permutations(rows)))
+    return add_rows(EventLog(), draw(st.permutations(rows)))
 
 
 @settings(max_examples=300, deadline=None)

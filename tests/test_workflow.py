@@ -144,8 +144,7 @@ def test_adaptive_repeat_continue_reuses_task_ids():
     svc = _service(pilot)
     loop = AdaptiveLoopConfig(iterations=3, outlier_probability=0.0,
                               seed=1)
-    runs, summaries, _ = iterate_adaptive(
-        loop, svc, lambda gen: deepdrive_pipeline(pilot, iteration=gen))
+    runs, summaries, _ = iterate_adaptive(loop, svc)
     assert [s['branch'] for s in summaries] == \
         ['repeat-continue', 'repeat-continue', 'stop']
     assert all(s['generation'] == 0 for s in summaries)
@@ -160,20 +159,15 @@ def test_adaptive_outliers_advance_generation():
     svc = _service(pilot)
     loop = AdaptiveLoopConfig(iterations=4, outlier_probability=1.0,
                               seed=1)
-    _, summaries, _ = iterate_adaptive(
-        loop, svc, lambda gen: deepdrive_pipeline(pilot, iteration=gen))
+    _, summaries, _ = iterate_adaptive(loop, svc)
     assert [s['branch'] for s in summaries[:-1]] == \
         ['repeat-with-new-tasks'] * 3
     assert summaries[-2]['generation'] == 3
 
 
-def test_adaptive_requires_four_stages():
-    pilot = _pilot()
-    svc = _service(pilot)
-    loop = AdaptiveLoopConfig(iterations=2)
-    with pytest.raises(Exception, match='4 stages'):
-        iterate_adaptive(loop, svc,
-                         lambda gen: Pipeline('p', [_stage('s1', 1, 1.0, 'p')]))
+def test_a_negative_loop_seed_is_refused_at_construction():
+    with pytest.raises(ValueError, match='seed must be >= 0'):
+        AdaptiveLoopConfig(seed=-1)
 
 
 def test_deepdrive_template_shape():

@@ -41,6 +41,22 @@ def test_an_unattainable_mean_fails_at_construction(mean):
                       max_clip=100.0)
 
 
+@pytest.mark.parametrize('scale, match', [
+    (1e300, r'clip window \[1e\+299, 3\.583e\+303\] too wide'),
+    (1e308, 'all finite'),
+])
+def test_a_scale_whose_durations_cannot_be_drawn_fails_at_scaling(scale,
+                                                                   match):
+    """A mean or clip that overflows to inf, or a window so wide that the
+    clipped-mean equation overflows, fails when the model is made, not
+    when `sample` solves for sigma; a constant that overflows too."""
+    model = make_preset('wf1-uc1').model
+    with pytest.raises(ValueError, match=match):
+        model.scaled(scale)
+    with pytest.raises(ValueError, match='>= 0 and finite'):
+        make_preset('wf3').model.scaled(1e308)
+
+
 def test_a_constant_model_draws_no_random_number(monkeypatch):
     def no_generator(seed):
         raise AssertionError('a constant model built a generator')
