@@ -52,8 +52,8 @@ def _run_flat(cfg, pilot):
     preset = cfg.workload
     ids, durations, credits = preset.bundles(cfg.seed)
     if cfg.backend == 'overlay':
-        items = [WorkItem(item_id, float(d), credit=credit)
-                 for item_id, d, credit in zip(ids, durations, credits)]
+        items = [WorkItem(item_id, d, credit=credit) for item_id, d, credit
+                 in zip(ids, durations.tolist(), credits)]
         sim = OverlaySim(pilot, cfg.overlay, items, slot_kind=preset.slot_kind)
         sim.run()
         log.info('overlay: %d bundles done, %d messages',
@@ -198,7 +198,7 @@ def run_campaign(cfg):
 
         states = event_log.terminal_counts()
         # work items: a done row carries its bundle's credit
-        done = sum(credit for _, credit in event_log.completions())
+        done = sum(event_log.completion_column()[1::2])
         fraction = done / total if total else 0.0
         summary = {
             'template': cfg.template, 'backend': cfg.backend,

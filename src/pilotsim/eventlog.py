@@ -38,11 +38,11 @@ start where the last count or `dumps` stopped, so each chunk of `write`
 starts where the one before it ended.
 
 The digest holds one fixed-slot list per task (its record; the slots are
-the `QUEUED` ... `STATE` indices below), the `(t, credit)` of every done
-row, the terminal row counts, the last timestamp and the pilot row's
-place.  What the pass does with a row is decided once per `RowKind`, not
-per row.  `task_intervals` is a dict view of the records, built only when
-asked for; the metrics read the records themselves.
+the `QUEUED` ... `STATE` indices below), the done rows' `t` and credit in
+one flat column, the terminal row counts, the last timestamp and the
+pilot row's place.  What the pass does with a row is decided once per
+`RowKind`, not per row.  `task_intervals` is a dict view of the records,
+built only when asked for; the metrics read the records themselves.
 """
 
 import json
@@ -295,12 +295,12 @@ class Digest:
     """What the reports read of a log, built by one pass over its stream.
 
     `tasks`: {task id: record}, in order of each task's first row (see
-    `QUEUED` ... `STATE`); `completions`: (t, credit) of every done row in
-    log order, credit defaulting to 1; `terminal_counts`: {terminal state:
-    rows}, in order of first appearance; `last_t`: the latest timestamp,
-    None for no rows; `pilot_at`: the stream offset of the first pilot
-    row, or None; `missing_at`: that of the first task row without a task
-    id, or None; `derived`: {fn: fn(tasks)}, filled by
+    `QUEUED` ... `STATE`); `completions`: [t, credit, t, credit, ...] of
+    the done rows in log order, credit defaulting to 1; `terminal_counts`:
+    {terminal state: rows}, in order of first appearance; `last_t`: the
+    latest timestamp, None for no rows; `pilot_at`: the stream offset of
+    the first pilot row, or None; `missing_at`: that of the first task row
+    without a task id, or None; `derived`: {fn: fn(tasks)}, filled by
     `EventLog.from_records`.
     """
 
@@ -314,7 +314,7 @@ class Digest:
         new = _NEW_RECORD
         terminal = _TERMINAL
         completions = []
-        done = completions.append
+        done = completions.extend
         counts = {}
         size = len(values)
         # the stream read three and two values at a time: each row's kind
@@ -527,9 +527,13 @@ class EventLog:
         return default if t is None else t
 
     def completions(self):
-        """(t, credit) of every done row, in log order; credit defaults
-        to 1."""
-        return list(self._digested().completions)
+        """(t, credit) of each done row in log order; credit defaults to 1."""
+        return list(zip(*[iter(self._digested().completions)] * 2))
+
+    def completion_column(self):
+        """[t, credit, t, credit, ...] of the done rows in log order, one
+        flat list shared like `task_records`: a caller must not modify it."""
+        return self._digested().completions
 
     def terminal_counts(self):
         """{terminal state: number of rows}, in order of first appearance."""

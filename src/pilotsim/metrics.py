@@ -2,20 +2,20 @@
 
 All computations are pure functions over an immutable log; results are
 order-independent with respect to row permutation within one timestamp.
-They read the log's digest, built by one pass over its rows: the per-task
-fixed-slot records (`EventLog.task_records`), the completions, the last
-timestamp and the pilot row.  The running intervals are built once per
-digest and shared by `utilization` and `overhead`; `utilization` sums busy
-time and fills its timeline in one loop over them, and the rate series is
-built in one pass over the completions.  All sums are exact integer
-microseconds.  The log is read through `EventLog` methods only.
+They read the log's digest, built by one pass over its rows, through
+`EventLog` methods: the per-task records, the flat completion column, the
+last timestamp and the pilot row.  The running intervals, four columns
+with no tuple per task, are built once per digest and shared by
+`utilization`, which sums busy time and fills its timeline in one loop
+over them, and `overhead`, whose unions sort start and end columns apart.
+All sums are exact integer microseconds.
 """
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, islice
 from math import isfinite
-from operator import is_not, itemgetter
+from operator import is_not, itemgetter, lt
 
 from .eventlog import (DONE, EXEC_END, EXEC_START, FAILED, LAUNCH_START,
                        LOST, QUEUED, SCHEDULED, CORES, GPUS)
@@ -28,32 +28,28 @@ class MetricsError(Exception):
     pass
 
 
-def merge_intervals(intervals):
-    """Union of half-open [a, b) intervals; returns disjoint sorted list.
-    An interval is a tuple whose first two items are a and b."""
-    ivs = [iv for iv in intervals if iv[1] > iv[0]]
-    if not ivs:
-        return []
-    ivs.sort()
-    merged = []
-    lo, hi = ivs[0][0], ivs[0][1]
-    for iv in ivs:
-        if iv[0] > hi:
-            merged.append((lo, hi))
-            lo, hi = iv[0], iv[1]
-        elif iv[1] > hi:
-            hi = iv[1]
-    merged.append((lo, hi))
-    return merged
+def union(starts, ends):
+    """Union of the half-open intervals [starts[i], ends[i]): the bounds
+    [lo, hi, lo, hi, ...] of its disjoint parts; touching ones merge.  With
+    the non-empty intervals' starts and ends sorted apart, a gap follows
+    the i-th smallest end exactly when the (i+1)-th start is above it."""
+    # filter only if some are empty: a filtered copy over-allocates
+    if not all(map(lt, starts, ends)):
+        starts, ends = (list(compress(starts, map(lt, starts, ends))),
+                        list(compress(ends, map(lt, starts, ends))))
+    starts, ends = sorted(starts), sorted(ends)
+    bounds = starts[:1]
+    gaps = map(lt, ends, islice(starts, 1, None))
+    for i in compress(range(len(starts) - 1), gaps):
+        bounds += ends[i], starts[i + 1]
+    return bounds + ends[-1:]
 
 
 def _running_intervals(tasks):
-    """(start, end, cores, gpus) of every task that started running, from
-    the task records; the busy interval ends at exec_end for completed
-    tasks and at the terminal timestamp for tasks that died while
-    running."""
-    out = []
-    append = out.append
+    """The (starts, ends, cores, gpus) columns of the tasks that started
+    running: a busy interval ends at exec_end, or at the terminal row's
+    timestamp for a task that died while running."""
+    columns = starts, ends, cores, gpus = [], [], [], []
     for tid, rec in tasks.items():
         start = rec[EXEC_START]
         if start is None:
@@ -65,8 +61,11 @@ def _running_intervals(tasks):
                 raise MetricsError('task %s has exec_start but no end' % tid)
         if end < start:
             raise MetricsError('task %s: exec_end before exec_start' % tid)
-        append((start, end, rec[CORES], rec[GPUS]))
-    return out
+        starts.append(start)
+        ends.append(end)
+        cores.append(rec[CORES])
+        gpus.append(rec[GPUS])
+    return columns
 
 
 @dataclass
@@ -122,7 +121,7 @@ def utilization(log):
         acc_g = [0] * n_buckets
         run_c = [0] * n_buckets
         run_g = [0] * n_buckets
-        for start, end, c, g in per_task:
+        for start, end, c, g in zip(*per_task):
             lo = start if start > t0 else t0
             hi = end if end < t1 else t1
             if hi <= lo:
@@ -203,14 +202,14 @@ def rate(log, window_s):
     (k+1)*window], those exactly at t0 the first one; the last window holds
     the last completion."""
     window = window_us(window_s)
-    completions = log.completions()
+    column = log.completion_column()
     info = log.pilot_info()
-    t0 = info['t'] if info else (completions[0][0] if completions else 0)
+    t0 = info['t'] if info else (column[0] if column else 0)
     points = []
-    if completions:
-        t_last = max(t for t, _ in completions)
+    if column:
+        t_last = max(column[::2])
         credited = [0] * max((t_last - t0 - 1) // window + 1, 1)
-        for t, c in completions:
+        for t, c in zip(*[iter(column)] * 2):
             if t > t0:
                 credited[(t - t0 - 1) // window] += c
             elif t == t0:
@@ -220,12 +219,15 @@ def rate(log, window_s):
     return RateSeries(window=window_s, points=points)
 
 
-_END = itemgetter(1)    # a running interval's end
-
-
 def _column(recs, slot):
     """The slot's values across the records, those not None."""
     return filter(_present, map(itemgetter(slot), recs))
+
+
+def _spans(recs, lo, hi):
+    """The start and end columns of [rec[lo], rec[hi]) where both are set."""
+    recs = [r for r in recs if r[lo] is not None and r[hi] is not None]
+    return list(map(itemgetter(lo), recs)), list(map(itemgetter(hi), recs))
 
 
 @dataclass
@@ -260,31 +262,25 @@ def overhead(log):
                            % ('queued' if first_queued is None else 'terminal'))
     ttx_us = last_terminal - first_queued
 
-    running = log.from_records(_running_intervals)
+    starts, ends = log.from_records(_running_intervals)[:2]
     first_launch = min(_column(recs, LAUNCH_START), default=last_terminal)
-    last_exec_end = max(map(_END, running), default=first_launch)
+    last_exec_end = max(ends, default=first_launch)
     startup_end = min(first_launch, last_terminal)
     teardown_start = min(last_exec_end, last_terminal)
 
-    # a task without a launching row has no lane and a zero-length
-    # scheduling interval, which the merge drops
-    launched = [rec for rec in recs if rec[LAUNCH_START] is not None]
-    lane = merge_intervals(
-        [(rec[LAUNCH_START], rec[EXEC_START]) for rec in launched
-         if rec[EXEC_START] is not None])
-    sched = merge_intervals(
-        [(rec[SCHEDULED], rec[LAUNCH_START]) for rec in launched
-         if rec[SCHEDULED] is not None])
+    # a task with no launching row has no lane and no scheduling interval
+    lane = union(*_spans(recs, LAUNCH_START, EXEC_START))
+    sched = union(*_spans(recs, SCHEDULED, LAUNCH_START))
 
     # each instant of [first_queued, last_terminal) goes to the first
     # phase that holds, in the order of the chain below.  One sweep over
-    # the sorted bounds of the merged busy, lane and sched lists (0, 1, 2)
-    # and of the four cut points (3): as a merged list is disjoint, each of
-    # its bounds toggles whether the sweep is inside it
+    # the sorted bounds of the busy, lane and sched unions (0, 1, 2) and of
+    # the four cut points (3): as a union is disjoint, each of its bounds
+    # toggles whether the sweep is inside it
     bounds = [(t, 3) for t in (first_queued, startup_end, teardown_start,
                                last_terminal)]
-    for which, ivs in enumerate((merge_intervals(running), lane, sched)):
-        bounds += [(t, which) for iv in ivs for t in iv]
+    for which, ivs in enumerate((union(starts, ends), lane, sched)):
+        bounds += [(t, which) for t in ivs]
     bounds.sort()
     inside = [False] * 4
     parts = dict.fromkeys(('busy',) + _PHASES, 0)

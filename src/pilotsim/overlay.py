@@ -460,7 +460,7 @@ class OverlaySim:
 
     @property
     def makespan_s(self):
-        return max((t for t, _ in self.log.completions()), default=0) / 1e6
+        return max(self.log.completion_column()[::2], default=0) / 1e6
 
 
 def lpt_makespan(durations, n_slots):

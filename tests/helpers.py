@@ -1,8 +1,8 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
 the reference continuous scheduler, the reference per-task table,
-utilization report and timeline, overhead report and rate series, and the
-reference overlay master; and `add_rows`, which fills a log with dict
-rows."""
+utilization report and timeline, interval union, overhead report and rate
+series, and the reference overlay master; and `add_rows`, which fills a
+log with dict rows."""
 
 import itertools
 
@@ -393,6 +393,27 @@ def _ref_merge(intervals):
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
+    return merged
+
+
+def merge_intervals(intervals):
+    """Union of half-open [a, b) intervals; returns disjoint sorted list.
+    An interval is a tuple whose first two items are a and b.  The
+    reference for `metrics.union`: the intervals sorted as tuples and
+    merged in one scan."""
+    ivs = [iv for iv in intervals if iv[1] > iv[0]]
+    if not ivs:
+        return []
+    ivs.sort()
+    merged = []
+    lo, hi = ivs[0][0], ivs[0][1]
+    for iv in ivs:
+        if iv[0] > hi:
+            merged.append((lo, hi))
+            lo, hi = iv[0], iv[1]
+        elif iv[1] > hi:
+            hi = iv[1]
+    merged.append((lo, hi))
     return merged
 
 

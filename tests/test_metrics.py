@@ -1,25 +1,52 @@
+import gc
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotsim import metrics
 from pilotsim.cli import write_reports
 from pilotsim.eventlog import EventLog
 from pilotsim.executors import ExecutionService, make_records
-from pilotsim.metrics import (MetricsError, merge_intervals, overhead, rate,
-                              utilization)
+from pilotsim.metrics import MetricsError, overhead, rate, union, utilization
 from pilotsim.resources import PilotDescription, ResourceSpec, acquire
 from pilotsim.tasks import TaskDescription
 
-from helpers import (add_rows, reference_overhead, reference_rate_points,
-                     reference_timeline, reference_utilization,
-                     tick_busy_slot_seconds)
+from helpers import (add_rows, merge_intervals, reference_overhead,
+                     reference_rate_points, reference_timeline,
+                     reference_utilization, tick_busy_slot_seconds)
 
 
 def test_interval_algebra():
-    assert merge_intervals([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
-    assert merge_intervals([(2, 2)]) == []
+    assert union([0, 1, 5], [2, 3, 6]) == [0, 3, 5, 6]
+    assert union([2], [2]) == []
+
+
+# (start, length); a negative length is an end before the start, which
+# the union drops as the reference merge does
+_SPANS = st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 8)),
+                  max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPANS)
+@example([])                                        # empty
+@example([(3, 0), (5, 0)])                          # zero-length only
+@example([(0, 2), (2, 2), (4, 1), (5, 0), (5, 3)])  # touching
+@example([(0, 8), (1, 2), (3, 4), (2, 5)])          # nested
+@example([(1, 3), (1, 3), (7, 0), (7, 0), (1, 3)])  # duplicate
+@example([(20, 2), (4, 3), (11, 1), (0, 1)])        # unsorted
+@example([(4, -2), (1, 2), (6, -1)])                # reversed
+def test_union_equals_reference(spans):
+    """`union` over start and end columns gives the bounds of the merged
+    tuple list of the reference merge, on any mix of empty, zero-length,
+    touching, nested, duplicate, unsorted and reversed intervals."""
+    intervals = [(a, a + n) for a, n in spans]
+    want = [t for iv in merge_intervals(intervals) for t in iv]
+    assert union([a for a, _ in intervals], [b for _, b in intervals]) == want
 
 
 def _make_log(tasks, nodes=1, cores=4, gpus=2):
@@ -341,3 +368,34 @@ def test_reports_read_the_rows_once(tmp_path):
     log.terminal_counts()
     log.completions()
     assert rows.iterations <= 1
+
+
+_POINTER = struct.calcsize('P')
+
+
+def test_report_inputs_hold_no_object_per_task():
+    """On a log of 10,000 done tasks, traced with the collector off, the
+    digest's completion column holds at most 2 pointers per done row and
+    the running-interval table at most 4 per running task, each with the
+    1/8 a list over-allocates as it grows: a tuple per row or task would
+    cost 56-72 B more."""
+    n = 10_000
+    log = _make_log([('t%05d' % i, i, i + 1, i + 5, 1 + i % 3, i % 2)
+                     for i in range(n)], cores=4, gpus=2)
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        digest = log._digested()
+        built = tracemalloc.get_traced_memory()[0]
+        digest.completions = None
+        column = built - tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.get_traced_memory()[0]
+        log.from_records(metrics._running_intervals)
+        table = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert column / n <= 2 * _POINTER * 9 / 8, column / n
+    assert table / n <= 4 * _POINTER * 9 / 8, table / n
