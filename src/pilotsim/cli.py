@@ -145,19 +145,17 @@ def write_reports(event_log, out_dir, rate_window):
     util = utilization(event_log)
     ovh = overhead(event_log)
     rates = rate(event_log, rate_window)
+    reports = {'utilization': util.to_json(), 'overhead': ovh.to_json(),
+               'rate': rates.to_json()}
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, 'utilization.json'), 'w') as fh:
-        fh.write(json_text(util.to_json()))
-    with open(os.path.join(out_dir, 'overhead.json'), 'w') as fh:
-        fh.write(json_text(ovh.to_json()))
-    with open(os.path.join(out_dir, 'rate.json'), 'w') as fh:
-        fh.write(json_text(rates.to_json()))
+    for name, report in reports.items():
+        with open(os.path.join(out_dir, name + '.json'), 'w') as fh:
+            fh.write(json_text(report))
     with open(os.path.join(out_dir, 'timeline.csv'), 'w', newline='') as fh:
         writer = csv.writer(fh)
         writer.writerow(['t_seconds', 'cpu_utilization', 'gpu_utilization'])
         writer.writerows(util.timeline)
-    return {'utilization': util.to_json(), 'overhead': ovh.to_json(),
-            'rate': rates.to_json()}
+    return reports
 
 
 def run_campaign(cfg):

@@ -68,6 +68,14 @@ def _get(d, key, path, tp, default=None, required=False):
     return _typed(d[key], _key(path, key), tp)
 
 
+def _one_of(value, known, path, what):
+    """`value`, or ConfigError naming `path` unless it is in `known`."""
+    if value not in known:
+        raise ConfigError(path, 'unknown %s %r (known: %s)'
+                          % (what, value, ', '.join(known)))
+    return value
+
+
 def _check_known(d, known, path):
     for key in d:
         if key not in known:
@@ -129,9 +137,7 @@ def _parse_resource(raw):
                         node_id=0)
         return ResourceSpec(nodes=tuple(dataclasses.replace(node, node_id=i)
                                         for i in range(n_nodes)))
-    if preset not in NODE_PRESETS:
-        raise ConfigError('resource.preset', 'unknown preset %r (known: %s)'
-                          % (preset, ', '.join(sorted(NODE_PRESETS))))
+    _one_of(preset, sorted(NODE_PRESETS), 'resource.preset', 'preset')
     # a preset fixes the node shape
     _check_known(raw, ('nodes', 'preset'), 'resource')
     return ResourceSpec.from_preset(preset, n_nodes)
@@ -143,9 +149,7 @@ def _parse_workload(raw):
     from .workloads import make_preset, preset_names
     _check_known(raw, {'preset', 'items', 'duration_scale'}, 'workload')
     preset = _get(raw, 'preset', 'workload', str, required=True)
-    if preset not in preset_names():
-        raise ConfigError('workload.preset', 'unknown preset %r (known: %s)'
-                          % (preset, ', '.join(preset_names())))
+    _one_of(preset, preset_names(), 'workload.preset', 'preset')
     items = _get(raw, 'items', 'workload', int)
     if items is not None and items < 1:
         raise ConfigError('workload.items', 'must be >= 1')
@@ -185,14 +189,10 @@ def parse_config(raw):
     pilot = _section(raw_pilot, 'pilot', PilotDescription,
                      skip=('partitions',), resource=resource)
 
-    backend = _get(raw, 'backend', '', str, default='direct')
-    if backend not in BACKENDS:
-        raise ConfigError('backend', 'unknown backend %r (known: %s)'
-                          % (backend, ', '.join(BACKENDS)))
-    flavor = _get(raw, 'flavor', '', str, default='sim')
-    if flavor not in FLAVORS:
-        raise ConfigError('flavor', 'unknown flavor %r (known: %s)'
-                          % (flavor, ', '.join(FLAVORS)))
+    backend = _one_of(_get(raw, 'backend', '', str, default='direct'),
+                      BACKENDS, 'backend', 'backend')
+    flavor = _one_of(_get(raw, 'flavor', '', str, default='sim'),
+                     FLAVORS, 'flavor', 'flavor')
     if backend == 'overlay' and flavor != 'sim':
         raise ConfigError('flavor', 'the overlay backend runs only the sim '
                           'flavor, not %r' % flavor)
@@ -205,11 +205,9 @@ def parse_config(raw):
 
     raw_wf = _get(raw, 'workflow', '', dict, default={})
     _check_known(raw_wf, {'template', 'params'}, 'workflow')
-    template = _get(raw_wf, 'template', 'workflow', str, default='flat')
-    if template not in TEMPLATES:
-        raise ConfigError('workflow.template',
-                          'unknown template %r (known: %s)'
-                          % (template, ', '.join(TEMPLATES)))
+    template = _one_of(_get(raw_wf, 'template', 'workflow', str,
+                            default='flat'),
+                       TEMPLATES, 'workflow.template', 'template')
     raw_params = _get(raw_wf, 'params', 'workflow', dict, default={})
     params_cls = _TEMPLATE_PARAMS[template]
     params = None

@@ -169,12 +169,9 @@ class ExecutionService:
             plan.check_fits(len(self.pilot.nodes))
         except FieldError as exc:
             raise ExecutorError(exc.message) from None
-        groups = []
-        for pid in range(plan.count):
-            lo = pid * plan.nodes_per_partition
-            nodes = self.pilot.nodes[lo:lo + plan.nodes_per_partition]
-            groups.append(_NodeGroup(pid, nodes))
-        return groups
+        size = plan.nodes_per_partition
+        return [_NodeGroup(pid, self.pilot.nodes[pid * size:(pid + 1) * size])
+                for pid in range(plan.count)]
 
     def _start_partitions(self):
         """Partitions start strictly sequentially, each followed by a fixed
@@ -212,13 +209,20 @@ class ExecutionService:
     # submission and admission
 
     def submit(self, records):
-        """Queue `records`; ValueError before any of them is booked when
-        one would give the log a row EventLog.read refuses, repeats a task
-        id or has a duration the kernel cannot run (None runs as 0)."""
-        batch = set()
+        """Queue `records`, any iterable of them; ValueError before any of
+        them is booked when one has no description or has ended, would give
+        the log a row EventLog.read refuses, repeats a task id or has a
+        duration the kernel cannot run (None runs as 0)."""
+        records = list(records)
+        batch = set()       # filled only where an id can repeat
         for rec in records:
             if not isinstance(rec.task_id, str):
                 raise ValueError('task %r: id is not a str' % (rec.task_id,))
+            if rec.description is None:
+                raise ValueError('task %s: no description' % rec.task_id)
+            if rec.state in TERMINAL:
+                raise ValueError('task %s already terminal (%s)'
+                                 % (rec.task_id, rec.state))
             if not (type(rec.credit) is int and rec.credit >= 0):
                 raise ValueError('task %s: credit %r is not an int >= 0'
                                  % (rec.task_id, rec.credit))
@@ -228,12 +232,13 @@ class ExecutionService:
                                  % (rec.task_id, rec.duration_us))
             if rec.task_id in self.records or rec.task_id in batch:
                 raise ValueError('duplicate task id: %s' % rec.task_id)
-            batch.add(rec.task_id)
+            if len(records) > 1:
+                batch.add(rec.task_id)
         now = self.engine.now
         add_row = self.log.add_row
         for rec in records:
             self.records[rec.task_id] = rec
-            rec.stamp('queued', now)
+            rec.state, rec.t = 'queued', now
             add_row((_QUEUED, now, rec.task_id))
         if self.backend == 'bulk':
             interval = us(1.0 / self.bulk_cfg.scheduling_rate)
@@ -243,14 +248,13 @@ class ExecutionService:
                 self.engine.at(t, lambda rec=rec: self._admit(rec))
         else:
             for rec in records:
-                self._admit(rec)
+                self._assign(rec)
 
     def submit_at(self, t_us, records):
         self.engine.at(t_us, lambda: self.submit(records))
 
     def _admit(self, rec):
-        if self.backend == 'bulk':
-            self.log.add_row((_ADMITTED, self.engine.now, rec.task_id))
+        self.log.add_row((_ADMITTED, self.engine.now, rec.task_id))
         self._assign(rec)
 
     def _assign(self, rec):
@@ -285,9 +289,8 @@ class ExecutionService:
         """The one trigger of a scheduling pass: the submissions and
         completions of a group at one timestamp share one pass, run then
         or, while the pilot bootstraps, once it is ready."""
-        if self._starting or not group.alive:
-            return
-        if group.gid in self._kick_flagged:
+        if self._starting or not group.alive or \
+                group.gid in self._kick_flagged:
             return
         self._kick_flagged.add(group.gid)
         self.engine.at(max(self.engine.now, self.ready_us),
@@ -304,14 +307,14 @@ class ExecutionService:
             rec = group.waiting.pop(task_id)
             self.pilot.occupy(placement)
             rec.placement = placement
-            rec.stamp('scheduled', now)
+            rec.state, rec.t = 'scheduled', now
             self.log.add_row((_SCHEDULED, now, task_id, placement.n_cores,
                               placement.n_gpus, placement.to_json()))
             self._to_lane(rec, group)
 
     def _to_lane(self, rec, group):
         group.launched += 1
-        injected = self._maybe_inject(group)
+        injected = None if self._rng is None else self._maybe_inject(group)
         launch_start, exec_start = self.lane.admit(self.engine.now)
         if launch_start == exec_start:
             # no event can run between two pushed back to back for one
@@ -325,8 +328,6 @@ class ExecutionService:
         """Task-level failure mode, drawn when the partition is operating
         beyond its stability envelope: the (state, error) the task ends
         with when its execution would start, or None."""
-        if self.backend != 'partitioned':
-            return None
         beyond = (group.launched > STABLE_MAX_TASKS or
                   self.plan.nodes_per_partition > STABLE_MAX_NODES)
         if not beyond:
@@ -344,7 +345,7 @@ class ExecutionService:
 
     def _on_launch(self, rec):
         t = self.engine.now
-        rec.stamp('launching', t)
+        rec.state, rec.t = 'launching', t
         self.log.add_row((_LAUNCHING, t, rec.task_id))
 
     def _on_exec_start(self, rec, injected):
@@ -352,7 +353,7 @@ class ExecutionService:
             self._finish(rec, *injected)
             return
         t = self.engine.now
-        rec.stamp('running', t)
+        rec.state, rec.t = 'running', t
         self.log.add_row((_RUNNING, t, rec.task_id))
         if self.flavor == 'real':
             self._spawn_payload(rec)
@@ -363,8 +364,8 @@ class ExecutionService:
     def _finish(self, rec, state, error=None, t=None):
         if t is None:
             t = self.engine.now
+        rec.stamp(state, t)     # refuses a second terminal state first
         rec.error = error
-        rec.stamp(state, t)
         if state == 'done':
             self.log.add_row((_DONE, t, rec.task_id, t, rec.credit))
         else:
@@ -373,10 +374,7 @@ class ExecutionService:
             self.pilot.release(rec.placement)
         for cb in self.on_terminal:
             cb(rec, t)
-        self._request_kick(self._group_of(rec))
-
-    def _group_of(self, rec):
-        return self.groups[rec.partition_id or 0]
+        self._request_kick(self.groups[rec.partition_id or 0])
 
     # ------------------------------------------------------------------
     # real-flavor payloads

@@ -3,6 +3,12 @@
 All times inside a pilot are integer microseconds on a single monotonically
 increasing clock; both the simulated and the real backend share it (the real
 backend maps wall clock onto it).
+
+Slot checks: `Placement` refuses a node, or an id on a node, listed twice.
+`Pilot.occupy` proves the heads of a node's free lists free, as a pass hands
+them out, and checks other ids one by one (`NodeState.check_free`);
+`release` proves the entry a task took last on a node its own and checks
+any other id by id (`NodeState.check_owned`).  A refused call changes nothing.
 """
 
 import math
@@ -83,11 +89,9 @@ class ResourceSpec:
     def __post_init__(self):
         if not self.nodes:
             raise ValueError('resource spec needs at least one node')
-        first = self.nodes[0]
-        for n in self.nodes:
-            if (n.cpu_cores, n.gpus, n.usable_cpu_cores) != \
-                    (first.cpu_cores, first.gpus, first.usable_cpu_cores):
-                raise ValueError('nodes within one pilot must be homogeneous')
+        if len({(n.cpu_cores, n.gpus, n.usable_cpu_cores)
+                for n in self.nodes}) > 1:
+            raise ValueError('nodes within one pilot must be homogeneous')
 
     @classmethod
     def from_preset(cls, preset, n_nodes):
@@ -130,18 +134,21 @@ class Placement:
 
     def __post_init__(self):
         n_cores = n_gpus = 0
-        nodes = set()
+        nodes = set() if len(self.node_slots) > 1 else None
         for node_id, cores, gpus in self.node_slots:
-            if node_id in nodes:
-                raise ValueError('node %d listed twice' % node_id)
-            nodes.add(node_id)
-            for kind, ids in (('core', cores), ('gpu', gpus)):
-                if len(set(ids)) < len(ids):
-                    dup = next(i for k, i in enumerate(ids) if i in ids[:k])
-                    raise ValueError('%s %d on node %d listed twice'
-                                     % (kind, dup, node_id))
-            n_cores += len(cores)
-            n_gpus += len(gpus)
+            if nodes is not None:
+                if node_id in nodes:
+                    raise ValueError('node %d listed twice' % node_id)
+                nodes.add(node_id)
+            c, g = len(cores), len(gpus)
+            if c > 1 and len(set(cores)) < c or g > 1 and len(set(gpus)) < g:
+                kind, ids = ('core', cores) if len(set(cores)) < c else \
+                    ('gpu', gpus)
+                dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+                raise ValueError('%s %d on node %d listed twice'
+                                 % (kind, dup, node_id))
+            n_cores += c
+            n_gpus += g
         object.__setattr__(self, 'n_cores', n_cores)
         object.__setattr__(self, 'n_gpus', n_gpus)
 
@@ -151,12 +158,10 @@ class Placement:
 
 
 class NodeState:
-    """Per-slot occupancy of one node: who holds each slot, and the free
-    ids in ascending order, which `occupy` and `release` keep live for the
-    scheduler to read.  A refused `occupy` or `release` changes nothing.
-
-    Mutation is confined to the scheduler's single logical thread; snapshots
-    handed across threads must be copies.
+    """Per-slot occupancy of one node: who holds each slot, the free ids in
+    ascending order, kept live for the scheduler to read, and `held`, the
+    entry each task took last here and has given nothing of back.  Only the
+    scheduler's single logical thread mutates it; snapshots must be copies.
     """
 
     def __init__(self, spec):
@@ -166,6 +171,7 @@ class NodeState:
         self.gpu_occupancy = [FREE] * spec.gpus
         self.free_core_ids = list(range(spec.usable_cpu_cores))
         self.free_gpu_ids = list(range(spec.gpus))
+        self.held = {}      # task id -> (node id, core ids, GPU ids)
 
     @property
     def free_cores(self):
@@ -175,71 +181,77 @@ class NodeState:
     def free_gpus(self):
         return len(self.free_gpu_ids)
 
+    def _kinds(self, cores, gpus):
+        return (('core', cores, self.core_occupancy, 'usable'),
+                ('gpu', gpus, self.gpu_occupancy, 'present'))
+
     def check_free(self, cores, gpus):
-        """SlotError unless every listed core and GPU exists and is free."""
-        for c in cores:
-            if not 0 <= c < len(self.core_occupancy):
-                raise SlotError('core %d not usable on node %d' % (c, self.spec.node_id))
-            if self.core_occupancy[c] is not FREE:
-                raise SlotError('core %d on node %d already held by %s'
-                                % (c, self.spec.node_id, self.core_occupancy[c]))
-        for g in gpus:
-            if not 0 <= g < len(self.gpu_occupancy):
-                raise SlotError('gpu %d not present on node %d' % (g, self.spec.node_id))
-            if self.gpu_occupancy[g] is not FREE:
-                raise SlotError('gpu %d on node %d already held by %s'
-                                % (g, self.spec.node_id, self.gpu_occupancy[g]))
+        """Whether the ids are the heads of the free lists; SlotError
+        unless every listed core and GPU exists and is free."""
+        if cores == tuple(self.free_core_ids[:len(cores)]) and \
+                gpus == tuple(self.free_gpu_ids[:len(gpus)]):
+            return True
+        node_id = self.spec.node_id
+        for kind, ids, occupancy, there in self._kinds(cores, gpus):
+            for i in ids:
+                if not 0 <= i < len(occupancy):
+                    raise SlotError('%s %d not %s on node %d'
+                                    % (kind, i, there, node_id))
+                if occupancy[i] is not FREE:
+                    raise SlotError('%s %d on node %d already held by %s'
+                                    % (kind, i, node_id, occupancy[i]))
+        return False
 
-    def check_owned(self, cores, gpus, task_id):
-        """SlotError unless `task_id` holds every listed core and GPU."""
-        for c in cores:
-            if not 0 <= c < len(self.core_occupancy) or \
-                    self.core_occupancy[c] != task_id:
-                raise SlotError('core %d on node %d not owned by %s'
-                                % (c, self.spec.node_id, task_id))
-        for g in gpus:
-            if not 0 <= g < len(self.gpu_occupancy) or \
-                    self.gpu_occupancy[g] != task_id:
-                raise SlotError('gpu %d on node %d not owned by %s'
-                                % (g, self.spec.node_id, task_id))
+    def check_owned(self, entry, task_id):
+        """SlotError unless `task_id` holds every core and GPU of the
+        placement entry (node id, core ids, GPU ids)."""
+        if self.held.get(task_id) is entry:
+            return
+        for kind, ids, occupancy, _ in self._kinds(*entry[1:]):
+            for i in ids:
+                if not 0 <= i < len(occupancy) or occupancy[i] != task_id:
+                    raise SlotError('%s %d on node %d not owned by %s'
+                                    % (kind, i, self.spec.node_id, task_id))
 
-    def take(self, cores, gpus, task_id):
-        """Give checked free slots to `task_id`."""
+    def take(self, entry, task_id, head):
+        """Give the entry's checked free slots to `task_id`; `head`: they
+        are the heads of the free lists, as `check_free` found."""
+        _, cores, gpus = entry
         for ids, occupancy, free in ((cores, self.core_occupancy, self.free_core_ids),
                                      (gpus, self.gpu_occupancy, self.free_gpu_ids)):
             for i in ids:
                 occupancy[i] = task_id
-            # n distinct free ids, the largest free[n - 1]: the list's head
-            n = len(ids)
-            if n and max(ids) == free[n - 1]:
-                del free[:n]
-            elif n:
+            if head:
+                del free[:len(ids)]
+            elif ids:
                 free[:] = sorted(set(free).difference(ids))
+        self.held[task_id] = entry
 
-    def give_back(self, cores, gpus):
-        """Free checked slots, merging each free list back in one sort."""
+    def give_back(self, entry, task_id):
+        """Free the entry's owned slots; one sort merges each free list."""
+        _, cores, gpus = entry
         for ids, occupancy, free in ((cores, self.core_occupancy, self.free_core_ids),
                                      (gpus, self.gpu_occupancy, self.free_gpu_ids)):
-            for i in ids:
-                occupancy[i] = FREE
-            free.extend(ids)
-            free.sort()
+            if ids:
+                for i in ids:
+                    occupancy[i] = FREE
+                free.extend(ids)
+                free.sort()
+        self.held.pop(task_id, None)
 
-    def slots_for(self, placement):
-        for node_id, cores, gpus in placement.node_slots:
-            if node_id == self.spec.node_id:
-                return cores, gpus
-        return (), ()
+    def _entry(self, placement):
+        node_id = self.spec.node_id
+        return next((e for e in placement.node_slots if e[0] == node_id),
+                    (node_id, (), ()))
 
     def occupy(self, placement):
-        cores, gpus = self.slots_for(placement)
-        self.check_free(cores, gpus)
-        self.take(cores, gpus, placement.task_id)
+        entry = self._entry(placement)
+        self.take(entry, placement.task_id, self.check_free(*entry[1:]))
 
     def release(self, placement):
-        cores, gpus = self.slots_for(placement)
-        self.check_owned(cores, gpus, placement.task_id)
-        self.give_back(cores, gpus)
+        entry = self._entry(placement)
+        self.check_owned(entry, placement.task_id)
+        self.give_back(entry, placement.task_id)
 
 
 class Pilot:
@@ -260,28 +272,30 @@ class Pilot:
         return self.ready_us + self.walltime_us
 
     def _states(self, placement):
-        """(node state, core ids, GPU ids) of each node of the placement."""
-        for node_id, _, _ in placement.node_slots:
-            if node_id not in self._by_id:
-                raise SlotError('placement references unknown node %d' % node_id)
-        return [(self._by_id[node_id], cores, gpus)
-                for node_id, cores, gpus in placement.node_slots]
+        """(node state, entry) of each entry of the placement, in one walk."""
+        try:
+            return [(self._by_id[entry[0]], entry)
+                    for entry in placement.node_slots]
+        except KeyError as exc:
+            raise SlotError('placement references unknown node %d'
+                            % exc.args[0]) from None
 
     def occupy(self, placement):
         """Hold the placement's slots, all or, if refused, none."""
         states = self._states(placement)
-        for node, cores, gpus in states:
-            node.check_free(cores, gpus)
-        for node, cores, gpus in states:
-            node.take(cores, gpus, placement.task_id)
+        # a list, not a generator, so that every node's ids are checked
+        head = all([node.check_free(cores, gpus)
+                    for node, (_, cores, gpus) in states])
+        for node, entry in states:
+            node.take(entry, placement.task_id, head)
 
     def release(self, placement):
         """Free the placement's slots, all or, if refused, none."""
         states = self._states(placement)
-        for node, cores, gpus in states:
-            node.check_owned(cores, gpus, placement.task_id)
-        for node, cores, gpus in states:
-            node.give_back(cores, gpus)
+        for node, entry in states:
+            node.check_owned(entry, placement.task_id)
+        for node, entry in states:
+            node.give_back(entry, placement.task_id)
 
 
 def acquire(description):

@@ -1,5 +1,6 @@
 """Task descriptions and lifecycle records.  A record keeps its state and
-the time it entered it; a task's timeline is kept only in the event log."""
+the time it entered it, its kernel's `now`, which never goes back; only the
+event log keeps a task's timeline.  `stamp` ends a record, and only once."""
 
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ STATES = ('queued', 'scheduled', 'launching', 'running',
 TERMINAL = ('done', 'failed', 'lost')
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskDescription:
     task_id: str
     cpu_cores_per_rank: int = 1
@@ -35,13 +36,9 @@ class TaskDescription:
             raise ValueError('task requests no resources')
 
     @property
-    def requested_cores(self):
-        return self.ranks * self.cpu_cores_per_rank
-
-    @property
     def effective_cores(self):
         # a GPU task implicitly holds one CPU core per GPU
-        return max(self.requested_cores, self.gpus)
+        return max(self.ranks * self.cpu_cores_per_rank, self.gpus)
 
     @property
     def is_mpi(self):
@@ -50,10 +47,10 @@ class TaskDescription:
     def priority_hint(self, gpu_weight):
         """Size used for large-task prioritization; one GPU costs its fair
         core share of the node type."""
-        return self.requested_cores + gpu_weight * self.gpus
+        return self.ranks * self.cpu_cores_per_rank + gpu_weight * self.gpus
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     task_id: str
     description: TaskDescription = None
@@ -66,9 +63,6 @@ class TaskRecord:
     error: str = None
 
     def stamp(self, state, t_us):
-        if self.t is not None and t_us < self.t:
-            raise ValueError('timestamps must be monotone (%s at %d < %d)'
-                             % (state, t_us, self.t))
         if self.state in TERMINAL:
             raise ValueError('task %s already terminal (%s)'
                              % (self.task_id, self.state))

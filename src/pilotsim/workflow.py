@@ -91,6 +91,15 @@ class HybridParams:
                              'the ensemble would be empty')
 
 
+def _check_payloads(stages):
+    """WorkflowError unless each payload is None (0 s) or seconds >= 0."""
+    for payload in [d.payload for stage in stages for d in stage.tasks]:
+        if not isinstance(payload, (int, float)) and payload is not None:
+            raise WorkflowError('cannot interpret payload %r' % (payload,))
+        if payload is not None and not 0.0 <= payload < math.inf:
+            raise WorkflowError('payload %r is not >= 0 and finite' % payload)
+
+
 class _PipelineRun:
     def __init__(self, pipeline):
         self.pipeline = pipeline
@@ -114,19 +123,10 @@ class WorkflowEngine:
 
     # ------------------------------------------------------------------
 
-    def _resolve_duration(self, payload):
-        if payload is None:
-            return 0.0
-        if not isinstance(payload, (int, float)):
-            raise WorkflowError('cannot interpret payload %r' % (payload,))
-        if not 0.0 <= payload < math.inf:
-            raise WorkflowError('payload %r is not >= 0 and finite' % payload)
-        return float(payload)
-
-    def _records_for(self, run, stage):
+    def _submit_stage(self, run, t_us):
+        stage = run.pipeline.stages[run.stage_idx]
         records = []
         for desc in stage.tasks:
-            dur = self._resolve_duration(desc.payload)
             # adaptive loops may resubmit the same logical task; records
             # get a unique instance id while keeping the description id
             rec_id = desc.task_id
@@ -134,15 +134,10 @@ class WorkflowEngine:
                 self._task_seq += 1
                 rec_id = '%s@%d' % (desc.task_id, self._task_seq)
             rec = TaskRecord(task_id=rec_id, description=desc,
-                             duration_us=us(dur))
+                             duration_us=us(float(desc.payload or 0)))
             self._by_task[rec_id] = run
             records.append(rec)
             run.records.append((stage.stage_id, rec))
-        return records
-
-    def _submit_stage(self, run, t_us):
-        stage = run.pipeline.stages[run.stage_idx]
-        records = self._records_for(run, stage)
         run.open_tasks = len(records)
         self.service.submit_at(t_us, records)
 
@@ -172,6 +167,7 @@ class WorkflowEngine:
             return
         if not stages or not all(isinstance(s, Stage) for s in stages):
             raise WorkflowError('adaptivity hook returned %r' % (stages,))
+        _check_payloads(stages)
         run.pipeline.stages = stages
         run.iteration += 1
         run.stage_idx = 0
@@ -181,8 +177,10 @@ class WorkflowEngine:
     # ------------------------------------------------------------------
 
     def run_pipelines(self, pipelines):
-        """Run pipelines concurrently to completion; returns the runs."""
+        """Run pipelines concurrently to completion; returns the runs.
+        WorkflowError for a bad payload in any stage before any runs."""
         runs = [_PipelineRun(p) for p in pipelines]
+        _check_payloads([s for run in runs for s in run.pipeline.stages])
         t0 = self.service.engine.now + self.latency_us
         for run in runs:
             self._submit_stage(run, t0)

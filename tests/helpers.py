@@ -1,14 +1,14 @@
 """Shared test oracles: log replay, per-tick utilization, slot enumeration,
-the reference continuous scheduler, the reference per-task table,
-utilization report and timeline, interval union, overhead report and rate
-series, and the reference overlay master; and `add_rows`, which fills a
-log with dict rows."""
+the reference pilot's per-id slot checks, the reference continuous
+scheduler, the reference per-task table, utilization report and timeline,
+interval union, overhead report and rate series, and the reference overlay
+master; and `add_rows`, which fills a log with dict rows."""
 
 import itertools
 
 from pilotsim.eventlog import LogError, TASK_EVENTS, _from_dict
 from pilotsim.metrics import MetricsError
-from pilotsim.resources import US_PER_S, Placement, secs
+from pilotsim.resources import US_PER_S, Placement, SlotError, secs
 from pilotsim.scheduler import check_feasible, gpu_weight_for
 from pilotsim.tasks import TERMINAL
 
@@ -140,6 +140,56 @@ def free_ids(occupancy):
     """The free slot ids of an occupancy list, ascending: read from who
     holds each slot, not from the node's own free lists."""
     return [i for i, owner in enumerate(occupancy) if owner is None]
+
+
+class ReferencePilot:
+    """Slot owners per (node id, kind, id), checked id by id on every call
+    as the pilot did before it proved slots from its free lists: every
+    node must exist, then each node's ids are checked in order, and a
+    refused call changes nothing."""
+
+    def __init__(self, specs):
+        self.usable = {spec.node_id: {'core': spec.usable_cpu_cores,
+                                      'gpu': spec.gpus} for spec in specs}
+        self.owner = {}
+
+    def _check(self, placement, free):
+        for node_id, _, _ in placement.node_slots:
+            if node_id not in self.usable:
+                raise SlotError('placement references unknown node %d'
+                                % node_id)
+        task = placement.task_id
+        for node_id, cores, gpus in placement.node_slots:
+            for kind, ids in (('core', cores), ('gpu', gpus)):
+                for i in ids:
+                    inside = 0 <= i < self.usable[node_id][kind]
+                    owner = self.owner.get((node_id, kind, i))
+                    if free and not inside:
+                        raise SlotError('%s %d not %s on node %d' % (
+                            kind, i, 'usable' if kind == 'core'
+                            else 'present', node_id))
+                    if free and owner is not None:
+                        raise SlotError('%s %d on node %d already held by %s'
+                                        % (kind, i, node_id, owner))
+                    if not free and not (inside and owner == task):
+                        raise SlotError('%s %d on node %d not owned by %s'
+                                        % (kind, i, node_id, task))
+
+    def _slots(self, placement):
+        return [(node_id, kind, i)
+                for node_id, cores, gpus in placement.node_slots
+                for kind, ids in (('core', cores), ('gpu', gpus))
+                for i in ids]
+
+    def occupy(self, placement):
+        self._check(placement, free=True)
+        for slot in self._slots(placement):
+            self.owner[slot] = placement.task_id
+
+    def release(self, placement):
+        self._check(placement, free=False)
+        for slot in self._slots(placement):
+            del self.owner[slot]
 
 
 def oracle_schedule(tasks, nodes, gpu_weight):

@@ -131,6 +131,78 @@ def test_a_refused_batch_books_none_of_its_tasks(ids, credits, match):
     assert [r['event'] for r in svc.log.rows] == ['pilot']
 
 
+def test_submit_books_every_record_of_a_generator():
+    """A batch given as a generator is read once: every record is checked
+    and then booked, and the run ends each of them."""
+    records = _tasks(3)
+    svc = ExecutionService(_pilot())
+    svc.submit(rec for rec in records)
+    assert list(svc.records) == ['t0000', 't0001', 't0002']
+    assert [r['event'] for r in svc.log.rows] == ['pilot'] + ['queued'] * 3
+    svc.run()
+    assert [r.state for r in records] == ['done'] * 3
+
+
+def test_submit_refuses_a_record_without_a_description():
+    """A record the scheduler could not place is refused at submit,
+    naming the task, and no task of the batch is booked."""
+    records = _tasks(2)
+    records[1].description = None
+    svc = ExecutionService(_pilot(walltime=10.0))
+    with pytest.raises(ValueError, match='task t0001: no description'):
+        svc.submit(records)
+    assert not svc.records
+    assert [r['event'] for r in svc.log.rows] == ['pilot']
+
+
+def test_submit_refuses_a_record_that_has_ended():
+    """A record that ended in another run is refused at submit, with the
+    second-terminal message, and no task of the batch is booked."""
+    ended = _tasks(1, prefix='old')
+    first = ExecutionService(_pilot())
+    first.submit(ended)
+    first.run()
+    records = _tasks(1) + ended
+    svc = ExecutionService(_pilot())
+    with pytest.raises(ValueError, match=r'task old0000 already terminal '
+                                         r'\(done\)'):
+        svc.submit(records)
+    assert not svc.records and records[0].t is None
+    assert [r['event'] for r in svc.log.rows] == ['pilot']
+
+
+def test_a_task_finished_twice_raises_naming_it_and_frees_its_slots_once():
+    """The second terminal state is refused before the record, the log or
+    the slots change: one `done` row, and every slot freed once."""
+    pilot = _pilot(nodes=1)
+    svc = ExecutionService(pilot)
+    records = _tasks(2)
+    svc.submit(records)
+    svc.run()
+    rows = len(svc.log.rows)
+    with pytest.raises(ValueError, match=r'task t0000 already terminal '
+                                         r'\(done\)'):
+        svc._finish(records[0], 'failed', error='again')
+    assert (records[0].state, records[0].error) == ('done', None)
+    assert len(svc.log.rows) == rows
+    node = pilot.nodes[0]
+    assert node.free_core_ids == list(range(34)) and not node.held
+    assert [r['event'] for r in svc.log.rows].count('done') == 2
+
+
+def test_a_transition_back_in_time_is_refused_by_the_kernel():
+    """A record's times are its kernel's `now`: the kernel refuses an
+    event before it, so a submission back in time books nothing."""
+    svc = ExecutionService(_pilot())
+    svc.submit(_tasks(1, duration=2.0))
+    svc.run()
+    assert svc.engine.now == us(2.0)
+    late = _tasks(1, prefix='late')
+    with pytest.raises(ValueError, match='before now'):
+        svc.submit_at(us(1.0), late)
+    assert list(svc.records) == ['t0000'] and late[0].t is None
+
+
 def test_partitioned_requires_plan_and_enough_nodes():
     with pytest.raises(ValueError, match='PartitionPlan'):
         ExecutionService(_pilot(), backend='partitioned')

@@ -6,7 +6,7 @@ from pilotsim.resources import (NODE_PRESETS, NodeSpec, NodeState,
                                 PilotDescription, Placement, ResourceSpec,
                                 SlotError, acquire, secs, us)
 
-from helpers import free_ids
+from helpers import ReferencePilot, free_ids
 
 
 def test_time_conversion_round_trip():
@@ -123,6 +123,96 @@ def test_free_lists_are_the_free_slots_in_ascending_order(ops):
                     node.free_core_ids, node.free_gpu_ids) == before
         assert node.free_core_ids == free_ids(node.core_occupancy)
         assert node.free_gpu_ids == free_ids(node.gpu_occupancy)
+
+
+_NODE_SLOTS = st.dictionaries(
+    st.integers(0, 3),      # node 3 does not exist
+    st.tuples(st.lists(st.integers(0, 6), unique=True, max_size=3),
+              st.lists(st.integers(0, 2), unique=True, max_size=2)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(['heads', 'ids', 'release', 'copy', 'part', 'foreign']),
+    st.integers(0, 3), _NODE_SLOTS, st.integers(0, 20)), max_size=25))
+def test_pilot_slot_checks_match_the_per_id_reference(ops):
+    """Pilot.occupy and release prove the heads of the free lists free and
+    a task's last entry its own, and check every other id one by one.
+    Against a reference that checks every id (helpers.ReferencePilot), on
+    three nodes of 5 usable cores and 2 GPUs, with four task ids that may
+    each hold several placements: every call raises the same SlotError
+    message or none, and leaves the same owners and free lists.  The ops
+    occupy the heads of the free lists as a pass would, occupy any ids
+    (held, out of range, on node 3), release a held placement, an equal
+    copy of it or a part of it, and release any ids under a task id."""
+    specs = tuple(NodeSpec(node_id=i, cpu_cores=6, gpus=2,
+                           usable_cpu_cores=5) for i in range(3))
+    pilot = acquire(PilotDescription(resource=ResourceSpec(nodes=specs),
+                                     walltime=1.0))
+    ref = ReferencePilot(specs)
+    held = []
+    for op, task, slots, pick in ops:
+        task_id = 't%d' % task
+        if op == 'heads':
+            slots = {n: (pilot.nodes[n].free_core_ids[:len(cores)],
+                         pilot.nodes[n].free_gpu_ids[:len(gpus)])
+                     for n, (cores, gpus) in slots.items() if n < 3}
+        pl = Placement(task_id=task_id, node_slots=tuple(
+            (n, tuple(cores), tuple(gpus)) for n, (cores, gpus)
+            in slots.items()))
+        if op in ('release', 'copy', 'part'):
+            if not held:
+                continue
+            pl = held[pick % len(held)]
+            if op == 'copy':
+                pl = Placement(task_id=pl.task_id, node_slots=tuple(
+                    (n, tuple(list(c)), tuple(list(g)))
+                    for n, c, g in pl.node_slots))
+            elif op == 'part':      # the first id of each kind, on one node
+                pl = Placement(task_id=pl.task_id, node_slots=tuple(
+                    (n, c[:1], g[:1]) for n, c, g in pl.node_slots[:1]))
+        errors = []
+        for target in (pilot, ref):
+            call = target.occupy if op in ('heads', 'ids') else target.release
+            try:
+                call(pl)
+                errors.append(None)
+            except SlotError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        if errors[0] is None and op in ('heads', 'ids'):
+            held.append(pl)
+        elif errors[0] is None and pl in held:
+            held.remove(pl)
+        for node in pilot.nodes:
+            nid = node.spec.node_id
+            assert node.core_occupancy == [ref.owner.get((nid, 'core', i))
+                                           for i in range(5)]
+            assert node.gpu_occupancy == [ref.owner.get((nid, 'gpu', i))
+                                          for i in range(2)]
+            assert node.free_core_ids == free_ids(node.core_occupancy)
+            assert node.free_gpu_ids == free_ids(node.gpu_occupancy)
+
+
+def test_a_release_proves_ownership_only_of_the_entry_a_task_took_last():
+    """Once a task has given any slot back, the entry it took is checked id
+    by id again: releasing it after one of its cores went back is refused,
+    even if another task holds that core now."""
+    pilot = acquire(PilotDescription(
+        resource=ResourceSpec.from_preset('summit-node', 1), walltime=1.0))
+    node = pilot.nodes[0]
+    both = Placement(task_id='a', node_slots=((0, (0, 1), (0,)),))
+    pilot.occupy(both)
+    assert node.held == {'a': both.node_slots[0]}
+    pilot.release(Placement(task_id='a', node_slots=((0, (0,), ()),)))
+    assert node.held == {}
+    pilot.occupy(Placement(task_id='b', node_slots=((0, (0,), ()),)))
+    with pytest.raises(SlotError, match='core 0 on node 0 not owned by a'):
+        pilot.release(both)
+    assert node.core_occupancy[:2] == ['b', 'a'] and node.gpu_occupancy[0] == 'a'
+    with pytest.raises(SlotError, match='gpu 6 not present on node 0'):
+        pilot.occupy(Placement(task_id='c', node_slots=((0, (), (6,)),)))
 
 
 def test_occupy_conflict_and_release_ownership():

@@ -100,6 +100,31 @@ def test_a_negative_payload_is_rejected():
         run_pipeline(pipe, _service(_pilot()))
 
 
+def test_a_bad_payload_in_the_last_stage_is_refused_before_any_task_runs():
+    """Every stage's payloads are checked when the run starts: the bad one
+    in the last stage is named before the first stage writes a row."""
+    pipe = Pipeline('p', [_stage('s0', 6, 5.0, 'p'),
+                          _stage('s1', 1, -3.0, 'p')])
+    svc = _service(_pilot())
+    with pytest.raises(WorkflowError, match='payload -3.0 is not >= 0'):
+        run_pipeline(pipe, svc)
+    assert [r['event'] for r in svc.log.rows] == ['pilot']
+    assert not svc.records and not svc.engine._heap
+
+
+def test_a_bad_payload_an_adaptivity_hook_returns_is_refused():
+    """The hook's stages are checked as it returns them, before any of
+    their tasks is made."""
+    bad = Stage('next', [TaskDescription(task_id='n0', payload='5 s')])
+    pipe = Pipeline('p', [_stage('s1', 1, 2.0, 'p')],
+                    adaptivity=lambda iteration, records: [bad])
+    svc = _service(_pilot())
+    with pytest.raises(WorkflowError, match="cannot interpret payload '5 s'"):
+        run_pipeline(pipe, svc)
+    assert list(svc.records) == ['p-s10']
+    assert pipe.stages[0].stage_id == 's1'
+
+
 def test_a_negative_comm_latency_is_rejected():
     pipe = Pipeline('p', [_stage('s%d' % s, 1, 2.0, 'p') for s in range(2)])
     with pytest.raises(ValueError, match='comm_latency_s -5.0 is not >= 0'):
